@@ -1,11 +1,11 @@
 """Spectral simulation and verification of nonlocal inverse curvature flows
 for l-convex Legendre curves."""
 
-from .curves import (CurvaturePairView, CurveClass, CurveKind, Point2,
-                     SingularPointError, SupportFourier, algebraic_area,
-                     algebraic_length, beta_of, classify, curvature_at,
-                     ell_convex_residuals, eval_point, sample_points,
-                     singular_angles, steiner_point)
+from .curves import (CurveClass, CurveKind, Point2, SingularPointError,
+                     SupportFourier, algebraic_area, algebraic_length,
+                     beta_of, classify, curvature_at, ell_convex_residuals,
+                     eval_point, sample_points, singular_angles,
+                     steiner_point)
 from .spectral import (AliasError, GridFunction, analyze, default_grid_size,
                        derivative, l2_quantities, periodic_quadrature,
                        synthesize)
@@ -14,8 +14,7 @@ from .flows import (DegenerateLengthError, DiagnosticsRow, FlowConfig,
                     NotConvergedError, Scheme, StabilityError,
                     WindowTooNoisyError, diagnostics, fit_decay_rate,
                     grid_stability_bound, lambda_area, lambda_length,
-                    limit_circle, modal_rhs, run, step_exact_modal,
-                    step_grid_rk4)
+                    limit_circle, run, step_exact_modal, step_grid_rk4)
 from .inequalities import (Constraint, CurveEnsembleSpec, InequalityReport,
                            ModeNotExcludedError, NotZeroLengthError,
                            RejectionExhaustedError, check_beta2_family,

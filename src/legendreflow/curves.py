@@ -116,14 +116,6 @@ class CurveClass:
     min_p: float
 
 
-@dataclass(frozen=True)
-class CurvaturePairView:
-    """The curvature pair (ell, beta) of a Legendre curve, with ell fixed to 1."""
-
-    beta: SupportFourier
-    ell: float = 1.0
-
-
 def eval_point(p: SupportFourier, theta: float) -> Point2:
     """gamma(theta) = p*(cos, sin) + p'*(-sin, cos); 2*pi-periodic."""
     c, s = math.cos(theta), math.sin(theta)
@@ -141,7 +133,7 @@ def sample_points(p: SupportFourier, thetas: np.ndarray) -> np.ndarray:
                      pv * np.sin(th) + dv * np.cos(th)], axis=-1)
 
 
-def beta_of(p: SupportFourier) -> CurvaturePairView:
+def beta_of(p: SupportFourier) -> SupportFourier:
     """beta = p + p'': coefficientwise (a_k, b_k) -> (1 - k^2)(a_k, b_k).
 
     Mode 1 is annihilated, which is exactly the condition that beta stays
@@ -152,7 +144,7 @@ def beta_of(p: SupportFourier) -> CurvaturePairView:
         f = 1.0 - k * k
         if f * a != 0.0 or f * b != 0.0:
             modes.append((k, f * a, f * b))
-    return CurvaturePairView(beta=SupportFourier(p.a0, tuple(modes)))
+    return SupportFourier(p.a0, tuple(modes))
 
 
 def algebraic_length(p: SupportFourier) -> float:
@@ -182,7 +174,7 @@ def curvature_at(p: SupportFourier, theta: float,
     Raises SingularPointError at cusps, where 1/|beta| is meaningless in
     double precision.
     """
-    b = beta_of(p).beta.evaluate(theta)
+    b = beta_of(p).evaluate(theta)
     if abs(b) <= tol:
         raise SingularPointError(
             f"beta({theta}) = {b:.3e} within singularity tolerance {tol}")
@@ -203,7 +195,7 @@ def singular_angles(p: SupportFourier, n: int | None = None,
         n = max(n_min, 16)
     elif n < n_min:
         raise ValueError(f"grid size {n} < 4*(K+1) = {n_min}")
-    beta = beta_of(p).beta
+    beta = beta_of(p)
     theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
     vals = beta.evaluate(theta)
     h = TWO_PI / n
@@ -257,7 +249,7 @@ def classify(p: SupportFourier, n: int | None = None) -> CurveClass:
     elif n < n_min:
         raise ValueError(f"grid size {n} < 4*(K+1) = {n_min}")
     theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    beta = beta_of(p).beta
+    beta = beta_of(p)
     min_p = float(np.min(p.evaluate(theta)))
     min_beta = float(np.min(beta.evaluate(theta)))
 

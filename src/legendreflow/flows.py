@@ -9,10 +9,12 @@ conservation law:
 
 Modally the PDE is diagonal: d(a_k, b_k)/dt = (1 - k^2)(a_k, b_k) for k >= 1
 (mode 1 is frozen, fixing the Steiner point) and da0/dt = a0 - lambda(t).
-The ExactModal scheme exploits this: modes k >= 2 decay by exact exponential
-factors and only the a0 ODE of the area-preserving flow needs a time stepper
-(classical RK4 with lambda evaluated from the analytically decayed modes).
-A method-of-lines GridRK4 scheme serves as the independent oracle.
+The ExactModal scheme is the closed-form solution of this system: modes
+k >= 2 decay as exp((1 - k^2) t), a0 is constant under the length-preserving
+flow, and under the area-preserving flow freezing A gives a0(t)^2 in closed
+form (the support-function form of Gage's area-preserving flow).  It needs no
+time stepper, so dt only sets the record spacing.  A method-of-lines GridRK4
+scheme serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -78,6 +80,10 @@ class FlowConfig:
             raise ValueError("need t_final >= 0 and dt > 0")
         if self.t_final > 0 and self.dt > self.t_final:
             raise ValueError("dt exceeds t_final")
+        steps = self.t_final / self.dt
+        if abs(steps - round(steps)) > 1e-9:
+            raise ValueError(f"t_final = {self.t_final!r} is not a whole "
+                             f"number of steps dt = {self.dt!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.lambda_floor <= 0:
@@ -130,7 +136,7 @@ def lambda_area(state: FlowState, lambda_floor: float = 1e-9) -> float:
     if abs(L) < lambda_floor:
         raise DegenerateLengthError(
             f"|L| = {abs(L):.3e} below floor {lambda_floor} at t = {state.t}")
-    return l2_quantities(beta_of(state.p).beta)["int_p2"] / L
+    return l2_quantities(beta_of(state.p))["int_p2"] / L
 
 
 def _lambda_of(state: FlowState, flow_type: FlowType,
@@ -140,62 +146,38 @@ def _lambda_of(state: FlowState, flow_type: FlowType,
     return lambda_area(state, lambda_floor)
 
 
-def modal_rhs(state: FlowState, flow_type: FlowType,
-              lambda_floor: float = 1e-9) -> SupportFourier:
-    """Time derivative of the coefficients, packaged as a series.
-
-    da0/dt = a0 - lambda(t); d(a_k, b_k)/dt = (1 - k^2)(a_k, b_k), so the
-    mode-1 derivative is exactly zero.
-    """
-    lam = _lambda_of(state, flow_type, lambda_floor)
-    modes = []
-    for k, a, b in state.p.modes:
-        f = 1.0 - k * k
-        if f * a != 0.0 or f * b != 0.0:
-            modes.append((k, f * a, f * b))
-    return SupportFourier(state.p.a0 - lam, tuple(modes))
-
-
 def step_exact_modal(state: FlowState, dt: float, flow_type: FlowType,
                      lambda_floor: float = 1e-9) -> FlowState:
-    """Exponential step: modes k >= 2 scaled by exp((1-k^2) dt) exactly,
-    mode 1 untouched.  a0 is exact for the length-preserving flow (constant)
-    and advanced by classical RK4 for the area-preserving one, with the
-    nonlocal term re-evaluated from the analytically decayed modes at
-    substage times.
+    """The exact solution at time state.t + dt of the flow started from state.
+
+    Modes k >= 2 scale by exp((1 - k^2) dt) and mode 1 is untouched.  a0 is
+    constant under the length-preserving flow.  Under the area-preserving
+    flow, holding A = pi*a0^2 + (pi/2) sum (1 - k^2) c_k^2 fixed gives
+
+        a0(dt)^2 = a0^2 - (1/2) sum_{k>=2} (k^2 - 1) c_k^2 (1 - e^{2(1-k^2)dt})
+
+    with the sign of a0 kept.  a0^2 decreases towards A/pi, so |L| can fall
+    below lambda_floor only when A <= pi*(lambda_floor/2pi)^2; for A <= 0
+    the flow has no real solution past that time.  Either way
+    DegenerateLengthError is raised.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    if dt < 0:
+        raise ValueError("dt must be >= 0")
     p = state.p
     new_modes = tuple(
         (k, a, b) if k == 1 else
         (k, a * math.exp((1 - k * k) * dt), b * math.exp((1 - k * k) * dt))
         for k, a, b in p.modes)
-
-    if flow_type is FlowType.LENGTH_PRESERVING:
-        a0 = p.a0
-    else:
-        # S(s) = sum_{k>=2} (1-k^2)^2 c_k(t)^2 e^{2(1-k^2)s}, s in [0, dt]
-        terms = [((1.0 - k * k), a * a + b * b)
-                 for k, a, b in p.modes if k >= 2]
-
-        def rhs(s: float, a0: float) -> float:
-            L = TWO_PI * a0
-            if abs(L) < lambda_floor:
-                raise DegenerateLengthError(
-                    f"|L| below floor {lambda_floor} inside step at "
-                    f"t = {state.t + s}")
-            int_b2 = TWO_PI * a0 * a0 + math.pi * sum(
-                f * f * e * math.exp(2.0 * f * s) for f, e in terms)
-            return a0 - int_b2 / L
-
-        a0 = p.a0
-        k1 = rhs(0.0, a0)
-        k2 = rhs(0.5 * dt, a0 + 0.5 * dt * k1)
-        k3 = rhs(0.5 * dt, a0 + 0.5 * dt * k2)
-        k4 = rhs(dt, a0 + dt * k3)
-        a0 = a0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
+    a0 = p.a0
+    if flow_type is FlowType.AREA_PRESERVING:
+        a0_sq = p.a0 * p.a0 + 0.5 * sum(
+            (1 - k * k) * (a * a + b * b) * -math.expm1(2 * (1 - k * k) * dt)
+            for k, a, b in p.modes if k >= 2)
+        if not a0_sq >= (lambda_floor / TWO_PI) ** 2:
+            raise DegenerateLengthError(
+                f"|L| falls below floor {lambda_floor} before "
+                f"t = {state.t + dt}")
+        a0 = math.copysign(math.sqrt(a0_sq), p.a0)
     return FlowState(state.t + dt, SupportFourier(a0, new_modes))
 
 
@@ -211,6 +193,13 @@ class GridFlowState:
 def grid_stability_bound(k_cut: int) -> float:
     """dt bound for the explicit RK4 step: 1/(k_cut^2 + 1)."""
     return 1.0 / (k_cut * k_cut + 1.0)
+
+
+def _check_stability(dt: float, k_cut: int) -> None:
+    if dt > grid_stability_bound(k_cut):
+        raise StabilityError(
+            f"dt = {dt} exceeds stability bound "
+            f"{grid_stability_bound(k_cut):.3e} for k_cut = {k_cut}")
 
 
 def _grid_rhs(v: np.ndarray, flow_type: FlowType, k_cut: int,
@@ -240,10 +229,7 @@ def step_grid_rk4(state: GridFlowState, dt: float, flow_type: FlowType,
 
     The independent time-stepping oracle for step_exact_modal.
     """
-    if dt > grid_stability_bound(state.k_cut):
-        raise StabilityError(
-            f"dt = {dt} exceeds stability bound "
-            f"{grid_stability_bound(state.k_cut):.3e} for k_cut = {state.k_cut}")
+    _check_stability(dt, state.k_cut)
     v = state.grid.values
     t = state.t
     f1 = _grid_rhs(v, flow_type, state.k_cut, lambda_floor, t)
@@ -261,9 +247,9 @@ def diagnostics(state: FlowState, flow_type: FlowType, grid_n: int,
     p = state.p
     L = algebraic_length(p)
     A = algebraic_area(p)
-    beta = beta_of(p).beta
-    int_b2 = l2_quantities(beta)["int_p2"]
-    e1 = l2_quantities(beta)["int_dp2"]
+    beta = beta_of(p)
+    q = l2_quantities(beta)
+    int_b2, e1 = q["int_p2"], q["int_dp2"]
     e2 = l2_quantities(derivative(beta))["int_dp2"]
     theta = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
     sup_dev = float(np.max(np.abs(beta.evaluate(theta) - L / TWO_PI)))
@@ -277,6 +263,30 @@ def diagnostics(state: FlowState, flow_type: FlowType, grid_n: int,
         E1=e1, E2=e2, a0=p.a0, max_abs_mode=max_abs, mode_amps=amps)
 
 
+def _record_states(config: FlowConfig, steps: list[int]):
+    """Yield the state after each of the increasing step counts `steps`.
+
+    The modal scheme evaluates its closed form at step*dt; the grid scheme
+    advances RK4 to the step and analyzes the grid there.
+    """
+    flow_type, dt, floor = config.flow_type, config.dt, config.lambda_floor
+    if config.scheme is Scheme.EXACT_MODAL:
+        start = FlowState(0.0, config.initial)
+        for step in steps:
+            yield step_exact_modal(start, step * dt, flow_type, floor)
+        return
+    k_cut = max(config.initial.K, 1)
+    _check_stability(dt, k_cut)
+    gstate = GridFlowState(
+        0.0, synthesize(config.initial, config.effective_grid_n), k_cut)
+    done = 0
+    for step in steps:
+        for _ in range(step - done):
+            gstate = step_grid_rk4(gstate, dt, flow_type, floor)
+        done = step
+        yield FlowState(step * dt, analyze(gstate.grid, k_cut))
+
+
 def run(config: FlowConfig, on_record=None) -> FlowTrace:
     """Integrate to t_final (or early stop), recording diagnostics every
     record_every steps plus the initial and final rows.
@@ -285,47 +295,21 @@ def run(config: FlowConfig, on_record=None) -> FlowTrace:
     recorded row (snapshot hook for the CLI).
     """
     grid_n = config.effective_grid_n
-    n_steps = int(round(config.t_final / config.dt)) if config.t_final > 0 else 0
-
-    if config.scheme is Scheme.GRID_RK4:
-        k_cut = max(config.initial.K, 1)
-        gstate = GridFlowState(0.0, synthesize(config.initial, grid_n), k_cut)
-        if config.dt > grid_stability_bound(k_cut):
-            raise StabilityError(
-                f"dt = {config.dt} exceeds stability bound "
-                f"{grid_stability_bound(k_cut):.3e} for k_cut = {k_cut}")
-
-        def to_state(gs: GridFlowState) -> FlowState:
-            return FlowState(gs.t, analyze(gs.grid, gs.k_cut))
-
-        state = to_state(gstate)
-    else:
-        gstate = None
-        state = FlowState(0.0, config.initial)
-
-    rows = [diagnostics(state, config.flow_type, grid_n, config.lambda_floor)]
-    if on_record is not None:
-        on_record(0, state)
+    n_steps = round(config.t_final / config.dt)
+    steps = list(range(0, n_steps + 1, config.record_every))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    rows = []
     converged = False
-    for step in range(1, n_steps + 1):
-        if config.scheme is Scheme.GRID_RK4:
-            gstate = step_grid_rk4(gstate, config.dt, config.flow_type,
-                                   config.lambda_floor)
-            # keep recorded times exact multiples of dt
-            gstate = GridFlowState(step * config.dt, gstate.grid, gstate.k_cut)
-            state = to_state(gstate)
-        else:
-            state = step_exact_modal(state, config.dt, config.flow_type,
-                                     config.lambda_floor)
-            state = FlowState(step * config.dt, state.p)
-        if step % config.record_every == 0 or step == n_steps:
-            rows.append(diagnostics(state, config.flow_type, grid_n,
-                                    config.lambda_floor))
-            if on_record is not None:
-                on_record(len(rows) - 1, state)
-            if config.stop_sup_dev > 0 and rows[-1].sup_dev < config.stop_sup_dev:
-                converged = True
-                break
+    for index, state in enumerate(_record_states(config, steps)):
+        rows.append(diagnostics(state, config.flow_type, grid_n,
+                                config.lambda_floor))
+        if on_record is not None:
+            on_record(index, state)
+        if index > 0 and config.stop_sup_dev > 0 \
+                and rows[-1].sup_dev < config.stop_sup_dev:
+            converged = True
+            break
     return FlowTrace(config=config, rows=tuple(rows), final_state=state,
                      converged=converged)
 

@@ -85,7 +85,7 @@ def _report(ineq_id: str, parameter: float | None, slack: float,
 
 def _beta_integrals(p: SupportFourier) -> tuple[float, float]:
     """(int beta^2, int beta'^2) via the modal Parseval formulas."""
-    beta = beta_of(p).beta
+    beta = beta_of(p)
     q = l2_quantities(beta)
     return q["int_p2"], q["int_dp2"]
 
@@ -208,7 +208,7 @@ def random_curve(spec: CurveEnsembleSpec, index: int) -> SupportFourier:
             theta = np.linspace(0.0, TWO_PI, max(4 * (spec.K + 1), 256),
                                 endpoint=False)
             min_p = float(np.min(rest.evaluate(theta)))
-            min_b = float(np.min(beta_of(rest).beta.evaluate(theta)))
+            min_b = float(np.min(beta_of(rest).evaluate(theta)))
             lift = max(0.1 - min_p, 0.1 - min_b, 0.0) + 1e-9
             return SupportFourier(max(a0, 0.0) + lift, modes)
         if spec.constraint is Constraint.POSITIVE_AREA:

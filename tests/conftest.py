@@ -21,7 +21,7 @@ def area_quadrature(p: SupportFourier, n: int = 256) -> float:
     """Independent oracle: A = (1/2) int p * (p + p'') dtheta."""
     from legendreflow import GridFunction
     pg = synthesize(p, n).values
-    bg = synthesize(beta_of(p).beta, n).values
+    bg = synthesize(beta_of(p), n).values
     return 0.5 * periodic_quadrature(GridFunction(pg * bg))
 
 

@@ -169,10 +169,10 @@ def test_criterion_8_structural_invariants():
         for _ in range(5):
             s = step_exact_modal(s, 0.02, FlowType.LENGTH_PRESERVING)
             ok &= s.p.coeff(1) == (a1, b1)
-            ok &= beta_of(s.p).beta.coeff(1) == (0.0, 0.0)
+            ok &= beta_of(s.p).coeff(1) == (0.0, 0.0)
 
         # derivative orthogonality at the evolved state
-        beta = beta_of(s.p).beta
+        beta = beta_of(s.p)
         rc, rs = ell_convex_residuals(synthesize(derivative(beta), 64))
         ok &= abs(rc) < 1e-10 and abs(rs) < 1e-10
 

@@ -1,5 +1,7 @@
 import math
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +158,26 @@ class TestCliMain:
                        "--out", str(tmp_path / "t.csv")])
         assert rc == 1
         assert "DegenerateLength" in capsys.readouterr().err
+
+    def test_simulate_partial_step_fails(self, tmp_path, capsys):
+        f = tmp_path / "c.curve"
+        f.write_text("a0 = 2\nmode 2 = 0 1\n")
+        rc = cli_main(["simulate", "--flow", "length", "--curve", str(f),
+                       "--t-final", "1", "--dt", "0.4",
+                       "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert "whole number of steps" in capsys.readouterr().err
+
+    def test_readme_commands(self, tmp_path, monkeypatch):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("## CLI")[1]
+        block = block.split("```sh")[1].split("```")[0].replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for line in block.splitlines()
+                    if line.startswith("legendreflow ")]
+        assert len(commands) == 4
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert cli_main(argv) == 0, argv
 
     def test_missing_curve_file(self, tmp_path, capsys):
         rc = cli_main(["analyze", "--curve", str(tmp_path / "nope.curve")])

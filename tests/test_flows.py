@@ -1,20 +1,24 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from legendreflow import (DegenerateLengthError, FlowConfig, FlowState,
-                          FlowType, GridFunction, NotConvergedError, Scheme,
-                          StabilityError, SupportFourier, beta_of,
-                          derivative, ell_convex_residuals, fit_decay_rate,
+from legendreflow import (Constraint, CurveEnsembleSpec, DegenerateLengthError,
+                          FlowConfig, FlowState, FlowType, GridFunction,
+                          NotConvergedError, Scheme, StabilityError,
+                          SupportFourier, algebraic_area, beta_of, derivative,
+                          ell_convex_residuals, fit_decay_rate,
                           grid_stability_bound, lambda_area, lambda_length,
-                          limit_circle, modal_rhs, periodic_quadrature, run,
+                          limit_circle, periodic_quadrature, random_curve, run,
                           sample_points, step_exact_modal, step_grid_rk4,
                           synthesize)
 from legendreflow.flows import GridFlowState
 
 TWO_PI = 2.0 * math.pi
+AREA = FlowType.AREA_PRESERVING
 P_FIG_A = SupportFourier(2.0, ((2, 0.0, 1.0),))
+P_FIG_C = SupportFourier(0.5, ((2, 0.0, 1.0),))      # A = -5 pi / 4
 P_ZERO_L = SupportFourier(0.0, ((1, 2.0, 1.0), (2, 2.0, 1.0)))
 
 
@@ -31,7 +35,7 @@ class TestLambdas:
     def test_lambda_area_fig_a_with_quadrature_oracle(self):
         lam = lambda_area(FlowState(0.0, P_FIG_A))
         assert lam == pytest.approx(17 / 4, abs=1e-12)
-        beta = synthesize(beta_of(P_FIG_A).beta, 1024).values
+        beta = synthesize(beta_of(P_FIG_A), 1024).values
         oracle = periodic_quadrature(GridFunction(beta * beta)) / (4 * math.pi)
         assert lam == pytest.approx(oracle, abs=1e-12)
 
@@ -41,29 +45,31 @@ class TestLambdas:
             lambda_area(FlowState(0.0, p))
 
 
-class TestModalRhs:
-    def test_length_preserving_a0_frozen(self):
-        rhs = modal_rhs(FlowState(0.0, P_FIG_A), FlowType.LENGTH_PRESERVING)
-        assert rhs.a0 == 0.0
+def _mp_reference(p: SupportFourier, flow_type: FlowType, t: float):
+    """(a0(t), {k: (a_k(t), b_k(t))}) at mpmath's working precision, after
+    checking a0 against da0/dt = a0 - lambda, lambda = int beta^2 / L by
+    Parseval, with mpmath's numerical derivative."""
+    mp = mpmath.mp
+    t = mp.mpf(t)
+    energy = [(1 - k * k, mp.mpf(a) ** 2 + mp.mpf(b) ** 2)
+              for k, a, b in p.modes if k >= 2]
 
-    def test_mode2_rate(self):
-        for ft in FlowType:
-            rhs = modal_rhs(FlowState(0.0, P_FIG_A), ft)
-            assert rhs.coeff(2) == (0.0, -3.0)
+    def a0(s):
+        if flow_type is FlowType.LENGTH_PRESERVING:
+            return mp.mpf(p.a0)
+        return mpmath.sign(p.a0) * mpmath.sqrt(mp.mpf(p.a0) ** 2 + sum(
+            f * e * (1 - mpmath.exp(2 * f * s)) for f, e in energy) / 2)
 
-    def test_mode1_frozen(self):
-        p = SupportFourier(1.0, ((1, 0.7, -0.2), (2, 0.1, 0.0)))
-        rhs = modal_rhs(FlowState(0.0, p), FlowType.LENGTH_PRESERVING)
-        assert rhs.coeff(1) == (0.0, 0.0)
-
-    def test_area_a0_rate_vs_quadrature_oracle(self):
-        # da0/dt = mean of f = beta - lambda over the circle, N = 1024
-        state = FlowState(0.0, P_FIG_A)
-        rhs = modal_rhs(state, FlowType.AREA_PRESERVING)
-        lam = lambda_area(state)
-        f = synthesize(beta_of(P_FIG_A).beta, 1024).values - lam
-        oracle = periodic_quadrature(GridFunction(f)) / TWO_PI
-        assert rhs.a0 == pytest.approx(oracle, abs=1e-12)
+    if flow_type is FlowType.LENGTH_PRESERVING:
+        lam = a0(t)
+    else:
+        lam = (2 * mp.pi * a0(t) ** 2 + mp.pi * sum(
+            f * f * e * mpmath.exp(2 * f * t) for f, e in energy)) \
+            / (2 * mp.pi * a0(t))
+    assert abs(mpmath.diff(a0, t) - (a0(t) - lam)) < mp.mpf(10) ** -40
+    return a0(t), {k: (mp.mpf(a) * mpmath.exp((1 - k * k) * t),
+                       mp.mpf(b) * mpmath.exp((1 - k * k) * t))
+                   for k, a, b in p.modes}
 
 
 class TestStepExactModal:
@@ -73,6 +79,49 @@ class TestStepExactModal:
         assert s.p.a0 == 2.0
         assert s.p.coeff(2) == pytest.approx((0.0, math.exp(-3)), rel=1e-15)
 
+    def test_mode2_rate(self):
+        for ft in FlowType:
+            s = step_exact_modal(FlowState(0.0, P_FIG_A), 0.5, ft)
+            assert math.log(s.p.coeff(2)[1]) / 0.5 == pytest.approx(-3.0,
+                                                                    rel=1e-14)
+
+    def test_mode1_bit_identical(self):
+        p = SupportFourier(1.0, ((1, 0.7, -0.2), (2, 0.1, 0.0)))
+        for ft in FlowType:
+            s = step_exact_modal(FlowState(0.0, p), 0.5, ft)
+            assert s.p.coeff(1) == (0.7, -0.2)
+
+    def test_a0_rate_vs_quadrature_oracle(self):
+        # da0/dt is the mean of f = beta - lambda over the circle, with beta
+        # sampled and lambda integrated on N = 1024 points
+        h = 1e-4
+        for ft in FlowType:
+            def a0(t):
+                return step_exact_modal(FlowState(0.0, P_FIG_A), t, ft).p.a0
+            rate = (a0(0.5 + h) - a0(0.5 - h)) / (2 * h)
+            p = step_exact_modal(FlowState(0.0, P_FIG_A), 0.5, ft).p
+            beta = synthesize(beta_of(p), 1024).values
+            L = periodic_quadrature(synthesize(p, 1024))
+            lam = L / TWO_PI if ft is FlowType.LENGTH_PRESERVING else \
+                periodic_quadrature(GridFunction(beta * beta)) / L
+            oracle = periodic_quadrature(GridFunction(beta - lam)) / TWO_PI
+            assert rate == pytest.approx(oracle, abs=1e-7)
+
+    def test_matches_mpmath(self):
+        spec = CurveEnsembleSpec(seed=3, count=1, K=16,
+                                 constraint=Constraint.CONVEX)
+        for p in (P_FIG_A, random_curve(spec, 0)):
+            for ft in FlowType:
+                for t in (0.05, 1.0):
+                    got = step_exact_modal(FlowState(0.0, p), t, ft).p
+                    with mpmath.workdps(50):
+                        a0, modes = _mp_reference(p, ft, t)
+                        assert abs(got.a0 - a0) <= 1e-14 * abs(a0)
+                        for k, a, b in got.modes:
+                            ref_a, ref_b = modes[k]
+                            assert abs(a - ref_a) <= 1e-14 * abs(ref_a)
+                            assert abs(b - ref_b) <= 1e-14 * abs(ref_b)
+
     def test_circle_fixed_point(self):
         circle = FlowState(0.0, SupportFourier(1.5))
         for ft in FlowType:
@@ -81,13 +130,20 @@ class TestStepExactModal:
             assert s.p.modes == ()
 
     def test_area_preserved_per_step(self):
-        from legendreflow import algebraic_area
         a0 = algebraic_area(P_FIG_A)
         state = FlowState(0.0, P_FIG_A)
         for _ in range(20):
-            state = step_exact_modal(state, 1e-2, FlowType.AREA_PRESERVING)
-            # RK4 drift in a0 is roughly 5e-10 per step at dt = 1e-2
-            assert algebraic_area(state.p) == pytest.approx(a0, abs=1e-7)
+            state = step_exact_modal(state, 1e-2, AREA)
+            assert algebraic_area(state.p) == pytest.approx(a0, rel=1e-13)
+
+    def test_area_flow_past_blow_up_raises(self):
+        # a0(t)^2 = 1/4 - (3/2)(1 - e^{-6t}) is 0 at t = ln(1.2)/6 ~ 0.0304
+        start = FlowState(0.0, P_FIG_C)
+        s = step_exact_modal(start, 0.03, AREA)
+        assert s.p.a0 == pytest.approx(
+            math.sqrt(0.25 - 1.5 * (1.0 - math.exp(-0.18))), rel=1e-12)
+        with pytest.raises(DegenerateLengthError):
+            step_exact_modal(start, 0.1, AREA)
 
 
 class TestStepGridRK4:
@@ -130,6 +186,10 @@ class TestRun:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, t_final=1.0, dt=2.0)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, t_final=1.0,
+                       dt=0.4)
+        FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, t_final=0.3, dt=1e-3)
         with pytest.raises(DegenerateLengthError):
             FlowConfig(FlowType.AREA_PRESERVING, P_ZERO_L)
 
@@ -153,6 +213,16 @@ class TestRun:
         assert all(b - a <= 1e-12 for a, b in zip(Ls, Ls[1:]))
         assert tr.final_state.p.a0 == pytest.approx(math.sqrt(2.5), abs=1e-6)
         assert all(r.Q <= 1e-9 for r in tr.rows)
+
+    def test_area_drift_round_off_over_convex_ensemble(self):
+        spec = CurveEnsembleSpec(seed=7, count=8, K=32,
+                                 constraint=Constraint.CONVEX)
+        for i in range(spec.count):
+            tr = run(FlowConfig(AREA, random_curve(spec, i), t_final=30.0,
+                                dt=1e-2, record_every=10))
+            A0 = tr.rows[0].A
+            assert len(tr.rows) == 301
+            assert max(abs(r.A - A0) for r in tr.rows) <= 1e-13 * abs(A0)
 
     def test_zero_length_collapse_to_steiner_point(self):
         tr = run(FlowConfig(FlowType.LENGTH_PRESERVING, P_ZERO_L,
@@ -198,7 +268,7 @@ class TestRun:
         state = FlowState(0.0, p)
         for _ in range(10):
             state = step_exact_modal(state, 0.05, FlowType.LENGTH_PRESERVING)
-            beta = beta_of(state.p).beta
+            beta = beta_of(state.p)
             assert beta.coeff(1) == (0.0, 0.0)
 
     def test_derivative_orthogonality_along_flow(self):
@@ -207,7 +277,7 @@ class TestRun:
         state = FlowState(0.0, p)
         for _ in range(8):
             state = step_exact_modal(state, 0.1, FlowType.LENGTH_PRESERVING)
-            beta = beta_of(state.p).beta
+            beta = beta_of(state.p)
             for order in (1, 2):
                 g = synthesize(derivative(beta, order), 64)
                 rc, rs = ell_convex_residuals(g)

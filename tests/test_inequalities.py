@@ -21,7 +21,7 @@ P_NEG = SupportFourier(0.0, ((1, 2.0, 1.0), (2, 2.0, 1.0)))
 
 
 def quad_int_beta2(p, n=512):
-    b = synthesize(beta_of(p).beta, n).values
+    b = synthesize(beta_of(p), n).values
     return periodic_quadrature(GridFunction(b * b))
 
 
@@ -100,7 +100,7 @@ class TestGradFamily:
         p = rand_support(rng, K=5)
         rep = check_grad_family(p, 24.0)
         from legendreflow import l2_quantities
-        int_db2 = l2_quantities(beta_of(p).beta)["int_dp2"]
+        int_db2 = l2_quantities(beta_of(p))["int_dp2"]
         L = algebraic_length(p)
         A = algebraic_area(p)
         lhs = int_db2 / 12 - 2 * (L * L / (4 * math.pi) - A)
