@@ -1,11 +1,11 @@
 """Spectral simulation and verification of nonlocal inverse curvature flows
 for l-convex Legendre curves."""
 
-from .curves import (CurveClass, CurveKind, Point2, SingularPointError,
-                     SupportFourier, algebraic_area, algebraic_length,
-                     beta_of, classify, curvature_at, ell_convex_residuals,
-                     eval_point, sample_points, singular_angles,
-                     steiner_point)
+from .curves import (CurveClass, CurveKind, InputError, Point2,
+                     SingularPointError, SupportFourier, algebraic_area,
+                     algebraic_length, beta_of, classify, curvature_at,
+                     ell_convex_residuals, eval_point, sample_points,
+                     singular_angles, steiner_point)
 from .spectral import (AliasError, GridFunction, analyze, default_grid_size,
                        derivative, l2_quantities, periodic_quadrature,
                        synthesize)

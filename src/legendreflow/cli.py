@@ -19,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import (TWO_PI, SupportFourier, algebraic_area, algebraic_length,
-                     classify, eval_point, sample_points, singular_angles,
-                     steiner_point)
-from .flows import (DegenerateLengthError, FlowConfig, FlowTrace, FlowType,
-                    NotConvergedError, Scheme, StabilityError, run)
-from .inequalities import (Constraint, CurveEnsembleSpec, NotZeroLengthError,
+from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
+                     algebraic_length, classify, eval_point, sample_points,
+                     singular_angles, steiner_point)
+from .flows import (LAMBDA_FLOOR, DegenerateLengthError, FlowConfig, FlowTrace,
+                    FlowType, Scheme, run)
+from .inequalities import (Constraint, CurveEnsembleSpec,
                            RejectionExhaustedError, check_beta2_family,
                            check_beta2_zero_length, check_grad_family,
                            check_isoperimetric, green_osher_quadratic,
@@ -33,7 +33,7 @@ from .inequalities import (Constraint, CurveEnsembleSpec, NotZeroLengthError,
 CSV_HEADER = "t,L,A,deficit_U,sup_dev,Q,lambda,E1,E2,a0,max_mode"
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
@@ -48,7 +48,12 @@ def parse_curve_file(path: str | Path) -> SupportFourier:
     a0 = 0.0
     seen_a0 = False
     modes: dict[int, tuple[float, float]] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}",
+                         data.count(b"\n", 0, exc.start) + 1) from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -58,6 +63,7 @@ def parse_curve_file(path: str | Path) -> SupportFourier:
         key, _, value = line.partition("=")
         key = key.strip()
         fields = value.split()
+        mode_key = key.split()
         try:
             if key == "a0":
                 if seen_a0:
@@ -66,8 +72,8 @@ def parse_curve_file(path: str | Path) -> SupportFourier:
                     raise ParseError("a0 takes one value", lineno)
                 a0 = float(fields[0])
                 seen_a0 = True
-            elif key.startswith("mode"):
-                k = int(key.split()[1])
+            elif len(mode_key) == 2 and mode_key[0] == "mode":
+                k = int(mode_key[1])
                 if k < 1:
                     raise ParseError(f"mode number {k} must be >= 1", lineno)
                 if k in modes:
@@ -79,7 +85,7 @@ def parse_curve_file(path: str | Path) -> SupportFourier:
                 raise ParseError(f"unknown key {key!r}", lineno)
         except ParseError:
             raise
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
         if not all(math.isfinite(x) for x in
                    ([a0] + [c for ab in modes.values() for c in ab])):
@@ -111,7 +117,7 @@ def write_trace_csv(trace: FlowTrace, path: str | Path) -> None:
         f"# record_every = {cfg.record_every}",
         f"# K = {cfg.initial.K}",
         f"# stop_sup_dev = {_g17(cfg.stop_sup_dev)}",
-        f"# lambda_floor = {_g17(cfg.lambda_floor)}",
+        f"# lambda_floor = {_g17(LAMBDA_FLOOR)}",
         CSV_HEADER,
     ]
     for r in trace.rows:
@@ -133,13 +139,10 @@ def read_trace_csv(path: str | Path) -> list[dict[str, float]]:
     return rows
 
 
-def write_curve_svg(p: SupportFourier, path: str | Path,
-                    samples: int = 512) -> None:
-    """Closed polyline through the curve samples, y-up, 10% margin,
+def write_curve_svg(p: SupportFourier, path: str | Path) -> None:
+    """Closed polyline through 512 curve samples, y-up, 10% margin,
     singular points marked with small circles."""
-    if samples < 64:
-        raise ValueError("samples must be >= 64")
-    theta = np.linspace(0.0, TWO_PI, samples, endpoint=False)
+    theta = np.linspace(0.0, TWO_PI, 512, endpoint=False)
     pts = sample_points(p, theta)
     cusps = [eval_point(p, a) for a in singular_angles(p)]
 
@@ -198,6 +201,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.svg_every < 1:
+        raise InputError("svg_every must be >= 1")
     p = parse_curve_file(args.curve)
     config = FlowConfig(
         flow_type=FlowType(args.flow),
@@ -259,8 +264,7 @@ def _cmd_inequalities(args) -> int:
             "ineq_id": r.ineq_id, "parameter": r.parameter, "slack": r.slack,
             "holds": r.holds, "expected_violable": r.expected_violable,
             "n_checked": r.n_checked, "n_violations": r.n_violations,
-            "witness": None if r.witness is None else {
-                "a0": r.witness.a0, "modes": list(r.witness.modes)},
+            "witness": {"a0": r.witness.a0, "modes": list(r.witness.modes)},
         } for r in reports]
         Path(args.json).write_text(json.dumps(payload, indent=2) + "\n",
                                    encoding="utf-8")
@@ -324,9 +328,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return root
 
 
-_DOMAIN_ERRORS = (DegenerateLengthError, StabilityError, NotConvergedError,
-                  NotZeroLengthError, RejectionExhaustedError, ParseError,
-                  FileNotFoundError, OSError, ValueError)
+# InputError covers ParseError, StabilityError, AliasError and the other
+# argument checks; any other exception is a bug and keeps its traceback.
+_DOMAIN_ERRORS = (InputError, DegenerateLengthError, RejectionExhaustedError,
+                  OSError)
 
 
 def cli_main(argv: list[str] | None = None) -> int:
@@ -335,11 +340,6 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # fail fast on unreadable inputs before any work starts
-    curve_path = getattr(args, "curve", None)
-    if curve_path is not None and not Path(curve_path).is_file():
-        print(f"error: curve file not found: {curve_path}", file=sys.stderr)
-        return 1
     try:
         return args.fn(args)
     except _DOMAIN_ERRORS as exc:

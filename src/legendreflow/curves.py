@@ -30,7 +30,11 @@ SINGULARITY_TOL = 1e-9
 ROOT_TOL = 1e-12
 
 
-class SingularPointError(ValueError):
+class InputError(ValueError):
+    """An argument outside the domain the function is defined on."""
+
+
+class SingularPointError(InputError):
     """Curvature requested where beta vanishes (the curve has a cusp)."""
 
 
@@ -56,13 +60,13 @@ class SupportFourier:
         norm = tuple(sorted((int(k), float(a), float(b)) for k, a, b in self.modes))
         ks = [k for k, _, _ in norm]
         if any(k < 1 for k in ks):
-            raise ValueError("mode numbers must be >= 1")
+            raise InputError("mode numbers must be >= 1")
         if len(set(ks)) != len(ks):
-            raise ValueError("duplicate mode numbers")
+            raise InputError("duplicate mode numbers")
         if not math.isfinite(self.a0) or not all(
             math.isfinite(a) and math.isfinite(b) for _, a, b in norm
         ):
-            raise ValueError("non-finite coefficient")
+            raise InputError("non-finite coefficient")
         object.__setattr__(self, "a0", float(self.a0))
         object.__setattr__(self, "modes", norm)
 
@@ -98,9 +102,6 @@ class SupportFourier:
                 a, b = k * b, -k * a
             out = out + a * np.cos(k * th) + b * np.sin(k * th)
         return out if th.ndim else float(out)
-
-    def __call__(self, theta):
-        return self.evaluate(theta)
 
 
 class CurveKind(enum.Enum):
@@ -167,34 +168,38 @@ def steiner_point(p: SupportFourier) -> Point2:
     return Point2(a1, b1)
 
 
-def curvature_at(p: SupportFourier, theta: float,
-                 tol: float = SINGULARITY_TOL) -> float:
+def curvature_at(p: SupportFourier, theta: float) -> float:
     """Classical curvature kappa = 1/|beta(theta)| (ell = 1).
 
     Raises SingularPointError at cusps, where 1/|beta| is meaningless in
     double precision.
     """
     b = beta_of(p).evaluate(theta)
-    if abs(b) <= tol:
-        raise SingularPointError(
-            f"beta({theta}) = {b:.3e} within singularity tolerance {tol}")
+    if abs(b) <= SINGULARITY_TOL:
+        raise SingularPointError(f"beta({theta}) = {b:.3e} within singularity "
+                                 f"tolerance {SINGULARITY_TOL}")
     return 1.0 / abs(b)
 
 
-def singular_angles(p: SupportFourier, n: int | None = None,
-                    root_tol: float = SINGULARITY_TOL) -> list[float]:
+def _grid_size(p: SupportFourier, n: int | None, default: int) -> int:
+    """n, or max(4*(K+1), default) when None; n < 4*(K+1) is an error."""
+    n_min = 4 * (p.K + 1)
+    if n is None:
+        return max(n_min, default)
+    if n < n_min:
+        raise InputError(f"grid size {n} < 4*(K+1) = {n_min}")
+    return n
+
+
+def singular_angles(p: SupportFourier, n: int | None = None) -> list[float]:
     """Angles in [0, 2*pi) where beta vanishes (cusps of the curve).
 
     Sign changes of beta on an n-point grid (n >= 4*(K+1), Nyquist-safe for a
     degree-K trig polynomial) are polished by bisection to width 1e-12;
-    grid points with |beta| below root_tol but no sign change are reported as
-    tangential zeros.
+    grid points with |beta| below SINGULARITY_TOL but no sign change are
+    reported as tangential zeros.
     """
-    n_min = 4 * (p.K + 1)
-    if n is None:
-        n = max(n_min, 16)
-    elif n < n_min:
-        raise ValueError(f"grid size {n} < 4*(K+1) = {n_min}")
+    n = _grid_size(p, n, 16)
     beta = beta_of(p)
     theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
     vals = beta.evaluate(theta)
@@ -221,7 +226,7 @@ def singular_angles(p: SupportFourier, n: int | None = None,
                 else:
                     lo, flo = mid, fm
             roots.append(0.5 * (lo + hi) % TWO_PI)
-        elif abs(v0) < root_tol:
+        elif abs(v0) < SINGULARITY_TOL:
             roots.append(t0)
 
     roots.sort()
@@ -243,11 +248,7 @@ def classify(p: SupportFourier, n: int | None = None) -> CurveClass:
     translation (mode-1) invariant; min p is still reported. A pure mode-{1}
     series with a0 = 0 is a single point.
     """
-    n_min = 4 * (p.K + 1)
-    if n is None:
-        n = max(n_min, 64)
-    elif n < n_min:
-        raise ValueError(f"grid size {n} < 4*(K+1) = {n_min}")
+    n = _grid_size(p, n, 64)
     theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
     beta = beta_of(p)
     min_p = float(np.min(p.evaluate(theta)))
@@ -271,7 +272,7 @@ def ell_convex_residuals(beta_values: np.ndarray) -> tuple[float, float]:
     v = np.asarray(getattr(beta_values, "values", beta_values), dtype=float)
     n = v.shape[0]
     if n < 8:
-        raise ValueError("grid size must be >= 8")
+        raise InputError("grid size must be >= 8")
     theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
     w = TWO_PI / n
     return (float(w * np.sum(v * np.cos(theta))),

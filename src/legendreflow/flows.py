@@ -15,6 +15,9 @@ flow, and under the area-preserving flow freezing A gives a0(t)^2 in closed
 form (the support-function form of Gage's area-preserving flow).  It needs no
 time stepper, so dt only sets the record spacing.  A method-of-lines GridRK4
 scheme serves as the independent oracle.
+
+lambda_area raises DegenerateLengthError when |L| < LAMBDA_FLOOR; runs start
+from A > 0 and keep |L| >= 2*sqrt(pi*A), so only direct calls reach the floor.
 """
 
 from __future__ import annotations
@@ -25,17 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (TWO_PI, SupportFourier, algebraic_area,
+from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
                      algebraic_length, beta_of, steiner_point)
 from .spectral import (GridFunction, analyze, default_grid_size, derivative,
                        l2_quantities, synthesize)
+
+#: |L| below this leaves lambda_area = (1/L) int beta^2 undefined.
+LAMBDA_FLOOR = 1e-9
 
 
 class DegenerateLengthError(ArithmeticError):
     """|L| below the floor: the area-preserving nonlocal term is undefined."""
 
 
-class StabilityError(ValueError):
+class StabilityError(InputError):
     """Explicit grid step size exceeds the stiff stability bound."""
 
 
@@ -73,21 +79,20 @@ class FlowConfig:
     grid_n: int | None = None
     record_every: int = 1
     stop_sup_dev: float = 0.0      # 0 disables early stop
-    lambda_floor: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.t_final < 0 or self.dt <= 0:
-            raise ValueError("need t_final >= 0 and dt > 0")
+        if not (0 <= self.t_final < math.inf and 0 < self.dt < math.inf):
+            raise InputError("need finite t_final >= 0 and dt > 0")
         if self.t_final > 0 and self.dt > self.t_final:
-            raise ValueError("dt exceeds t_final")
+            raise InputError("dt exceeds t_final")
         steps = self.t_final / self.dt
         if abs(steps - round(steps)) > 1e-9:
-            raise ValueError(f"t_final = {self.t_final!r} is not a whole "
+            raise InputError(f"t_final = {self.t_final!r} is not a whole "
                              f"number of steps dt = {self.dt!r}")
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
-        if self.lambda_floor <= 0:
-            raise ValueError("lambda_floor must be > 0")
+            raise InputError("record_every must be >= 1")
+        if self.grid_n is not None and self.grid_n < 1:
+            raise InputError("grid_n must be >= 1")
         if self.flow_type is FlowType.AREA_PRESERVING:
             a0_area = algebraic_area(self.initial)
             if not a0_area > 0.0:
@@ -130,24 +135,17 @@ def lambda_length(state: FlowState) -> float:
     return state.p.a0
 
 
-def lambda_area(state: FlowState, lambda_floor: float = 1e-9) -> float:
+def lambda_area(state: FlowState) -> float:
     """lambda = (1/L) int beta^2 = (2*pi*a0^2 + pi*sum (1-k^2)^2 c_k^2) / L."""
     L = algebraic_length(state.p)
-    if abs(L) < lambda_floor:
+    if abs(L) < LAMBDA_FLOOR:
         raise DegenerateLengthError(
-            f"|L| = {abs(L):.3e} below floor {lambda_floor} at t = {state.t}")
+            f"|L| = {abs(L):.3e} below floor {LAMBDA_FLOOR} at t = {state.t}")
     return l2_quantities(beta_of(state.p))["int_p2"] / L
 
 
-def _lambda_of(state: FlowState, flow_type: FlowType,
-               lambda_floor: float) -> float:
-    if flow_type is FlowType.LENGTH_PRESERVING:
-        return lambda_length(state)
-    return lambda_area(state, lambda_floor)
-
-
-def step_exact_modal(state: FlowState, dt: float, flow_type: FlowType,
-                     lambda_floor: float = 1e-9) -> FlowState:
+def step_exact_modal(state: FlowState, dt: float,
+                     flow_type: FlowType) -> FlowState:
     """The exact solution at time state.t + dt of the flow started from state.
 
     Modes k >= 2 scale by exp((1 - k^2) dt) and mode 1 is untouched.  a0 is
@@ -157,12 +155,12 @@ def step_exact_modal(state: FlowState, dt: float, flow_type: FlowType,
         a0(dt)^2 = a0^2 - (1/2) sum_{k>=2} (k^2 - 1) c_k^2 (1 - e^{2(1-k^2)dt})
 
     with the sign of a0 kept.  a0^2 decreases towards A/pi, so |L| can fall
-    below lambda_floor only when A <= pi*(lambda_floor/2pi)^2; for A <= 0
+    below LAMBDA_FLOOR only when A <= pi*(LAMBDA_FLOOR/2pi)^2; for A <= 0
     the flow has no real solution past that time.  Either way
     DegenerateLengthError is raised.
     """
     if dt < 0:
-        raise ValueError("dt must be >= 0")
+        raise InputError("dt must be >= 0")
     p = state.p
     new_modes = tuple(
         (k, a, b) if k == 1 else
@@ -173,9 +171,9 @@ def step_exact_modal(state: FlowState, dt: float, flow_type: FlowType,
         a0_sq = p.a0 * p.a0 + 0.5 * sum(
             (1 - k * k) * (a * a + b * b) * -math.expm1(2 * (1 - k * k) * dt)
             for k, a, b in p.modes if k >= 2)
-        if not a0_sq >= (lambda_floor / TWO_PI) ** 2:
+        if not a0_sq >= (LAMBDA_FLOOR / TWO_PI) ** 2:
             raise DegenerateLengthError(
-                f"|L| falls below floor {lambda_floor} before "
+                f"|L| falls below floor {LAMBDA_FLOOR} before "
                 f"t = {state.t + dt}")
         a0 = math.copysign(math.sqrt(a0_sq), p.a0)
     return FlowState(state.t + dt, SupportFourier(a0, new_modes))
@@ -203,7 +201,7 @@ def _check_stability(dt: float, k_cut: int) -> None:
 
 
 def _grid_rhs(v: np.ndarray, flow_type: FlowType, k_cut: int,
-              lambda_floor: float, t: float) -> np.ndarray:
+              t: float) -> np.ndarray:
     n = v.shape[0]
     vh = np.fft.rfft(v)
     vh[k_cut + 1:] = 0.0
@@ -214,16 +212,16 @@ def _grid_rhs(v: np.ndarray, flow_type: FlowType, k_cut: int,
     if flow_type is FlowType.LENGTH_PRESERVING:
         lam = L / TWO_PI
     else:
-        if abs(L) < lambda_floor:
+        if abs(L) < LAMBDA_FLOOR:
             raise DegenerateLengthError(
-                f"|L| = {abs(L):.3e} below floor {lambda_floor} at t = {t}")
+                f"|L| = {abs(L):.3e} below floor {LAMBDA_FLOOR} at t = {t}")
         beta = vf + pdd
         lam = TWO_PI / n * float(np.sum(beta * beta)) / L
     return pdd + vf - lam
 
 
-def step_grid_rk4(state: GridFlowState, dt: float, flow_type: FlowType,
-                  lambda_floor: float = 1e-9) -> GridFlowState:
+def step_grid_rk4(state: GridFlowState, dt: float,
+                  flow_type: FlowType) -> GridFlowState:
     """One classical RK4 step of p_t = p_thetatheta + p - lambda(t) with
     spectral differentiation band-limited to k <= k_cut.
 
@@ -232,16 +230,16 @@ def step_grid_rk4(state: GridFlowState, dt: float, flow_type: FlowType,
     _check_stability(dt, state.k_cut)
     v = state.grid.values
     t = state.t
-    f1 = _grid_rhs(v, flow_type, state.k_cut, lambda_floor, t)
-    f2 = _grid_rhs(v + 0.5 * dt * f1, flow_type, state.k_cut, lambda_floor, t)
-    f3 = _grid_rhs(v + 0.5 * dt * f2, flow_type, state.k_cut, lambda_floor, t)
-    f4 = _grid_rhs(v + dt * f3, flow_type, state.k_cut, lambda_floor, t)
+    f1 = _grid_rhs(v, flow_type, state.k_cut, t)
+    f2 = _grid_rhs(v + 0.5 * dt * f1, flow_type, state.k_cut, t)
+    f3 = _grid_rhs(v + 0.5 * dt * f2, flow_type, state.k_cut, t)
+    f4 = _grid_rhs(v + dt * f3, flow_type, state.k_cut, t)
     vn = v + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
     return GridFlowState(t + dt, GridFunction(vn), state.k_cut)
 
 
-def diagnostics(state: FlowState, flow_type: FlowType, grid_n: int,
-                lambda_floor: float = 1e-9) -> DiagnosticsRow:
+def diagnostics(state: FlowState, flow_type: FlowType,
+                grid_n: int) -> DiagnosticsRow:
     """All monitored quantities for one trace row, from modal formulas
     except sup_dev, which is taken on the grid_n-point diagnostic grid."""
     p = state.p
@@ -253,7 +251,8 @@ def diagnostics(state: FlowState, flow_type: FlowType, grid_n: int,
     e2 = l2_quantities(derivative(beta))["int_dp2"]
     theta = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
     sup_dev = float(np.max(np.abs(beta.evaluate(theta) - L / TWO_PI)))
-    lam = _lambda_of(state, flow_type, lambda_floor)
+    lam = lambda_length(state) if flow_type is FlowType.LENGTH_PRESERVING \
+        else lambda_area(state)
     max_abs = max((max(abs(a), abs(b)) for k, a, b in p.modes if k >= 2),
                   default=0.0)
     amps = tuple((k, math.hypot(a, b)) for k, a, b in p.modes)
@@ -269,11 +268,11 @@ def _record_states(config: FlowConfig, steps: list[int]):
     The modal scheme evaluates its closed form at step*dt; the grid scheme
     advances RK4 to the step and analyzes the grid there.
     """
-    flow_type, dt, floor = config.flow_type, config.dt, config.lambda_floor
+    flow_type, dt = config.flow_type, config.dt
     if config.scheme is Scheme.EXACT_MODAL:
         start = FlowState(0.0, config.initial)
         for step in steps:
-            yield step_exact_modal(start, step * dt, flow_type, floor)
+            yield step_exact_modal(start, step * dt, flow_type)
         return
     k_cut = max(config.initial.K, 1)
     _check_stability(dt, k_cut)
@@ -282,7 +281,7 @@ def _record_states(config: FlowConfig, steps: list[int]):
     done = 0
     for step in steps:
         for _ in range(step - done):
-            gstate = step_grid_rk4(gstate, dt, flow_type, floor)
+            gstate = step_grid_rk4(gstate, dt, flow_type)
         done = step
         yield FlowState(step * dt, analyze(gstate.grid, k_cut))
 
@@ -302,8 +301,7 @@ def run(config: FlowConfig, on_record=None) -> FlowTrace:
     rows = []
     converged = False
     for index, state in enumerate(_record_states(config, steps)):
-        rows.append(diagnostics(state, config.flow_type, grid_n,
-                                config.lambda_floor))
+        rows.append(diagnostics(state, config.flow_type, grid_n))
         if on_record is not None:
             on_record(index, state)
         if index > 0 and config.stop_sup_dev > 0 \
@@ -326,9 +324,9 @@ def fit_decay_rate(trace: FlowTrace, fit_field: str, window: tuple[float, float]
     never probes the round-off floor.
     """
     if fit_field not in _FIT_FIELDS:
-        raise ValueError(f"unknown field {fit_field!r}, expected one of {_FIT_FIELDS}")
+        raise InputError(f"unknown field {fit_field!r}, expected one of {_FIT_FIELDS}")
     if fit_field == "mode_k" and k is None:
-        raise ValueError("field 'mode_k' needs the mode number k")
+        raise InputError("field 'mode_k' needs the mode number k")
     t_lo, t_hi = window
     ts, vals = [], []
     for row in trace.rows:
@@ -345,10 +343,10 @@ def fit_decay_rate(trace: FlowTrace, fit_field: str, window: tuple[float, float]
         ts.append(row.t)
         vals.append(v)
     if len(ts) < 3:
-        raise ValueError("window contains fewer than 3 rows")
+        raise InputError("window contains fewer than 3 rows")
     vals = np.asarray(vals)
     if np.any(vals <= 1e-13):
-        raise ValueError("field values reach the 1e-13 noise floor in window")
+        raise InputError("field values reach the 1e-13 noise floor in window")
     ts = np.asarray(ts)
     logv = np.log(vals)
     slope, intercept = np.polyfit(ts, logv, 1)

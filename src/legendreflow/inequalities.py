@@ -24,18 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (TWO_PI, SupportFourier, algebraic_area, algebraic_length,
-                     beta_of)
+from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
+                     algebraic_length, beta_of)
 from .spectral import l2_quantities
 
 SLACK_TOL = 1e-9
 
 
-class NotZeroLengthError(ValueError):
+class NotZeroLengthError(InputError):
     """A zero-length-only inequality was applied to a curve with L != 0."""
 
 
-class ModeNotExcludedError(ValueError):
+class ModeNotExcludedError(InputError):
     """Series carries mass on a mode the Wirtinger comparison excludes."""
 
 
@@ -60,7 +60,7 @@ class CurveEnsembleSpec:
 
     def __post_init__(self) -> None:
         if self.count < 1 or self.K < 1 or self.amplitude_decay < 0:
-            raise ValueError("need count >= 1, K >= 1, amplitude_decay >= 0")
+            raise InputError("need count >= 1, K >= 1, amplitude_decay >= 0")
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class InequalityReport:
     parameter: float | None
     slack: float
     holds: bool
-    witness: SupportFourier | None = None
+    witness: SupportFourier
     expected_violable: bool = False
     n_checked: int = 1
     n_violations: int = 0
@@ -110,11 +110,15 @@ def check_beta2_family(p: SupportFourier, tau: float) -> InequalityReport:
     return _report("beta2_family", tau, slack, p, expected_violable=tau > 8)
 
 
-def check_beta2_zero_length(p: SupportFourier, tau: float) -> InequalityReport:
-    """int beta^2 + tau*A for L = 0 curves; holds for tau <= 6."""
+def _require_zero_length(p: SupportFourier) -> None:
     L = algebraic_length(p)
     if abs(L) > 1e-12:
         raise NotZeroLengthError(f"|L| = {abs(L):.3e} > 1e-12")
+
+
+def check_beta2_zero_length(p: SupportFourier, tau: float) -> InequalityReport:
+    """int beta^2 + tau*A for L = 0 curves; holds for tau <= 6."""
+    _require_zero_length(p)
     int_b2, _ = _beta_integrals(p)
     slack = int_b2 + tau * algebraic_area(p)
     return _report("beta2_zero_length", tau, slack, p, expected_violable=tau > 6)
@@ -127,9 +131,7 @@ def check_grad_family(p: SupportFourier, xi: float,
     _, int_db2 = _beta_integrals(p)
     A = algebraic_area(p)
     if zero_length:
-        L = algebraic_length(p)
-        if abs(L) > 1e-12:
-            raise NotZeroLengthError(f"|L| = {abs(L):.3e} > 1e-12")
+        _require_zero_length(p)
         slack = int_db2 + xi * A
         ineq_id = "grad_zero_length"
     else:
@@ -148,13 +150,10 @@ def green_osher_quadratic(p: SupportFourier) -> InequalityReport:
     return _report("green_osher_quadratic", None, slack, p)
 
 
-def wirtinger_gap(series: SupportFourier,
-                  excluded_modes: frozenset[int] | set[int] = frozenset({0, 1})
-                  ) -> tuple[float, float]:
-    """(int (series')^2, 4 * int series^2) for a series with no mass on the
-    excluded modes; lhs >= rhs, with equality exactly on pure mode 2."""
-    for m in excluded_modes:
-        mass = abs(series.a0) if m == 0 else max(map(abs, series.coeff(m)))
+def wirtinger_gap(series: SupportFourier) -> tuple[float, float]:
+    """(int (series')^2, 4 * int series^2) for a series with no mass on
+    modes 0 and 1; lhs >= rhs, with equality exactly on pure mode 2."""
+    for m, mass in ((0, abs(series.a0)), (1, max(map(abs, series.coeff(1))))):
         if mass > 1e-12:
             raise ModeNotExcludedError(f"mode {m} carries mass {mass:.3e}")
     q = l2_quantities(series)
@@ -190,7 +189,7 @@ def random_curve(spec: CurveEnsembleSpec, index: int) -> SupportFourier:
     a0 lifted until min p and min beta exceed 0.1 for Convex).
     """
     if not 0 <= index < spec.count:
-        raise ValueError(f"index {index} outside [0, {spec.count})")
+        raise InputError(f"index {index} outside [0, {spec.count})")
     s = spec.amplitude_decay
     for attempt in range(10_000):
         def draw(mode: int, slot: int) -> float:

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TWO_PI, SupportFourier
+from .curves import TWO_PI, InputError, SupportFourier
 
 
-class AliasError(ValueError):
+class AliasError(InputError):
     """Grid too coarse to represent (or recover) the requested modes."""
 
 
@@ -39,9 +39,9 @@ class GridFunction:
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or not _is_pow2(v.shape[0]) or v.shape[0] < 8:
-            raise ValueError("values must be 1-D with N a power of two >= 8")
+            raise InputError("values must be 1-D with N a power of two >= 8")
         if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite grid values")
+            raise InputError("non-finite grid values")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -86,7 +86,7 @@ def analyze(g: GridFunction, K: int) -> SupportFourier:
 def derivative(p: SupportFourier, order: int = 1) -> SupportFourier:
     """Modal differentiation: d/dtheta maps (a_k, b_k) -> (k b_k, -k a_k)."""
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise InputError("order must be >= 1")
     modes = []
     for k, a, b in p.modes:
         for _ in range(order):

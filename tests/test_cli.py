@@ -3,16 +3,19 @@ import re
 import shlex
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from legendreflow import (FlowConfig, FlowType, SupportFourier,
-                          algebraic_area, algebraic_length, run)
+                          algebraic_area, algebraic_length, cli, run)
 from legendreflow.cli import (DuplicateModeError, ParseError, cli_main,
                               format_curve, parse_curve_file, read_trace_csv,
                               write_curve_svg, write_trace_csv)
 
 P_FIG_A = SupportFourier(2.0, ((2, 0.0, 1.0),))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestParseCurveFile:
@@ -45,11 +48,35 @@ class TestParseCurveFile:
         with pytest.raises(ParseError):
             parse_curve_file(f)
 
+    @pytest.mark.parametrize("data", [
+        b"a0 = 2\nmodes 2 = 0 1\n",
+        b"a0 = 2\nmode 3 extra = 0.1 0\n",
+        b"a0 = 2\nmode 2 = \xff 1\n",           # not UTF-8
+    ])
+    def test_malformed_line_number(self, tmp_path, data):
+        f = tmp_path / "c.curve"
+        f.write_bytes(data)
+        with pytest.raises(ParseError) as exc:
+            parse_curve_file(f)
+        assert exc.value.line == 2
+
     def test_format_round_trip(self, tmp_path):
         p = SupportFourier(math.sqrt(1.5), ((1, 0.1, -0.2), (2, 0.0, 1.0)))
         f = tmp_path / "c.curve"
         f.write_text(format_curve(p))
         assert parse_curve_file(f) == p
+
+    @given(FINITE, st.dictionaries(
+        st.integers(1, 64),
+        st.one_of(st.just((0.0, 0.0)), st.tuples(FINITE, FINITE)),
+        max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_format_round_trip_fuzzed(self, tmp_path_factory, a0, modes):
+        p = SupportFourier(a0, tuple((k, a, b) for k, (a, b) in modes.items()))
+        f = tmp_path_factory.mktemp("fuzz") / "c.curve"
+        f.write_text(format_curve(p), encoding="utf-8")
+        assert parse_curve_file(f) == p
+        assert format_curve(parse_curve_file(f)) == format_curve(p)
 
 
 class TestTraceCsv:
@@ -92,7 +119,7 @@ class TestCurveSvg:
 
     def test_circle_radius_deviation(self, tmp_path):
         f = tmp_path / "circle.svg"
-        write_curve_svg(SupportFourier(2.0), f, samples=512)
+        write_curve_svg(SupportFourier(2.0), f)
         pts, _ = self._vertices(f)
         r = np.hypot(pts[:, 0], pts[:, 1])
         assert np.max(np.abs(r - 2.0)) < 1e-3
@@ -111,10 +138,6 @@ class TestCurveSvg:
         _, text = self._vertices(f)
         assert text.count("<circle") == 4
         assert "viewBox" in text
-
-    def test_sample_floor(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_curve_svg(P_FIG_A, tmp_path / "x.svg", samples=32)
 
     def test_deterministic_bytes(self, tmp_path):
         f1, f2 = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -182,6 +205,44 @@ class TestCliMain:
     def test_missing_curve_file(self, tmp_path, capsys):
         rc = cli_main(["analyze", "--curve", str(tmp_path / "nope.curve")])
         assert rc == 1
+        assert "FileNotFoundError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--curve", "c.curve", "--grid-n", "4"],
+         "grid size 4 < 4*(K+1)"),
+        (["simulate", "--flow", "area", "--curve", "c.curve", "--scheme",
+          "grid", "--grid-n", "100", "--t-final", "0.1", "--dt", "0.01"],
+         "power of two"),
+        (["simulate", "--flow", "area", "--curve", "c.curve", "--grid-n", "0",
+          "--t-final", "0.1", "--dt", "0.01"], "grid_n must be >= 1"),
+        (["simulate", "--flow", "area", "--curve", "c.curve",
+          "--t-final", "nan"], "finite t_final"),
+        (["simulate", "--flow", "area", "--curve", "c.curve", "--t-final",
+          "0.1", "--dt", "0.01", "--svg-dir", "s", "--svg-every", "0"],
+         "svg_every must be >= 1"),
+        (["simulate", "--flow", "area", "--curve", "c.curve", "--t-final",
+          "0.1", "--dt", "0.01", "--svg-dir", "s", "--svg-every", "-5"],
+         "svg_every must be >= 1"),
+        (["inequalities", "--count", "0"], "need count >= 1"),
+    ])
+    def test_domain_errors_exit_1(self, tmp_path, monkeypatch, capsys, argv,
+                                  message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.curve").write_text("a0 = 2\nmode 2 = 0 1\n")
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_other_value_error_propagates(self, tmp_path, monkeypatch):
+        f = tmp_path / "c.curve"
+        f.write_text("a0 = 2\nmode 2 = 0 1\n")
+
+        def broken(*args):
+            raise ValueError("injected")
+        monkeypatch.setattr(cli, "classify", broken)
+        with pytest.raises(ValueError, match="injected"):
+            cli_main(["analyze", "--curve", str(f)])
 
     def test_usage_error(self, capsys):
         assert cli_main(["simulate"]) == 2

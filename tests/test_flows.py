@@ -1,12 +1,14 @@
 import math
 
+import hypothesis.strategies as st
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from legendreflow import (Constraint, CurveEnsembleSpec, DegenerateLengthError,
                           FlowConfig, FlowState, FlowType, GridFunction,
-                          NotConvergedError, Scheme, StabilityError,
+                          InputError, NotConvergedError, Scheme, StabilityError,
                           SupportFourier, algebraic_area, beta_of, derivative,
                           ell_convex_residuals, fit_decay_rate,
                           grid_stability_bound, lambda_area, lambda_length,
@@ -181,6 +183,19 @@ class TestStepGridRK4:
                         - tg.final_state.p.evaluate(theta))
             assert np.max(dp) < 1e-8
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8),
+           st.sampled_from(list(FlowType)))
+    @settings(max_examples=12, deadline=None)
+    def test_closed_form_matches_grid_on_convex_curves(self, seed, K, ft):
+        spec = CurveEnsembleSpec(seed, 1, K, constraint=Constraint.CONVEX)
+        p = random_curve(spec, 0)
+        modal, grid = (run(FlowConfig(ft, p, t_final=0.2, dt=1e-3, scheme=s,
+                                      record_every=200)).final_state.p
+                       for s in (Scheme.EXACT_MODAL, Scheme.GRID_RK4))
+        assert abs(modal.a0 - grid.a0) < 1e-8
+        for k in range(1, K + 1):
+            assert np.allclose(modal.coeff(k), grid.coeff(k), rtol=0, atol=1e-8)
+
 
 class TestRun:
     def test_config_validation(self):
@@ -190,6 +205,10 @@ class TestRun:
             FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, t_final=1.0,
                        dt=0.4)
         FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, t_final=0.3, dt=1e-3)
+        for bad in (dict(t_final=math.nan), dict(t_final=math.inf),
+                    dict(dt=math.nan), dict(grid_n=0)):
+            with pytest.raises(InputError):
+                FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, **bad)
         with pytest.raises(DegenerateLengthError):
             FlowConfig(FlowType.AREA_PRESERVING, P_ZERO_L)
 
