@@ -2,9 +2,8 @@
 for l-convex Legendre curves."""
 
 from .curves import (CurveClass, CurveKind, InputError, Point2,
-                     SingularPointError, SupportFourier, algebraic_area,
-                     algebraic_length, beta_of, classify, curvature_at,
-                     ell_convex_residuals, eval_point, sample_points,
+                     SupportFourier, algebraic_area, algebraic_length,
+                     beta_of, classify, ell_convex_residuals, sample_points,
                      singular_angles, steiner_point)
 from .spectral import (AliasError, GridFunction, analyze, default_grid_size,
                        derivative, l2_quantities, periodic_quadrature,

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
-                     algebraic_length, classify, eval_point, sample_points,
+                     algebraic_length, classify, sample_points,
                      singular_angles, steiner_point)
 from .flows import (LAMBDA_FLOOR, DegenerateLengthError, FlowConfig, FlowTrace,
                     FlowType, Scheme, run)
@@ -144,7 +144,7 @@ def write_curve_svg(p: SupportFourier, path: str | Path) -> None:
     singular points marked with small circles."""
     theta = np.linspace(0.0, TWO_PI, 512, endpoint=False)
     pts = sample_points(p, theta)
-    cusps = [eval_point(p, a) for a in singular_angles(p)]
+    cusps = sample_points(p, singular_angles(p))
 
     # y-up: flip the y coordinate, including marker positions
     xs, ys = pts[:, 0], -pts[:, 1]
@@ -161,8 +161,8 @@ def write_curve_svg(p: SupportFourier, path: str | Path) -> None:
         f'viewBox="{vb[0]:.6f} {vb[1]:.6f} {vb[2]:.6f} {vb[3]:.6f}">',
         f'<path d="{d}" fill="none" stroke="black" stroke-width="{sw:.6f}"/>',
     ]
-    for c in cusps:
-        parts.append(f'<circle cx="{c.x:.6f}" cy="{-c.y:.6f}" '
+    for x, y in cusps:
+        parts.append(f'<circle cx="{x:.6f}" cy="{-y:.6f}" '
                      f'r="{2.5 * sw:.6f}" fill="red"/>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8",
@@ -187,7 +187,7 @@ def _cmd_analyze(args) -> int:
     p = parse_curve_file(args.curve)
     cls = classify(p, args.grid_n)
     st = steiner_point(p)
-    angles = singular_angles(p, args.grid_n)
+    angles = singular_angles(p)
     L = algebraic_length(p)
     A = algebraic_area(p)
     print(f"L = {L!r}")
@@ -233,6 +233,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_inequalities(args) -> int:
+    if not all(math.isfinite(v) for v in args.tau + args.xi):
+        raise InputError("tau and xi must be finite")
     constraint = Constraint(args.constraint)
     spec = CurveEnsembleSpec(seed=args.seed, count=args.count, K=args.k_max,
                              amplitude_decay=args.decay, constraint=constraint)

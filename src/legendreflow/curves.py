@@ -23,19 +23,23 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: |beta| at or below this is treated as a cusp when inverting for curvature.
-SINGULARITY_TOL = 1e-9
+#: Roots of z^K beta this close to the unit circle are real zeros of beta: a
+#: simple zero lands about eps off it, a double zero about sqrt(eps) ~ 1.5e-8.
+#: Also the largest Newton step taken, so that a root at a near-miss minimum
+#: of beta stays put.
+UNIT_CIRCLE_TOL = 1e-6
 
-#: Residual bisection interval width when polishing roots of beta.
-ROOT_TOL = 1e-12
+#: Newton steps on the real beta: one reaches round-off from a simple zero,
+#: the rest serve double zeros, where Newton converges only linearly.
+NEWTON_STEPS = 3
+
+#: Polished zeros closer than sqrt(eps) ~ 1.5e-8 are one zero: beta ~ x^2
+#: near a double zero, so round-off in beta leaves it that wide.
+MERGE_TOL = 1.5e-8
 
 
 class InputError(ValueError):
     """An argument outside the domain the function is defined on."""
-
-
-class SingularPointError(InputError):
-    """Curvature requested where beta vanishes (the curve has a cusp)."""
 
 
 class Point2(NamedTuple):
@@ -117,16 +121,9 @@ class CurveClass:
     min_p: float
 
 
-def eval_point(p: SupportFourier, theta: float) -> Point2:
-    """gamma(theta) = p*(cos, sin) + p'*(-sin, cos); 2*pi-periodic."""
-    c, s = math.cos(theta), math.sin(theta)
-    pv = p.evaluate(theta)
-    dv = p.evaluate(theta, order=1)
-    return Point2(pv * c - dv * s, pv * s + dv * c)
-
-
 def sample_points(p: SupportFourier, thetas: np.ndarray) -> np.ndarray:
-    """Vectorized eval_point: (len(thetas), 2) array of curve points."""
+    """Curve points gamma = p*(cos, sin) + p'*(-sin, cos) at each theta,
+    as a (len(thetas), 2) array; 2*pi-periodic."""
     th = np.asarray(thetas, dtype=float)
     pv = p.evaluate(th)
     dv = p.evaluate(th, order=1)
@@ -168,87 +165,58 @@ def steiner_point(p: SupportFourier) -> Point2:
     return Point2(a1, b1)
 
 
-def curvature_at(p: SupportFourier, theta: float) -> float:
-    """Classical curvature kappa = 1/|beta(theta)| (ell = 1).
+def singular_angles(p: SupportFourier) -> list[float]:
+    """Sorted angles in [0, 2*pi) where beta vanishes (cusps of the curve).
 
-    Raises SingularPointError at cusps, where 1/|beta| is meaningless in
-    double precision.
+    With z = exp(i*theta), z^K beta(theta) is a polynomial of degree 2K in z
+    with coefficients c_K = a0 and c_{K+-k} = (a_k -+ i*b_k)/2 from the modes
+    of beta, and its roots on the unit circle are the real zeros of beta
+    (Boyd, J. Eng. Math. 56, 2006).  Each is polished by Newton steps on the
+    real beta; zeros closer than MERGE_TOL are reported once, and a minimum
+    of beta within round-off of 0 counts as a zero.  A constant beta has no
+    zero to locate, so the result is [] -- including beta = 0, the
+    single-point curve that classify reports as degenerate.
     """
-    b = beta_of(p).evaluate(theta)
-    if abs(b) <= SINGULARITY_TOL:
-        raise SingularPointError(f"beta({theta}) = {b:.3e} within singularity "
-                                 f"tolerance {SINGULARITY_TOL}")
-    return 1.0 / abs(b)
-
-
-def _grid_size(p: SupportFourier, n: int | None, default: int) -> int:
-    """n, or max(4*(K+1), default) when None; n < 4*(K+1) is an error."""
-    n_min = 4 * (p.K + 1)
-    if n is None:
-        return max(n_min, default)
-    if n < n_min:
-        raise InputError(f"grid size {n} < 4*(K+1) = {n_min}")
-    return n
-
-
-def singular_angles(p: SupportFourier, n: int | None = None) -> list[float]:
-    """Angles in [0, 2*pi) where beta vanishes (cusps of the curve).
-
-    Sign changes of beta on an n-point grid (n >= 4*(K+1), Nyquist-safe for a
-    degree-K trig polynomial) are polished by bisection to width 1e-12;
-    grid points with |beta| below SINGULARITY_TOL but no sign change are
-    reported as tangential zeros.
-    """
-    n = _grid_size(p, n, 16)
     beta = beta_of(p)
-    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    vals = beta.evaluate(theta)
-    h = TWO_PI / n
-
-    roots: list[float] = []
-    for j in range(n):
-        v0 = vals[j]
-        v1 = vals[(j + 1) % n]
-        t0 = theta[j]
-        if v0 == 0.0:
-            roots.append(t0)
-            continue
-        if v0 * v1 < 0.0:
-            lo, hi, flo = t0, t0 + h, v0
-            while hi - lo > ROOT_TOL:
-                mid = 0.5 * (lo + hi)
-                fm = beta.evaluate(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi) % TWO_PI)
-        elif abs(v0) < SINGULARITY_TOL:
-            roots.append(t0)
-
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if merged and r - merged[-1] < 1e-8:
-            continue
-        merged.append(r)
-    # wraparound duplicate: a root near 2*pi equal to one near 0
-    if len(merged) > 1 and (TWO_PI - merged[-1]) + merged[0] < 1e-8:
-        merged.pop()
-    return merged
+    K = beta.K
+    if K == 0:
+        return []
+    c = np.zeros(2 * K + 1, dtype=complex)
+    c[K] = beta.a0
+    for k, a, b in beta.modes:
+        c[K + k] = complex(a, -b) / 2
+        c[K - k] = complex(a, b) / 2
+    # Outer coefficients below round-off of the largest would only add roots
+    # near 0 and infinity, and they spoil the companion matrix.
+    mag = np.abs(c)
+    lo = np.flatnonzero(mag > np.finfo(float).eps * mag.max())[0]
+    z = np.roots(c[lo:c.size - lo][::-1])
+    theta = np.angle(z[np.abs(np.abs(z) - 1.0) < UNIT_CIRCLE_TOL])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_STEPS):
+            dx = beta.evaluate(theta) / beta.evaluate(theta, order=1)
+            theta = np.where(abs(dx) < UNIT_CIRCLE_TOL, theta - dx, theta)
+    theta = np.mod(theta, TWO_PI)
+    theta[theta == TWO_PI] = 0.0        # np.mod rounds -tiny up to 2*pi
+    theta = np.sort(theta)
+    # of zeros closer than MERGE_TOL, also across 2*pi, the last one is kept
+    keep = np.diff(theta, append=theta[:1] + TWO_PI) >= MERGE_TOL
+    return theta[keep].tolist()
 
 
 def classify(p: SupportFourier, n: int | None = None) -> CurveClass:
     """Convex / l-convex-but-nonconvex / degenerate point, with min p, min beta.
 
-    Convexity is decided by min beta > 0 on the grid alone, so the label is
-    translation (mode-1) invariant; min p is still reported. A pure mode-{1}
-    series with a0 = 0 is a single point.
+    The curve is convex exactly when beta has no real zero and beta(0) > 0,
+    so the label is translation (mode-1) invariant.  min p and min beta are
+    only reported, sampled on an n-point grid (n >= 4*(K+1); by default
+    max(4*(K+1), 64)).  A pure mode-{1} series with a0 = 0 is a single point.
     """
-    n = _grid_size(p, n, 64)
+    n_min = 4 * (p.K + 1)
+    if n is None:
+        n = max(n_min, 64)
+    elif n < n_min:
+        raise InputError(f"grid size {n} < 4*(K+1) = {n_min}")
     theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
     beta = beta_of(p)
     min_p = float(np.min(p.evaluate(theta)))
@@ -257,7 +225,7 @@ def classify(p: SupportFourier, n: int | None = None) -> CurveClass:
     high = max((max(abs(a), abs(b)) for k, a, b in p.modes if k >= 2), default=0.0)
     if high <= 1e-14 and abs(p.a0) <= 1e-14:
         return CurveClass(CurveKind.DEGENERATE_POINT, min_beta, min_p)
-    if min_beta > 1e-12:
+    if beta.evaluate(0.0) > 0.0 and not singular_angles(p):
         return CurveClass(CurveKind.CONVEX, min_beta, min_p)
     return CurveClass(CurveKind.ELL_CONVEX_NONCONVEX, min_beta, min_p)
 

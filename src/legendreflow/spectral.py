@@ -2,8 +2,7 @@
 
 The numerical substrate for oracles and diagnostics.  All integrals over the
 circle use the uniform trapezoid rule, which is exact for trigonometric
-polynomials of degree < N; the DFT is evaluated directly (O(N*K)) since every
-planned run keeps K <= 64.
+polynomials of degree < N; the DFT is evaluated directly, in O(N*K).
 """
 
 from __future__ import annotations

@@ -155,6 +155,15 @@ class TestCliMain:
         assert f"A = {5 * math.pi / 2!r}" in out
         assert "ell-convex-nonconvex" in out
 
+    def test_analyze_point_curve_has_no_singular_angles(self, tmp_path,
+                                                        capsys):
+        f = tmp_path / "pt.curve"
+        f.write_text("mode 1 = 1 1\n")
+        assert cli_main(["analyze", "--curve", str(f), "--grid-n", "32"]) == 0
+        out = capsys.readouterr().out
+        assert "class = degenerate-point" in out
+        assert "singular_angles = []" in out
+
     def test_simulate_length_flow(self, tmp_path):
         f = tmp_path / "c.curve"
         f.write_text("a0 = 2\nmode 2 = 0 1\n")
@@ -224,6 +233,9 @@ class TestCliMain:
           "0.1", "--dt", "0.01", "--svg-dir", "s", "--svg-every", "-5"],
          "svg_every must be >= 1"),
         (["inequalities", "--count", "0"], "need count >= 1"),
+        (["inequalities", "--count", "5", "--tau", "nan"], "must be finite"),
+        (["inequalities", "--count", "5", "--tau", "inf"], "must be finite"),
+        (["inequalities", "--count", "5", "--xi", "nan"], "must be finite"),
     ])
     def test_domain_errors_exit_1(self, tmp_path, monkeypatch, capsys, argv,
                                   message):

@@ -1,14 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from legendreflow import (CurveKind, SingularPointError, SupportFourier,
+from legendreflow import (CurveKind, FlowState, FlowType, SupportFourier,
                           algebraic_area, algebraic_length, beta_of, classify,
-                          curvature_at, ell_convex_residuals, eval_point,
-                          sample_points, singular_angles, steiner_point,
+                          ell_convex_residuals, sample_points,
+                          singular_angles, step_exact_modal, steiner_point,
                           analyze, synthesize)
 from conftest import area_quadrature, length_quadrature, rand_support
 
@@ -18,6 +19,10 @@ P_FIG_A = SupportFourier(2.0, ((2, 0.0, 1.0),))        # 2 + sin 2theta
 P_FIG_B = SupportFourier(math.sqrt(1.5), ((2, 0.0, 1.0),))
 P_FIG_C = SupportFourier(0.5, ((2, 0.0, 1.0),))
 P_NEG = SupportFourier(0.0, ((1, 2.0, 1.0), (2, 2.0, 1.0)))
+# beta = 0.999 - cos 2(theta - pi/64): two root pairs, each pair 0.045 apart
+# and straddling no point of a 16- or 64-point grid
+P_CLOSE_PAIRS = SupportFourier(
+    0.999, ((2, math.cos(math.pi / 32) / 3, math.sin(math.pi / 32) / 3),))
 
 coeff = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
 
@@ -50,28 +55,30 @@ class TestSupportFourier:
 
 
 class TestEvalPoint:
+    """Curve points gamma(theta), evaluated with sample_points."""
+
     def test_unit_circle(self):
-        assert eval_point(SupportFourier(1.0), 0.0) == (1.0, 0.0)
+        assert tuple(sample_points(SupportFourier(1.0), 0.0)) == (1.0, 0.0)
 
     def test_fig_a_at_zero_with_fd_oracle(self):
         # p(0) = 2, p'(0) by central difference
         h = 1e-6
         dp = (P_FIG_A.evaluate(h) - P_FIG_A.evaluate(-h)) / (2 * h)
-        pt = eval_point(P_FIG_A, 0.0)
-        assert pt.x == pytest.approx(P_FIG_A.evaluate(0.0), abs=1e-12)
-        assert pt.y == pytest.approx(dp, abs=1e-8)
-        assert pt == pytest.approx((2.0, 2.0), abs=1e-12)
+        x, y = sample_points(P_FIG_A, 0.0)
+        assert x == pytest.approx(P_FIG_A.evaluate(0.0), abs=1e-12)
+        assert y == pytest.approx(dp, abs=1e-8)
+        assert (x, y) == pytest.approx((2.0, 2.0), abs=1e-12)
 
     def test_pure_mode_one_is_a_point(self):
         p = SupportFourier(0.0, ((1, 3.0, -1.5),))
-        for th in np.linspace(0, TWO_PI, 17):
-            assert eval_point(p, th) == pytest.approx((3.0, -1.5), abs=1e-12)
+        pts = sample_points(p, np.linspace(0, TWO_PI, 17))
+        assert np.max(np.abs(pts - (3.0, -1.5))) < 1e-12
 
     def test_periodic(self):
-        for th in (0.3, 1.7, 5.0):
-            a = eval_point(P_FIG_A, th)
-            b = eval_point(P_FIG_A, th + TWO_PI)
-            assert a == pytest.approx(b, abs=1e-12)
+        th = np.array([0.3, 1.7, 5.0])
+        a = sample_points(P_FIG_A, th)
+        b = sample_points(P_FIG_A, th + TWO_PI)
+        assert np.max(np.abs(a - b)) < 1e-12
 
     def test_legendrian_condition_and_speed(self, rng):
         # <gamma', nu> = 0 and |gamma'| = |beta| with gamma' by spectral
@@ -152,27 +159,6 @@ class TestSteiner:
         assert steiner_point(q) == pytest.approx(steiner_point(p), abs=1e-12)
 
 
-class TestCurvature:
-    def test_circle(self):
-        for r in (0.5, 1.0, 3.0):
-            assert curvature_at(SupportFourier(r), 1.2) == pytest.approx(1 / r)
-
-    def test_fig_a_with_fd_oracle(self):
-        assert curvature_at(P_FIG_A, 0.0) == pytest.approx(0.5, abs=1e-12)
-        # oracle: finite-difference curvature of the sampled curve
-        h = 1e-4
-        th = 0.0
-        pts = sample_points(P_FIG_A, np.array([th - h, th, th + h]))
-        d = (pts[2] - pts[0]) / (2 * h)
-        dd = (pts[2] - 2 * pts[1] + pts[0]) / h ** 2
-        kappa = abs(d[0] * dd[1] - d[1] * dd[0]) / np.hypot(*d) ** 3
-        assert curvature_at(P_FIG_A, th) == pytest.approx(kappa, abs=1e-6)
-
-    def test_singular_error(self):
-        with pytest.raises(SingularPointError):
-            curvature_at(SupportFourier(0.0, ((1, 1.0, 0.0),)), 0.7)
-
-
 class TestSingularAngles:
     def test_circle_empty(self):
         assert singular_angles(SupportFourier(1.0)) == []
@@ -185,7 +171,7 @@ class TestSingularAngles:
 
     def test_fig_a_analytic_roots(self):
         # beta = 2 - 3 sin 2theta: four roots of sin 2theta = 2/3
-        roots = singular_angles(P_FIG_A, n=64)
+        roots = singular_angles(P_FIG_A)
         phi = math.asin(2 / 3)
         expected = sorted([phi / 2, (math.pi - phi) / 2,
                            phi / 2 + math.pi, (math.pi - phi) / 2 + math.pi])
@@ -193,9 +179,83 @@ class TestSingularAngles:
         beta = beta_of(P_FIG_A)
         assert all(abs(beta.evaluate(r)) < 1e-10 for r in roots)
 
-    def test_grid_too_coarse(self):
-        with pytest.raises(ValueError):
-            singular_angles(P_FIG_A, n=8)
+    def test_close_pairs_between_grid_points(self):
+        roots = singular_angles(P_CLOSE_PAIRS)
+        h = math.acos(0.999) / 2
+        expected = sorted(math.pi / 64 + s + m * math.pi
+                          for s in (-h, h) for m in (0, 1))
+        assert roots == pytest.approx(expected, abs=1e-12)
+
+    def test_near_miss_minimum_reports_no_stray_angle(self):
+        # beta = (1 + 1e-12) - cos 2(theta - 0.01): its complex roots lie
+        # 7e-7 off the real axis, where a free Newton step would jump away
+        p = SupportFourier(1.0 + 1e-12, ((2, math.cos(0.02) / 3,
+                                          math.sin(0.02) / 3),))
+        beta = beta_of(p)
+        assert all(abs(beta.evaluate(r)) < 1e-11 for r in singular_angles(p))
+
+    def test_negligible_top_mode(self):
+        # a top mode far below round-off must not spoil the companion matrix
+        p = SupportFourier(0.0, ((2, 0.0, 1.0), (3, 1e-70, 0.0)))
+        assert singular_angles(p) == pytest.approx(
+            [0.0, math.pi / 2, math.pi, 3 * math.pi / 2], abs=1e-12)
+
+    def test_constant_beta_has_no_roots(self):
+        assert singular_angles(SupportFourier(-2.0, ((1, 1.0, 3.0),))) == []
+        # beta = 0: the curve is one point, and no angle is singled out
+        assert singular_angles(SupportFourier(0.0, ((1, 1.0, 1.0),))) == []
+
+    @pytest.mark.parametrize("flow_type, before, after", [
+        (FlowType.AREA_PRESERVING, 0.1831, 0.1832),     # t* = ln(3)/6
+        (FlowType.LENGTH_PRESERVING, 0.1351, 0.1352),   # t* = ln(1.5)/3
+    ])
+    def test_fig_a_cusps_merge_at_t_star(self, flow_type, before, after):
+        # beta(theta, t) = a0(t) - 3 exp(-3t) sin 2theta: the two cusp pairs
+        # merge at the t* where 3 exp(-3t) falls to a0(t)
+        def cusps(t):
+            return len(singular_angles(
+                step_exact_modal(FlowState(0.0, P_FIG_A), t, flow_type).p))
+        assert (cusps(before), cusps(after)) == (4, 0)
+
+    @given(st.integers(2, 32), st.floats(-0.3, 0.3),
+           st.lists(st.floats(-1, 1), min_size=64, max_size=64))
+    @settings(max_examples=40, deadline=None)
+    def test_root_count_matches_sign_change_oracle(self, K, a0, coeffs):
+        p = SupportFourier(a0, tuple(
+            (k, coeffs[2 * k - 2] * (k + 1) ** -1.5,
+             coeffs[2 * k - 1] * (k + 1) ** -1.5) for k in range(1, K + 1)))
+        beta = beta_of(p)
+        n = 2 ** 18                     # beta on n points, by inverse FFT
+        spectrum = np.zeros(n // 2 + 1, dtype=complex)
+        spectrum[0] = n * beta.a0
+        for k, a, b in beta.modes:
+            spectrum[k] = n / 2 * complex(a, -b)
+        v = np.fft.irfft(spectrum, n)
+        assume(np.min(v) < 0)
+        roots = singular_angles(p)
+        if roots:
+            # The grid oracle sees only sign changes: it cannot count two
+            # roots in one cell, nor a tangential zero.
+            gaps = np.diff(roots + [roots[0] + TWO_PI])
+            assume(np.min(gaps) > 2 * TWO_PI / n)
+            assume(np.min(np.abs(beta.evaluate(np.array(roots), order=1)))
+                   > 1e-6)
+        positive = v > 0
+        assert len(roots) == np.count_nonzero(positive != np.roll(positive, 1))
+
+    def test_matches_mpmath(self, rng):
+        for K in (8, 32):
+            p = rand_support(rng, K=K, amp=0.2)
+            beta = beta_of(p)
+            roots = singular_angles(p)
+            assert roots
+
+            def f(th):
+                return beta.a0 + sum(a * mpmath.cos(k * th) + b * mpmath.sin(k * th)
+                                     for k, a, b in beta.modes)
+            with mpmath.workdps(40):
+                for r in roots:
+                    assert abs(float(mpmath.findroot(f, r)) - r) < 1e-12
 
 
 class TestClassify:
@@ -212,6 +272,12 @@ class TestClassify:
     def test_degenerate_point(self):
         cls = classify(SupportFourier(0.0, ((1, 1.0, 1.0),)))
         assert cls.kind is CurveKind.DEGENERATE_POINT
+
+    def test_close_pairs_are_nonconvex(self):
+        # beta > 0 at every point of the 64-point grid, yet it has four roots
+        cls = classify(P_CLOSE_PAIRS)
+        assert cls.min_beta > 0
+        assert cls.kind is CurveKind.ELL_CONVEX_NONCONVEX
 
 
 class TestEllConvexResiduals:
@@ -253,7 +319,6 @@ class TestModeOneInvisibility:
     def test_eval_point_translates(self, p, da, db, th):
         a1, b1 = p.coeff(1)
         q = p.with_mode(1, a1 + da, b1 + db)
-        base = eval_point(p, th)
-        moved = eval_point(q, th)
-        assert moved.x - base.x == pytest.approx(da, abs=1e-9)
-        assert moved.y - base.y == pytest.approx(db, abs=1e-9)
+        dx, dy = sample_points(q, th) - sample_points(p, th)
+        assert dx == pytest.approx(da, abs=1e-9)
+        assert dy == pytest.approx(db, abs=1e-9)
