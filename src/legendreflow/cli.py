@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
-                     algebraic_length, classify, sample_points,
-                     singular_angles, steiner_point)
+                     algebraic_length, classify, isoperimetric_deficit,
+                     sample_points, singular_angles, steiner_point)
 from .flows import (LAMBDA_FLOOR, DegenerateLengthError, FlowConfig, FlowTrace,
                     FlowType, Scheme, run)
 from .inequalities import (Constraint, CurveEnsembleSpec,
@@ -37,10 +37,6 @@ class ParseError(InputError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-class DuplicateModeError(ParseError):
-    pass
 
 
 def parse_curve_file(path: str | Path) -> SupportFourier:
@@ -77,7 +73,7 @@ def parse_curve_file(path: str | Path) -> SupportFourier:
                 if k < 1:
                     raise ParseError(f"mode number {k} must be >= 1", lineno)
                 if k in modes:
-                    raise DuplicateModeError(f"duplicate mode {k}", lineno)
+                    raise ParseError(f"duplicate mode {k}", lineno)
                 if len(fields) != 2:
                     raise ParseError(f"mode {k} takes two values", lineno)
                 modes[k] = (float(fields[0]), float(fields[1]))
@@ -185,14 +181,12 @@ FIGURE_CURVES = {
 
 def _cmd_analyze(args) -> int:
     p = parse_curve_file(args.curve)
-    cls = classify(p, args.grid_n)
+    cls = classify(p)
     st = steiner_point(p)
     angles = singular_angles(p)
-    L = algebraic_length(p)
-    A = algebraic_area(p)
-    print(f"L = {L!r}")
-    print(f"A = {A!r}")
-    print(f"deficit_U = {L * L - 4.0 * math.pi * A!r}")
+    print(f"L = {algebraic_length(p)!r}")
+    print(f"A = {algebraic_area(p)!r}")
+    print(f"deficit_U = {isoperimetric_deficit(p)!r}")
     print(f"class = {cls.kind.value} (min_p = {cls.min_p:.6g}, "
           f"min_beta = {cls.min_beta:.6g})")
     print(f"steiner = ({st.x!r}, {st.y!r})")
@@ -293,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="print geometric data for a curve file")
     pa.add_argument("--curve", required=True)
-    pa.add_argument("--grid-n", type=int, default=None)
     pa.set_defaults(fn=_cmd_analyze)
 
     ps = sub.add_parser("simulate", help="run a flow and write a CSV trace")

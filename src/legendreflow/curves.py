@@ -26,16 +26,13 @@ TWO_PI = 2.0 * math.pi
 #: Roots of z^K beta this close to the unit circle are real zeros of beta: a
 #: simple zero lands about eps off it, a double zero about sqrt(eps) ~ 1.5e-8.
 #: Also the largest Newton step taken, so that a root at a near-miss minimum
-#: of beta stays put.
+#: of beta stays put, and the width within which polished zeros are one zero:
+#: a double zero splits into two about sqrt(eps) apart.
 UNIT_CIRCLE_TOL = 1e-6
 
 #: Newton steps on the real beta: one reaches round-off from a simple zero,
 #: the rest serve double zeros, where Newton converges only linearly.
 NEWTON_STEPS = 3
-
-#: Polished zeros closer than sqrt(eps) ~ 1.5e-8 are one zero: beta ~ x^2
-#: near a double zero, so round-off in beta leaves it that wide.
-MERGE_TOL = 1.5e-8
 
 
 class InputError(ValueError):
@@ -159,6 +156,12 @@ def algebraic_area(p: SupportFourier) -> float:
     return acc
 
 
+def isoperimetric_deficit(p: SupportFourier) -> float:
+    """L^2 - 4*pi*A; zero exactly for circles."""
+    L = algebraic_length(p)
+    return L * L - 4.0 * math.pi * algebraic_area(p)
+
+
 def steiner_point(p: SupportFourier) -> Point2:
     """The flow-invariant center (a1, b1)."""
     a1, b1 = p.coeff(1)
@@ -172,10 +175,11 @@ def singular_angles(p: SupportFourier) -> list[float]:
     with coefficients c_K = a0 and c_{K+-k} = (a_k -+ i*b_k)/2 from the modes
     of beta, and its roots on the unit circle are the real zeros of beta
     (Boyd, J. Eng. Math. 56, 2006).  Each is polished by Newton steps on the
-    real beta; zeros closer than MERGE_TOL are reported once, and a minimum
-    of beta within round-off of 0 counts as a zero.  A constant beta has no
-    zero to locate, so the result is [] -- including beta = 0, the
-    single-point curve that classify reports as degenerate.
+    real beta; zeros closer than UNIT_CIRCLE_TOL are reported once, so a
+    tangency counts once, and a minimum of beta within round-off of 0 counts
+    as a zero.  A constant beta has no zero to locate, so the result is []
+    -- including beta = 0, the single-point curve that classify reports as
+    degenerate.
     """
     beta = beta_of(p)
     K = beta.K
@@ -199,24 +203,20 @@ def singular_angles(p: SupportFourier) -> list[float]:
     theta = np.mod(theta, TWO_PI)
     theta[theta == TWO_PI] = 0.0        # np.mod rounds -tiny up to 2*pi
     theta = np.sort(theta)
-    # of zeros closer than MERGE_TOL, also across 2*pi, the last one is kept
-    keep = np.diff(theta, append=theta[:1] + TWO_PI) >= MERGE_TOL
+    # of zeros closer than UNIT_CIRCLE_TOL, also across 2*pi, the last is kept
+    keep = np.diff(theta, append=theta[:1] + TWO_PI) >= UNIT_CIRCLE_TOL
     return theta[keep].tolist()
 
 
-def classify(p: SupportFourier, n: int | None = None) -> CurveClass:
+def classify(p: SupportFourier) -> CurveClass:
     """Convex / l-convex-but-nonconvex / degenerate point, with min p, min beta.
 
     The curve is convex exactly when beta has no real zero and beta(0) > 0,
     so the label is translation (mode-1) invariant.  min p and min beta are
-    only reported, sampled on an n-point grid (n >= 4*(K+1); by default
-    max(4*(K+1), 64)).  A pure mode-{1} series with a0 = 0 is a single point.
+    only reported, sampled on max(4*(K+1), 64) points.  A pure mode-{1}
+    series with a0 = 0 is a single point.
     """
-    n_min = 4 * (p.K + 1)
-    if n is None:
-        n = max(n_min, 64)
-    elif n < n_min:
-        raise InputError(f"grid size {n} < 4*(K+1) = {n_min}")
+    n = max(4 * (p.K + 1), 64)
     theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
     beta = beta_of(p)
     min_p = float(np.min(p.evaluate(theta)))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
-                     algebraic_length, beta_of, steiner_point)
+                     algebraic_length, beta_of, isoperimetric_deficit)
 from .spectral import (GridFunction, analyze, default_grid_size, derivative,
                        l2_quantities, synthesize)
 
@@ -43,10 +43,6 @@ class DegenerateLengthError(ArithmeticError):
 
 class StabilityError(InputError):
     """Explicit grid step size exceeds the stiff stability bound."""
-
-
-class NotConvergedError(RuntimeError):
-    """Trace has not settled close enough to a circle to read off a limit."""
 
 
 class WindowTooNoisyError(RuntimeError):
@@ -119,7 +115,6 @@ class DiagnosticsRow:
     E2: float             # int (beta'')^2
     a0: float
     max_abs_mode: float   # max over k >= 2 of max(|a_k|, |b_k|)
-    mode_amps: tuple[tuple[int, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -128,11 +123,6 @@ class FlowTrace:
     rows: tuple[DiagnosticsRow, ...]
     final_state: FlowState
     converged: bool = False
-
-
-def lambda_length(state: FlowState) -> float:
-    """lambda = L/(2*pi) = a0."""
-    return state.p.a0
 
 
 def lambda_area(state: FlowState) -> float:
@@ -251,15 +241,14 @@ def diagnostics(state: FlowState, flow_type: FlowType,
     e2 = l2_quantities(derivative(beta))["int_dp2"]
     theta = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
     sup_dev = float(np.max(np.abs(beta.evaluate(theta) - L / TWO_PI)))
-    lam = lambda_length(state) if flow_type is FlowType.LENGTH_PRESERVING \
+    lam = p.a0 if flow_type is FlowType.LENGTH_PRESERVING \
         else lambda_area(state)
     max_abs = max((max(abs(a), abs(b)) for k, a, b in p.modes if k >= 2),
                   default=0.0)
-    amps = tuple((k, math.hypot(a, b)) for k, a, b in p.modes)
     return DiagnosticsRow(
-        t=state.t, L=L, A=A, deficit=L * L - 4.0 * math.pi * A,
+        t=state.t, L=L, A=A, deficit=isoperimetric_deficit(p),
         sup_dev=sup_dev, Q=L * L / TWO_PI - int_b2, lam=lam,
-        E1=e1, E2=e2, a0=p.a0, max_abs_mode=max_abs, mode_amps=amps)
+        E1=e1, E2=e2, a0=p.a0, max_abs_mode=max_abs)
 
 
 def _record_states(config: FlowConfig, steps: list[int]):
@@ -312,11 +301,11 @@ def run(config: FlowConfig, on_record=None) -> FlowTrace:
                      converged=converged)
 
 
-_FIT_FIELDS = ("sup_dev", "absQ", "E1", "mode_k")
+_FIT_FIELDS = ("sup_dev", "absQ")
 
 
-def fit_decay_rate(trace: FlowTrace, fit_field: str, window: tuple[float, float],
-                   k: int | None = None) -> dict[str, float]:
+def fit_decay_rate(trace: FlowTrace, fit_field: str,
+                   window: tuple[float, float]) -> dict[str, float]:
     """Least-squares slope of log(field) vs t over the window.
 
     Returns {"alpha": -slope, "r2": ...}; raises WindowTooNoisyError when
@@ -325,29 +314,15 @@ def fit_decay_rate(trace: FlowTrace, fit_field: str, window: tuple[float, float]
     """
     if fit_field not in _FIT_FIELDS:
         raise InputError(f"unknown field {fit_field!r}, expected one of {_FIT_FIELDS}")
-    if fit_field == "mode_k" and k is None:
-        raise InputError("field 'mode_k' needs the mode number k")
     t_lo, t_hi = window
-    ts, vals = [], []
-    for row in trace.rows:
-        if not (t_lo <= row.t <= t_hi):
-            continue
-        if fit_field == "sup_dev":
-            v = row.sup_dev
-        elif fit_field == "absQ":
-            v = abs(row.Q)
-        elif fit_field == "E1":
-            v = row.E1
-        else:
-            v = dict(row.mode_amps).get(k, 0.0)
-        ts.append(row.t)
-        vals.append(v)
-    if len(ts) < 3:
+    rows = [r for r in trace.rows if t_lo <= r.t <= t_hi]
+    if len(rows) < 3:
         raise InputError("window contains fewer than 3 rows")
-    vals = np.asarray(vals)
+    vals = np.array([r.sup_dev if fit_field == "sup_dev" else abs(r.Q)
+                     for r in rows])
     if np.any(vals <= 1e-13):
         raise InputError("field values reach the 1e-13 noise floor in window")
-    ts = np.asarray(ts)
+    ts = np.array([r.t for r in rows])
     logv = np.log(vals)
     slope, intercept = np.polyfit(ts, logv, 1)
     fitted = slope * ts + intercept
@@ -357,16 +332,3 @@ def fit_decay_rate(trace: FlowTrace, fit_field: str, window: tuple[float, float]
     if r2 < 0.99:
         raise WindowTooNoisyError(f"r^2 = {r2:.4f} < 0.99")
     return {"alpha": -float(slope), "r2": r2}
-
-
-def limit_circle(trace: FlowTrace) -> dict:
-    """Read the limiting circle off the final state: center = Steiner point,
-    radius = a0, residual = leftover mass in modes k >= 2."""
-    final = trace.rows[-1]
-    if not final.max_abs_mode < 1e-6:
-        raise NotConvergedError(
-            f"max |mode k>=2| = {final.max_abs_mode:.3e} >= 1e-6 at "
-            f"t = {final.t}")
-    return {"center": steiner_point(trace.final_state.p),
-            "radius": trace.final_state.p.a0,
-            "residual": final.max_abs_mode}

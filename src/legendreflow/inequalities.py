@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
-                     algebraic_length, beta_of)
+                     algebraic_length, beta_of, isoperimetric_deficit)
 from .spectral import l2_quantities
 
 SLACK_TOL = 1e-9
@@ -59,8 +59,10 @@ class CurveEnsembleSpec:
     constraint: Constraint = Constraint.NONE
 
     def __post_init__(self) -> None:
-        if self.count < 1 or self.K < 1 or self.amplitude_decay < 0:
-            raise InputError("need count >= 1, K >= 1, amplitude_decay >= 0")
+        if self.count < 1 or self.K < 1 \
+                or not 0 <= self.amplitude_decay < math.inf:
+            raise InputError("need count >= 1, K >= 1, "
+                             "0 <= amplitude_decay < inf")
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,6 @@ def _beta_integrals(p: SupportFourier) -> tuple[float, float]:
     beta = beta_of(p)
     q = l2_quantities(beta)
     return q["int_p2"], q["int_dp2"]
-
-
-def isoperimetric_deficit(p: SupportFourier) -> float:
-    """L^2 - 4*pi*A; zero exactly for circles."""
-    L = algebraic_length(p)
-    return L * L - 4.0 * math.pi * algebraic_area(p)
 
 
 def check_isoperimetric(p: SupportFourier) -> InequalityReport:

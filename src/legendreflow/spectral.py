@@ -49,10 +49,6 @@ class GridFunction:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def theta(self) -> np.ndarray:
-        return np.linspace(0.0, TWO_PI, self.n, endpoint=False)
-
 
 def synthesize(p: SupportFourier, n: int) -> GridFunction:
     """Sample p on the N-point grid (exact: p is a finite trig sum)."""
@@ -71,7 +67,7 @@ def analyze(g: GridFunction, K: int) -> SupportFourier:
     if 2 * K + 2 > g.n:
         raise AliasError(f"cannot recover K={K} modes from {g.n} samples")
     v = g.values
-    theta = g.theta
+    theta = np.linspace(0.0, TWO_PI, g.n, endpoint=False)
     a0 = float(np.mean(v))
     modes = []
     for k in range(1, K + 1):

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 
 from legendreflow import (FlowConfig, FlowType, SupportFourier,
                           algebraic_area, algebraic_length, cli, run)
-from legendreflow.cli import (DuplicateModeError, ParseError, cli_main,
-                              format_curve, parse_curve_file, read_trace_csv,
+from legendreflow.cli import (ParseError, cli_main, format_curve,
+                              parse_curve_file, read_trace_csv,
                               write_curve_svg, write_trace_csv)
 
 P_FIG_A = SupportFourier(2.0, ((2, 0.0, 1.0),))
@@ -33,7 +33,7 @@ class TestParseCurveFile:
     def test_duplicate_mode(self, tmp_path):
         f = tmp_path / "c.curve"
         f.write_text("mode 2 = 0 1\nmode 2 = 1 0\n")
-        with pytest.raises(DuplicateModeError) as exc:
+        with pytest.raises(ParseError, match="duplicate mode 2") as exc:
             parse_curve_file(f)
         assert exc.value.line == 2
 
@@ -159,7 +159,7 @@ class TestCliMain:
                                                         capsys):
         f = tmp_path / "pt.curve"
         f.write_text("mode 1 = 1 1\n")
-        assert cli_main(["analyze", "--curve", str(f), "--grid-n", "32"]) == 0
+        assert cli_main(["analyze", "--curve", str(f)]) == 0
         out = capsys.readouterr().out
         assert "class = degenerate-point" in out
         assert "singular_angles = []" in out
@@ -217,8 +217,8 @@ class TestCliMain:
         assert "FileNotFoundError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (["analyze", "--curve", "c.curve", "--grid-n", "4"],
-         "grid size 4 < 4*(K+1)"),
+        (["inequalities", "--count", "3", "--decay", "nan"],
+         "0 <= amplitude_decay < inf"),
         (["simulate", "--flow", "area", "--curve", "c.curve", "--scheme",
           "grid", "--grid-n", "100", "--t-final", "0.1", "--dt", "0.01"],
          "power of two"),
@@ -236,6 +236,8 @@ class TestCliMain:
         (["inequalities", "--count", "5", "--tau", "nan"], "must be finite"),
         (["inequalities", "--count", "5", "--tau", "inf"], "must be finite"),
         (["inequalities", "--count", "5", "--xi", "nan"], "must be finite"),
+        (["inequalities", "--count", "3", "--decay", "inf"],
+         "0 <= amplitude_decay < inf"),
     ])
     def test_domain_errors_exit_1(self, tmp_path, monkeypatch, capsys, argv,
                                   message):

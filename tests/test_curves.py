@@ -194,6 +194,19 @@ class TestSingularAngles:
         beta = beta_of(p)
         assert all(abs(beta.evaluate(r)) < 1e-11 for r in singular_angles(p))
 
+    @pytest.mark.parametrize("m, count", [
+        (0.0, 2), (1e-16, 2), (1e-15, 2), (-1e-15, 2),   # tangent: once each
+        (-1e-12, 4), (-1e-10, 4),                        # two resolved pairs
+        (1e-11, 0),                                      # no zero
+    ])
+    def test_tangency_counted_once(self, m, count):
+        # beta = (1 + m) - cos 2(theta - phi) touches 0 at theta = phi and
+        # phi + pi when m = 0; round-off splits each double zero in two
+        for phi in np.linspace(0.0, math.pi, 13):
+            p = SupportFourier(1.0 + m, ((2, math.cos(2 * phi) / 3,
+                                          math.sin(2 * phi) / 3),))
+            assert len(singular_angles(p)) == count, phi
+
     def test_negligible_top_mode(self):
         # a top mode far below round-off must not spoil the companion matrix
         p = SupportFourier(0.0, ((2, 0.0, 1.0), (3, 1e-70, 0.0)))

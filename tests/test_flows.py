@@ -8,13 +8,13 @@ from hypothesis import given, settings
 
 from legendreflow import (Constraint, CurveEnsembleSpec, DegenerateLengthError,
                           FlowConfig, FlowState, FlowType, GridFunction,
-                          InputError, NotConvergedError, Scheme, StabilityError,
-                          SupportFourier, algebraic_area, beta_of, derivative,
-                          ell_convex_residuals, fit_decay_rate,
-                          grid_stability_bound, lambda_area, lambda_length,
-                          limit_circle, periodic_quadrature, random_curve, run,
+                          InputError, Scheme, StabilityError, SupportFourier,
+                          algebraic_area, algebraic_length, beta_of,
+                          derivative, diagnostics, ell_convex_residuals,
+                          fit_decay_rate, grid_stability_bound, lambda_area,
+                          periodic_quadrature, random_curve, run,
                           sample_points, step_exact_modal, step_grid_rk4,
-                          synthesize)
+                          steiner_point, synthesize)
 from legendreflow.flows import GridFlowState
 
 TWO_PI = 2.0 * math.pi
@@ -26,8 +26,11 @@ P_ZERO_L = SupportFourier(0.0, ((1, 2.0, 1.0), (2, 2.0, 1.0)))
 
 class TestLambdas:
     def test_lambda_length(self):
-        assert lambda_length(FlowState(0.0, P_FIG_A)) == 2.0
-        assert lambda_length(FlowState(0.0, SupportFourier(0.0, ((2, 1, 1),)))) == 0.0
+        # lambda = L/(2*pi) is a0 under the length-preserving flow
+        for p in (P_FIG_A, SupportFourier(0.0, ((2, 1, 1),))):
+            row = diagnostics(FlowState(0.0, p), FlowType.LENGTH_PRESERVING,
+                              64)
+            assert row.lam == p.a0
 
     def test_lambda_area_circle(self):
         for r in (0.5, 2.0):
@@ -334,13 +337,6 @@ class TestFits:
         fit = fit_decay_rate(tr, "absQ", (0.5, 4.0))
         assert 5.9 <= fit["alpha"] <= 6.1
 
-    def test_mode3_rate(self):
-        p = SupportFourier(2.0, ((2, 0.0, 1.0), (3, 0.5, 0.0)))
-        tr = run(FlowConfig(FlowType.LENGTH_PRESERVING, p, t_final=3.0,
-                            dt=1e-2))
-        fit = fit_decay_rate(tr, "mode_k", (0.2, 2.0), k=3)
-        assert 7.99 <= fit["alpha"] <= 8.01
-
     def test_noise_floor_rejected(self):
         tr = run(FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A,
                             t_final=12.0, dt=1e-2))
@@ -356,15 +352,16 @@ class TestFits:
 
 class TestLimitCircle:
     def test_converged(self):
+        # area flow: a circle of radius sqrt(A0/pi) about the Steiner point
         tr = run(FlowConfig(FlowType.AREA_PRESERVING, P_FIG_A, t_final=6.0,
                             dt=1e-3, record_every=100))
-        lc = limit_circle(tr)
-        assert lc["radius"] == pytest.approx(math.sqrt(2.5), abs=1e-6)
-        assert lc["center"] == (0.0, 0.0)
-        assert lc["residual"] < 1e-6
-
-    def test_not_converged(self):
-        tr = run(FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A,
-                            t_final=0.5, dt=1e-2))
-        with pytest.raises(NotConvergedError):
-            limit_circle(tr)
+        p = tr.final_state.p
+        assert p.a0 == pytest.approx(
+            math.sqrt(algebraic_area(P_FIG_A) / math.pi), abs=1e-6)
+        assert steiner_point(p) == (0.0, 0.0)
+        assert tr.rows[-1].max_abs_mode < 1e-6
+        # length flow: a circle of radius L0/(2*pi)
+        tr = run(FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, t_final=6.0,
+                            dt=1e-3, record_every=100))
+        assert tr.final_state.p.a0 == algebraic_length(P_FIG_A) / TWO_PI
+        assert tr.rows[-1].max_abs_mode < 1e-6
