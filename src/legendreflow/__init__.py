@@ -5,7 +5,7 @@ from .curves import (CurveClass, CurveKind, InputError, Point2,
                      SupportFourier, algebraic_area, algebraic_length,
                      beta_of, classify, ell_convex_residuals,
                      isoperimetric_deficit, sample_points, singular_angles,
-                     steiner_point)
+                     steiner_point, uniform_grid)
 from .spectral import (AliasError, GridFunction, analyze, default_grid_size,
                        derivative, l2_quantities, periodic_quadrature,
                        synthesize)

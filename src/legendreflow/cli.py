@@ -17,11 +17,10 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
+from .curves import (InputError, SupportFourier, algebraic_area,
                      algebraic_length, classify, isoperimetric_deficit,
-                     sample_points, singular_angles, steiner_point)
+                     sample_points, singular_angles, steiner_point,
+                     uniform_grid)
 from .flows import (LAMBDA_FLOOR, DegenerateLengthError, FlowConfig, FlowTrace,
                     FlowType, Scheme, run)
 from .inequalities import (Constraint, CurveEnsembleSpec,
@@ -138,7 +137,7 @@ def read_trace_csv(path: str | Path) -> list[dict[str, float]]:
 def write_curve_svg(p: SupportFourier, path: str | Path) -> None:
     """Closed polyline through 512 curve samples, y-up, 10% margin,
     singular points marked with small circles."""
-    theta = np.linspace(0.0, TWO_PI, 512, endpoint=False)
+    theta = uniform_grid(512)
     pts = sample_points(p, theta)
     cusps = sample_points(p, singular_angles(p))
 

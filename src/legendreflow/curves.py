@@ -15,6 +15,7 @@ go negative for singular curves.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,6 +34,11 @@ UNIT_CIRCLE_TOL = 1e-6
 #: Newton steps on the real beta: one reaches round-off from a simple zero,
 #: the rest serve double zeros, where Newton converges only linearly.
 NEWTON_STEPS = 3
+
+#: Largest cos or sin table `SupportFourier.evaluate` caches, in entries
+#: (2 MiB); a grid and mode count beyond it are evaluated row by row, so a
+#: large-K run keeps the memory of the uncached loop.
+TABLE_MAX_ENTRIES = 1 << 18
 
 
 class InputError(ValueError):
@@ -96,13 +102,53 @@ class SupportFourier:
         Differentiation acts modally: d/dtheta maps (a_k, b_k) to
         (k*b_k, -k*a_k); the constant term survives only at order 0.
         """
+        if order < 0:
+            raise InputError("order must be >= 0")
         th = np.asarray(theta, dtype=float)
         out = np.full(th.shape, self.a0 if order == 0 else 0.0)
+        table = _grid_table(th, self.K)
         for k, a, b in self.modes:
             for _ in range(order):
                 a, b = k * b, -k * a
-            out = out + a * np.cos(k * th) + b * np.sin(k * th)
+            if table is None:
+                cos_k, sin_k = np.cos(k * th), np.sin(k * th)
+            else:
+                cos_k, sin_k = table[0][k - 1], table[1][k - 1]
+            out = out + a * cos_k + b * sin_k
         return out if th.ndim else float(out)
+
+
+@functools.lru_cache(maxsize=8)
+def uniform_grid(n: int) -> np.ndarray:
+    """The n-point grid theta_j = 2*pi*j/n, j < n, as a shared read-only array."""
+    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    theta.flags.writeable = False
+    return theta
+
+
+@functools.lru_cache(maxsize=4)
+def _trig_table(n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (K, n) arrays whose row k-1 is cos(k*theta), sin(k*theta) on
+    uniform_grid(n), each row computed as evaluate computes it off the grid."""
+    theta = uniform_grid(n)
+    cos_kt = np.array([np.cos(k * theta) for k in range(1, K + 1)])
+    sin_kt = np.array([np.sin(k * theta) for k in range(1, K + 1)])
+    cos_kt.flags.writeable = sin_kt.flags.writeable = False
+    return cos_kt, sin_kt
+
+
+def _grid_table(th: np.ndarray, K: int):
+    """The cached cos/sin table covering modes 1..K when th is bit for bit
+    uniform_grid(n) (so -0.0 does not pass for 0.0), else None.  The mode
+    count is rounded up to a power of two, so that a run whose top modes
+    decay to exactly zero keeps hitting one table."""
+    if th.ndim != 1 or K == 0:
+        return None
+    n = th.shape[0]
+    rows = 1 << (K - 1).bit_length()
+    if rows * n > TABLE_MAX_ENTRIES or th.tobytes() != uniform_grid(n).tobytes():
+        return None
+    return _trig_table(n, rows)
 
 
 class CurveKind(enum.Enum):
@@ -216,8 +262,7 @@ def classify(p: SupportFourier) -> CurveClass:
     only reported, sampled on max(4*(K+1), 64) points.  A pure mode-{1}
     series with a0 = 0 is a single point.
     """
-    n = max(4 * (p.K + 1), 64)
-    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    theta = uniform_grid(max(4 * (p.K + 1), 64))
     beta = beta_of(p)
     min_p = float(np.min(p.evaluate(theta)))
     min_beta = float(np.min(beta.evaluate(theta)))
@@ -241,7 +286,7 @@ def ell_convex_residuals(beta_values: np.ndarray) -> tuple[float, float]:
     n = v.shape[0]
     if n < 8:
         raise InputError("grid size must be >= 8")
-    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    theta = uniform_grid(n)
     w = TWO_PI / n
     return (float(w * np.sum(v * np.cos(theta))),
             float(w * np.sum(v * np.sin(theta))))

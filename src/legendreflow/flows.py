@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
-                     algebraic_length, beta_of, isoperimetric_deficit)
+                     algebraic_length, beta_of, isoperimetric_deficit,
+                     uniform_grid)
 from .spectral import (GridFunction, analyze, default_grid_size, derivative,
                        l2_quantities, synthesize)
 
@@ -239,7 +240,7 @@ def diagnostics(state: FlowState, flow_type: FlowType,
     q = l2_quantities(beta)
     int_b2, e1 = q["int_p2"], q["int_dp2"]
     e2 = l2_quantities(derivative(beta))["int_dp2"]
-    theta = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
+    theta = uniform_grid(grid_n)
     sup_dev = float(np.max(np.abs(beta.evaluate(theta) - L / TWO_PI)))
     lam = p.a0 if flow_type is FlowType.LENGTH_PRESERVING \
         else lambda_area(state)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
-                     algebraic_length, beta_of, isoperimetric_deficit)
+                     algebraic_length, beta_of, isoperimetric_deficit,
+                     uniform_grid)
 from .spectral import l2_quantities
 
 SLACK_TOL = 1e-9
@@ -200,8 +201,7 @@ def random_curve(spec: CurveEnsembleSpec, index: int) -> SupportFourier:
             return SupportFourier(0.0, modes)
         if spec.constraint is Constraint.CONVEX:
             rest = SupportFourier(0.0, modes)
-            theta = np.linspace(0.0, TWO_PI, max(4 * (spec.K + 1), 256),
-                                endpoint=False)
+            theta = uniform_grid(max(4 * (spec.K + 1), 256))
             min_p = float(np.min(rest.evaluate(theta)))
             min_b = float(np.min(beta_of(rest).evaluate(theta)))
             lift = max(0.1 - min_p, 0.1 - min_b, 0.0) + 1e-9

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TWO_PI, InputError, SupportFourier
+from .curves import TWO_PI, InputError, SupportFourier, uniform_grid
 
 
 class AliasError(InputError):
@@ -54,7 +54,7 @@ def synthesize(p: SupportFourier, n: int) -> GridFunction:
     """Sample p on the N-point grid (exact: p is a finite trig sum)."""
     if n < 2 * p.K + 2:
         raise AliasError(f"grid size {n} < 2K+2 = {2 * p.K + 2}")
-    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    theta = uniform_grid(n)
     return GridFunction(p.evaluate(theta))
 
 
@@ -67,7 +67,7 @@ def analyze(g: GridFunction, K: int) -> SupportFourier:
     if 2 * K + 2 > g.n:
         raise AliasError(f"cannot recover K={K} modes from {g.n} samples")
     v = g.values
-    theta = np.linspace(0.0, TWO_PI, g.n, endpoint=False)
+    theta = uniform_grid(g.n)
     a0 = float(np.mean(v))
     modes = []
     for k in range(1, K + 1):

@@ -10,7 +10,8 @@ from legendreflow import (CurveKind, FlowState, FlowType, SupportFourier,
                           algebraic_area, algebraic_length, beta_of, classify,
                           ell_convex_residuals, sample_points,
                           singular_angles, step_exact_modal, steiner_point,
-                          analyze, synthesize)
+                          analyze, synthesize, uniform_grid)
+from legendreflow import curves
 from conftest import area_quadrature, length_quadrature, rand_support
 
 TWO_PI = 2.0 * math.pi
@@ -43,6 +44,8 @@ class TestSupportFourier:
     def test_rejects_mode_zero(self):
         with pytest.raises(ValueError):
             SupportFourier(0.0, ((0, 1.0, 0.0),))
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            P_FIG_A.evaluate(0.3, order=-1)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -52,6 +55,111 @@ class TestSupportFourier:
         p = SupportFourier(1.0, ((3, 1.0, 0.0), (1, 0.0, 1.0)))
         assert [k for k, _, _ in p.modes] == [1, 3]
         assert p.K == 3
+
+
+def evaluate_reference(p: SupportFourier, theta, order: int = 0):
+    """SupportFourier.evaluate without the cached tables: one np.cos(k*theta)
+    and np.sin(k*theta) per mode, summed mode by mode."""
+    th = np.asarray(theta, dtype=float)
+    out = np.full(th.shape, p.a0 if order == 0 else 0.0)
+    for k, a, b in p.modes:
+        for _ in range(order):
+            a, b = k * b, -k * a
+        out = out + a * np.cos(k * th) + b * np.sin(k * th)
+    return out if th.ndim else float(out)
+
+
+GRID_SIZES = (1, 7, 64, 100, 256, 512, 1024)
+
+
+@st.composite
+def sparse_supports(draw):
+    """K from 0 to 48 with a random subset of the modes, at one scale."""
+    K = draw(st.integers(0, 48))
+    ks = sorted(draw(st.sets(st.integers(1, K), max_size=K))) if K else []
+    if K and K not in ks:
+        ks.append(K)
+    scale = 10.0 ** draw(st.floats(-12, 3))
+    unit = st.floats(-1, 1, allow_nan=False)
+    return SupportFourier(scale * draw(unit),
+                          tuple((k, scale * draw(unit), scale * draw(unit))
+                                for k in ks))
+
+
+@st.composite
+def angles(draw):
+    """The uniform grid (shared or rebuilt), random angles, a scalar, or a
+    linspace that includes its endpoint."""
+    kind = draw(st.sampled_from(["grid", "rebuilt", "random", "scalar",
+                                 "endpoint"]))
+    n = draw(st.sampled_from(GRID_SIZES))
+    if kind == "grid":
+        return uniform_grid(n)
+    if kind == "rebuilt":
+        return np.linspace(0.0, TWO_PI, n, endpoint=False)
+    if kind == "endpoint":
+        return np.linspace(0.0, TWO_PI, n)
+    angle = st.floats(-10.0, 10.0, allow_nan=False)
+    if kind == "scalar":
+        return draw(angle)
+    return np.array(draw(st.lists(angle, min_size=1, max_size=64)))
+
+
+class TestEvaluateTables:
+    """evaluate reads cos(k*theta), sin(k*theta) from cached tables on the
+    uniform grid; every result must match the per-mode loop bit for bit."""
+
+    @given(sparse_supports(), angles(), st.integers(0, 2))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_loop_bit_for_bit(self, p, theta, order):
+        got = p.evaluate(theta, order)
+        want = evaluate_reference(p, theta, order)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        theta = uniform_grid(64)
+        assert uniform_grid(64) is theta
+        cos_kt, sin_kt = curves._trig_table(64, 4)
+        for arr in (theta, cos_kt, sin_kt):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("p", [P_FIG_A, SupportFourier(2.0)],
+                             ids=["fig_a", "constant"])
+    def test_written_result_leaves_next_call_unchanged(self, p):
+        theta = uniform_grid(256)
+        for order in (0, 1):
+            first = p.evaluate(theta, order)
+            first += 5.0
+            first[0] = np.nan
+            again = p.evaluate(theta, order)
+            assert again.tobytes() == evaluate_reference(p, theta, order).tobytes()
+
+    def test_negative_zero_is_not_the_grid(self):
+        # sin(k * -0.0) = -0.0, which turns a sum of zeros negative
+        p = SupportFourier(-0.0, ((1, -0.0, 1.0),))
+        theta = uniform_grid(8).copy()
+        theta[0] = -0.0
+        assert np.signbit(p.evaluate(theta)[0])
+        assert p.evaluate(theta).tobytes() == evaluate_reference(p, theta).tobytes()
+
+    def test_one_table_per_power_of_two(self):
+        theta = uniform_grid(512)
+        curves._trig_table.cache_clear()
+        for K in (17, 20, 32):
+            SupportFourier(1.0, ((K, 0.5, 0.25),)).evaluate(theta)
+        assert curves._trig_table.cache_info().misses == 1
+        SupportFourier(1.0, ((33, 0.5, 0.25),)).evaluate(theta)
+        assert curves._trig_table.cache_info().misses == 2
+
+    def test_oversized_table_is_not_built(self):
+        theta = uniform_grid(512)
+        p = SupportFourier(1.0, ((5000, 0.5, 0.25),))
+        misses = curves._trig_table.cache_info().misses
+        assert p.evaluate(theta).tobytes() == evaluate_reference(p, theta).tobytes()
+        assert curves._trig_table.cache_info().misses == misses
 
 
 class TestEvalPoint:
