@@ -6,9 +6,9 @@ from .curves import (CurveClass, CurveKind, InputError, Point2,
                      beta_of, classify, ell_convex_residuals,
                      isoperimetric_deficit, sample_points, singular_angles,
                      steiner_point, uniform_grid)
-from .spectral import (AliasError, GridFunction, analyze, default_grid_size,
-                       derivative, l2_quantities, periodic_quadrature,
-                       synthesize)
+from .spectral import (AliasError, GridFunction, Moments, analyze,
+                       default_grid_size, derivative, l2_quantities, moments,
+                       periodic_quadrature, synthesize)
 from .flows import (DegenerateLengthError, DiagnosticsRow, FlowConfig,
                     FlowState, FlowTrace, FlowType, GridFlowState, Scheme,
                     StabilityError, WindowTooNoisyError, diagnostics,

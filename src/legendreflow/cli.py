@@ -235,15 +235,15 @@ def _cmd_inequalities(args) -> int:
                 ("green_osher_quadratic", green_osher_quadratic)]
     for tau in args.tau:
         checkers.append((f"beta2_family(tau={tau:g})",
-                         lambda p, t=tau: check_beta2_family(p, t)))
+                         lambda m, t=tau: check_beta2_family(m, t)))
     for xi in args.xi:
         checkers.append((f"grad_family(xi={xi:g})",
-                         lambda p, x=xi: check_grad_family(p, x)))
+                         lambda m, x=xi: check_grad_family(m, x)))
     if constraint is Constraint.ZERO_LENGTH:
         checkers.append(("beta2_zero_length(tau=6)",
-                         lambda p: check_beta2_zero_length(p, 6.0)))
+                         lambda m: check_beta2_zero_length(m, 6.0)))
         checkers.append(("grad_zero_length(xi=24)",
-                         lambda p: check_grad_family(p, 24.0, zero_length=True)))
+                         lambda m: check_grad_family(m, 24.0, zero_length=True)))
 
     reports = run_ensemble(spec, checkers)
     failed = False

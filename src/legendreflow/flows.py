@@ -29,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
-                     algebraic_length, beta_of, isoperimetric_deficit,
-                     uniform_grid)
+                     isoperimetric_deficit, uniform_grid)
 from .spectral import (GridFunction, analyze, default_grid_size, derivative,
-                       l2_quantities, synthesize)
+                       l2_quantities, moments, synthesize)
 
 #: |L| below this leaves lambda_area = (1/L) int beta^2 undefined.
 LAMBDA_FLOOR = 1e-9
@@ -90,6 +89,8 @@ class FlowConfig:
             raise InputError("record_every must be >= 1")
         if self.grid_n is not None and self.grid_n < 1:
             raise InputError("grid_n must be >= 1")
+        if not 0 <= self.stop_sup_dev < math.inf:
+            raise InputError("need 0 <= stop_sup_dev < inf")
         if self.flow_type is FlowType.AREA_PRESERVING:
             a0_area = algebraic_area(self.initial)
             if not a0_area > 0.0:
@@ -126,13 +127,12 @@ class FlowTrace:
     converged: bool = False
 
 
-def lambda_area(state: FlowState) -> float:
-    """lambda = (1/L) int beta^2 = (2*pi*a0^2 + pi*sum (1-k^2)^2 c_k^2) / L."""
-    L = algebraic_length(state.p)
+def lambda_area(L: float, int_b2: float, t: float) -> float:
+    """lambda = (1/L) int beta^2; t only labels DegenerateLengthError."""
     if abs(L) < LAMBDA_FLOOR:
         raise DegenerateLengthError(
-            f"|L| = {abs(L):.3e} below floor {LAMBDA_FLOOR} at t = {state.t}")
-    return l2_quantities(beta_of(state.p))["int_p2"] / L
+            f"|L| = {abs(L):.3e} below floor {LAMBDA_FLOOR} at t = {t}")
+    return int_b2 / L
 
 
 def step_exact_modal(state: FlowState, dt: float,
@@ -203,11 +203,8 @@ def _grid_rhs(v: np.ndarray, flow_type: FlowType, k_cut: int,
     if flow_type is FlowType.LENGTH_PRESERVING:
         lam = L / TWO_PI
     else:
-        if abs(L) < LAMBDA_FLOOR:
-            raise DegenerateLengthError(
-                f"|L| = {abs(L):.3e} below floor {LAMBDA_FLOOR} at t = {t}")
         beta = vf + pdd
-        lam = TWO_PI / n * float(np.sum(beta * beta)) / L
+        lam = lambda_area(L, TWO_PI / n * float(np.sum(beta * beta)), t)
     return pdd + vf - lam
 
 
@@ -234,22 +231,18 @@ def diagnostics(state: FlowState, flow_type: FlowType,
     """All monitored quantities for one trace row, from modal formulas
     except sup_dev, which is taken on the grid_n-point diagnostic grid."""
     p = state.p
-    L = algebraic_length(p)
-    A = algebraic_area(p)
-    beta = beta_of(p)
-    q = l2_quantities(beta)
-    int_b2, e1 = q["int_p2"], q["int_dp2"]
-    e2 = l2_quantities(derivative(beta))["int_dp2"]
+    m = moments(p)
+    e2 = l2_quantities(derivative(m.beta))["int_dp2"]
     theta = uniform_grid(grid_n)
-    sup_dev = float(np.max(np.abs(beta.evaluate(theta) - L / TWO_PI)))
+    sup_dev = float(np.max(np.abs(m.beta.evaluate(theta) - m.L / TWO_PI)))
     lam = p.a0 if flow_type is FlowType.LENGTH_PRESERVING \
-        else lambda_area(state)
+        else lambda_area(m.L, m.int_b2, state.t)
     max_abs = max((max(abs(a), abs(b)) for k, a, b in p.modes if k >= 2),
                   default=0.0)
     return DiagnosticsRow(
-        t=state.t, L=L, A=A, deficit=isoperimetric_deficit(p),
-        sup_dev=sup_dev, Q=L * L / TWO_PI - int_b2, lam=lam,
-        E1=e1, E2=e2, a0=p.a0, max_abs_mode=max_abs)
+        t=state.t, L=m.L, A=m.A, deficit=isoperimetric_deficit(p),
+        sup_dev=sup_dev, Q=m.L * m.L / TWO_PI - m.int_b2, lam=lam,
+        E1=m.int_db2, E2=e2, a0=p.a0, max_abs_mode=max_abs)
 
 
 def _record_states(config: FlowConfig, steps: list[int]):

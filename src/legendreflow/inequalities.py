@@ -1,9 +1,10 @@
 """Geometric inequalities for l-convex Legendre curves, checked on
 deterministic random ensembles.
 
-With L = 2*pi*a0, A = pi*a0^2 + (pi/2) sum (1-k^2) c_k^2 (c_k^2 = a_k^2+b_k^2)
-and int beta^2 = 2*pi*a0^2 + pi*sum (1-k^2)^2 c_k^2, every slack below is an
-exact modal expression:
+Each checker takes a curve's `Moments`, and each slack is written in its four
+numbers L = 2*pi*a0, A = pi*a0^2 + (pi/2) sum (1-k^2) c_k^2, int beta^2 =
+2*pi*a0^2 + pi*sum (1-k^2)^2 c_k^2 and int beta'^2 = pi*sum k^2 (1-k^2)^2 c_k^2
+(c_k^2 = a_k^2+b_k^2), so every slack is an exact modal expression:
 
     isoperimetric        L^2 - 4*pi*A >= 0
     beta2 family         int beta^2 - 2A - tau*(L^2/4pi - A) >= 0   (tau <= 8)
@@ -21,13 +22,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
-                     algebraic_length, beta_of, isoperimetric_deficit,
-                     uniform_grid)
-from .spectral import l2_quantities
+                     beta_of, isoperimetric_deficit, uniform_grid)
+from .spectral import Moments, l2_quantities, moments
 
 SLACK_TOL = 1e-9
 
@@ -79,72 +80,54 @@ class InequalityReport:
 
 
 def _report(ineq_id: str, parameter: float | None, slack: float,
-            p: SupportFourier, expected_violable: bool = False) -> InequalityReport:
+            m: Moments, expected_violable: bool = False) -> InequalityReport:
     return InequalityReport(ineq_id=ineq_id, parameter=parameter, slack=slack,
-                            holds=slack >= -SLACK_TOL, witness=p,
+                            holds=slack >= -SLACK_TOL, witness=m.p,
                             expected_violable=expected_violable,
                             n_violations=0 if slack >= -SLACK_TOL else 1)
 
 
-def _beta_integrals(p: SupportFourier) -> tuple[float, float]:
-    """(int beta^2, int beta'^2) via the modal Parseval formulas."""
-    beta = beta_of(p)
-    q = l2_quantities(beta)
-    return q["int_p2"], q["int_dp2"]
+def check_isoperimetric(m: Moments) -> InequalityReport:
+    return _report("isoperimetric", None, isoperimetric_deficit(m.p), m)
 
 
-def check_isoperimetric(p: SupportFourier) -> InequalityReport:
-    return _report("isoperimetric", None, isoperimetric_deficit(p), p)
-
-
-def check_beta2_family(p: SupportFourier, tau: float) -> InequalityReport:
+def check_beta2_family(m: Moments, tau: float) -> InequalityReport:
     """int beta^2 - 2A - tau*(L^2/4pi - A); holds for tau <= 8, saturated at
     tau = 8 by mode-{0,1,2} curves."""
-    int_b2, _ = _beta_integrals(p)
-    L = algebraic_length(p)
-    A = algebraic_area(p)
-    slack = int_b2 - 2.0 * A - tau * (L * L / (4.0 * math.pi) - A)
-    return _report("beta2_family", tau, slack, p, expected_violable=tau > 8)
+    slack = m.int_b2 - 2.0 * m.A - tau * (m.L * m.L / (4.0 * math.pi) - m.A)
+    return _report("beta2_family", tau, slack, m, expected_violable=tau > 8)
 
 
-def _require_zero_length(p: SupportFourier) -> None:
-    L = algebraic_length(p)
-    if abs(L) > 1e-12:
-        raise NotZeroLengthError(f"|L| = {abs(L):.3e} > 1e-12")
+def _require_zero_length(m: Moments) -> None:
+    if abs(m.L) > 1e-12:
+        raise NotZeroLengthError(f"|L| = {abs(m.L):.3e} > 1e-12")
 
 
-def check_beta2_zero_length(p: SupportFourier, tau: float) -> InequalityReport:
+def check_beta2_zero_length(m: Moments, tau: float) -> InequalityReport:
     """int beta^2 + tau*A for L = 0 curves; holds for tau <= 6."""
-    _require_zero_length(p)
-    int_b2, _ = _beta_integrals(p)
-    slack = int_b2 + tau * algebraic_area(p)
-    return _report("beta2_zero_length", tau, slack, p, expected_violable=tau > 6)
+    _require_zero_length(m)
+    slack = m.int_b2 + tau * m.A
+    return _report("beta2_zero_length", tau, slack, m, expected_violable=tau > 6)
 
 
-def check_grad_family(p: SupportFourier, xi: float,
+def check_grad_family(m: Moments, xi: float,
                       zero_length: bool = False) -> InequalityReport:
     """int beta'^2 - xi*(L^2/4pi - A), or int beta'^2 + xi*A on the L = 0
     branch; both hold for xi <= 24, saturated at 24 by mode-{0,1,2} curves."""
-    _, int_db2 = _beta_integrals(p)
-    A = algebraic_area(p)
     if zero_length:
-        _require_zero_length(p)
-        slack = int_db2 + xi * A
+        _require_zero_length(m)
+        slack = m.int_db2 + xi * m.A
         ineq_id = "grad_zero_length"
     else:
-        L = algebraic_length(p)
-        slack = int_db2 - xi * (L * L / (4.0 * math.pi) - A)
+        slack = m.int_db2 - xi * (m.L * m.L / (4.0 * math.pi) - m.A)
         ineq_id = "grad_family"
-    return _report(ineq_id, xi, slack, p, expected_violable=xi > 24)
+    return _report(ineq_id, xi, slack, m, expected_violable=xi > 24)
 
 
-def green_osher_quadratic(p: SupportFourier) -> InequalityReport:
+def green_osher_quadratic(m: Moments) -> InequalityReport:
     """int beta^2 >= (L^2 - 2*pi*A)/pi (the F(x) = x^2 Green-Osher case)."""
-    int_b2, _ = _beta_integrals(p)
-    L = algebraic_length(p)
-    A = algebraic_area(p)
-    slack = int_b2 - (L * L - TWO_PI * A) / math.pi
-    return _report("green_osher_quadratic", None, slack, p)
+    slack = m.int_b2 - (m.L * m.L - TWO_PI * m.A) / math.pi
+    return _report("green_osher_quadratic", None, slack, m)
 
 
 def wirtinger_gap(series: SupportFourier) -> tuple[float, float]:
@@ -228,10 +211,12 @@ def equality_family(a0: float, a1: float, b1: float,
     return SupportFourier(a0, tuple(modes))
 
 
-def run_ensemble(spec: CurveEnsembleSpec,
-                 checkers: list[tuple[str, "object"]]) -> list[InequalityReport]:
-    """Apply each (name, curve -> InequalityReport) checker to every curve of
-    the ensemble; aggregate per checker the minimum slack and its witness.
+def run_ensemble(
+        spec: CurveEnsembleSpec,
+        checkers: list[tuple[str, Callable[[Moments], InequalityReport]]],
+) -> list[InequalityReport]:
+    """Apply each (name, checker) pair to the moments of every curve of the
+    ensemble; aggregate per checker the minimum slack and its witness.
 
     The reduce is order-independent with a stable tie-break on curve index,
     so parallel evaluation over indices would give identical reports.
@@ -239,9 +224,9 @@ def run_ensemble(spec: CurveEnsembleSpec,
     best: dict[str, InequalityReport] = {}
     counts: dict[str, tuple[int, int]] = {}
     for index in range(spec.count):
-        p = random_curve(spec, index)
+        m = moments(random_curve(spec, index))
         for name, fn in checkers:
-            rep = fn(p)
+            rep = fn(m)
             checked, viol = counts.get(name, (0, 0))
             counts[name] = (checked + 1, viol + rep.n_violations)
             if name not in best or rep.slack < best[name].slack:

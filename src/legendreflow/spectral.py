@@ -1,18 +1,20 @@
 """Modal <-> grid conversions, spectral differentiation, periodic quadrature.
 
-The numerical substrate for oracles and diagnostics.  All integrals over the
-circle use the uniform trapezoid rule, which is exact for trigonometric
-polynomials of degree < N; the DFT is evaluated directly, in O(N*K).
+The numerical substrate for oracles, diagnostics and the `moments` of a curve.
+All integrals over the circle use the uniform trapezoid rule, exact for
+trigonometric polynomials of degree < N; the DFT is direct, in O(N*K).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .curves import TWO_PI, InputError, SupportFourier, uniform_grid
+from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
+                     algebraic_length, beta_of, uniform_grid)
 
 
 class AliasError(InputError):
@@ -106,3 +108,21 @@ def l2_quantities(p: SupportFourier) -> dict[str, float]:
         int_p2 += math.pi * e
         int_dp2 += math.pi * k * k * e
     return {"int_p2": int_p2, "int_dp2": int_dp2}
+
+
+class Moments(NamedTuple):
+    """p, beta = p + p'' and the four numbers the slacks and trace rows use."""
+    p: SupportFourier
+    beta: SupportFourier
+    L: float
+    A: float
+    int_b2: float      # int beta^2
+    int_db2: float     # int (beta')^2
+
+
+def moments(p: SupportFourier) -> Moments:
+    """L, A and the Parseval integrals of beta, with beta built once."""
+    beta = beta_of(p)
+    q = l2_quantities(beta)
+    return Moments(p, beta, algebraic_length(p), algebraic_area(p),
+                   q["int_p2"], q["int_dp2"])

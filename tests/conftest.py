@@ -1,3 +1,4 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -9,6 +10,17 @@ def rand_support(rng: np.random.Generator, K: int = 6,
     a0 = float(rng.uniform(-amp, amp))
     modes = tuple((k, float(rng.uniform(-amp, amp)), float(rng.uniform(-amp, amp)))
                   for k in range(1, K + 1))
+    return SupportFourier(a0, modes)
+
+
+coeff = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def supports(draw, max_k: int = 6):
+    k_max = draw(st.integers(1, max_k))
+    a0 = draw(coeff)
+    modes = tuple((k, draw(coeff), draw(coeff)) for k in range(1, k_max + 1))
     return SupportFourier(a0, modes)
 
 

@@ -16,7 +16,7 @@ from legendreflow import (Constraint, CurveEnsembleSpec, FlowConfig, FlowType,
                           check_beta2_zero_length, check_grad_family,
                           check_isoperimetric, derivative,
                           ell_convex_residuals, equality_family,
-                          fit_decay_rate, green_osher_quadratic,
+                          fit_decay_rate, green_osher_quadratic, moments,
                           random_curve, run,
                           run_ensemble, sample_points, steiner_point,
                           step_exact_modal, synthesize, wirtinger_gap)
@@ -114,12 +114,12 @@ def test_criterion_6_inequality_ensembles():
     spec = CurveEnsembleSpec(seed=42, count=1000, K=8, amplitude_decay=1.5)
     checkers = [
         ("isoperimetric", check_isoperimetric),
-        ("beta2_tau0", lambda p: check_beta2_family(p, 0.0)),
-        ("beta2_tau4", lambda p: check_beta2_family(p, 4.0)),
-        ("beta2_tau8", lambda p: check_beta2_family(p, 8.0)),
-        ("grad_xi0", lambda p: check_grad_family(p, 0.0)),
-        ("grad_xi12", lambda p: check_grad_family(p, 12.0)),
-        ("grad_xi24", lambda p: check_grad_family(p, 24.0)),
+        ("beta2_tau0", lambda m: check_beta2_family(m, 0.0)),
+        ("beta2_tau4", lambda m: check_beta2_family(m, 4.0)),
+        ("beta2_tau8", lambda m: check_beta2_family(m, 8.0)),
+        ("grad_xi0", lambda m: check_grad_family(m, 0.0)),
+        ("grad_xi12", lambda m: check_grad_family(m, 12.0)),
+        ("grad_xi24", lambda m: check_grad_family(m, 24.0)),
         ("green_osher", green_osher_quadratic),
     ]
     reports = run_ensemble(spec, checkers)
@@ -128,9 +128,9 @@ def test_criterion_6_inequality_ensembles():
     zspec = CurveEnsembleSpec(seed=42, count=1000, K=8, amplitude_decay=1.5,
                               constraint=Constraint.ZERO_LENGTH)
     zcheckers = [
-        ("beta2_zero_tau6", lambda p: check_beta2_zero_length(p, 6.0)),
+        ("beta2_zero_tau6", lambda m: check_beta2_zero_length(m, 6.0)),
         ("grad_zero_xi24",
-         lambda p: check_grad_family(p, 24.0, zero_length=True)),
+         lambda m: check_grad_family(m, 24.0, zero_length=True)),
     ]
     zreports = run_ensemble(zspec, zcheckers)
     ok &= all(r.holds and r.n_violations == 0 for r in zreports)
@@ -140,11 +140,11 @@ def test_criterion_6_inequality_ensembles():
 
 def test_criterion_7_sharpness():
     p = equality_family(2.0, 0.5, -0.3, 0.3, 0.1)
-    ok = abs(check_beta2_family(p, 8.0).slack) <= 1e-10
-    ok &= abs(check_grad_family(p, 24.0).slack) <= 1e-10
+    ok = abs(check_beta2_family(moments(p), 8.0).slack) <= 1e-10
+    ok &= abs(check_grad_family(moments(p), 24.0).slack) <= 1e-10
     q = p.with_mode(3, 0.1, 0.0)
-    ok &= check_beta2_family(q, 8.0).slack >= 1e-3
-    ok &= check_grad_family(q, 24.0).slack >= 1e-3
+    ok &= check_beta2_family(moments(q), 8.0).slack >= 1e-3
+    ok &= check_grad_family(moments(q), 24.0).slack >= 1e-3
     _report(7, "tau=8 / xi=24 equality family sharpness", ok)
 
 
@@ -159,10 +159,10 @@ def test_criterion_8_structural_invariants():
         q = p.with_mode(1, a1 + 0.7, b1 - 1.3)
         ok &= algebraic_length(q) == algebraic_length(p)
         ok &= algebraic_area(q) == algebraic_area(p)
-        ok &= check_beta2_family(q, 8.0).slack == \
-            check_beta2_family(p, 8.0).slack
-        ok &= check_grad_family(q, 24.0).slack == \
-            check_grad_family(p, 24.0).slack
+        ok &= check_beta2_family(moments(q), 8.0).slack == \
+            check_beta2_family(moments(p), 8.0).slack
+        ok &= check_grad_family(moments(q), 24.0).slack == \
+            check_grad_family(moments(p), 24.0).slack
 
         # Steiner-point constancy and beta mode-1 nullity along a short flow
         s = FlowState(0.0, p)

@@ -238,6 +238,15 @@ class TestCliMain:
         (["inequalities", "--count", "5", "--xi", "nan"], "must be finite"),
         (["inequalities", "--count", "3", "--decay", "inf"],
          "0 <= amplitude_decay < inf"),
+        (["simulate", "--flow", "area", "--curve", "c.curve", "--t-final",
+          "0.1", "--dt", "0.01", "--stop-sup-dev", "inf"],
+         "0 <= stop_sup_dev < inf"),
+        (["simulate", "--flow", "area", "--curve", "c.curve", "--t-final",
+          "0.1", "--dt", "0.01", "--stop-sup-dev", "nan"],
+         "0 <= stop_sup_dev < inf"),
+        (["simulate", "--flow", "area", "--curve", "c.curve", "--t-final",
+          "0.1", "--dt", "0.01", "--stop-sup-dev", "-1"],
+         "0 <= stop_sup_dev < inf"),
     ])
     def test_domain_errors_exit_1(self, tmp_path, monkeypatch, capsys, argv,
                                   message):

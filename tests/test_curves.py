@@ -12,7 +12,8 @@ from legendreflow import (CurveKind, FlowState, FlowType, SupportFourier,
                           singular_angles, step_exact_modal, steiner_point,
                           analyze, synthesize, uniform_grid)
 from legendreflow import curves
-from conftest import area_quadrature, length_quadrature, rand_support
+from conftest import (area_quadrature, coeff, length_quadrature,
+                      rand_support, supports)
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,17 +25,6 @@ P_NEG = SupportFourier(0.0, ((1, 2.0, 1.0), (2, 2.0, 1.0)))
 # and straddling no point of a 16- or 64-point grid
 P_CLOSE_PAIRS = SupportFourier(
     0.999, ((2, math.cos(math.pi / 32) / 3, math.sin(math.pi / 32) / 3),))
-
-coeff = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def supports(draw, max_k: int = 6):
-    k_max = draw(st.integers(1, max_k))
-    a0 = draw(coeff)
-    modes = tuple((k, draw(coeff), draw(coeff)) for k in range(1, k_max + 1))
-    return SupportFourier(a0, modes)
-
 
 class TestSupportFourier:
     def test_rejects_duplicate_modes(self):

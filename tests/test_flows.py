@@ -12,7 +12,7 @@ from legendreflow import (Constraint, CurveEnsembleSpec, DegenerateLengthError,
                           algebraic_area, algebraic_length, beta_of,
                           derivative, diagnostics, ell_convex_residuals,
                           fit_decay_rate, grid_stability_bound, lambda_area,
-                          periodic_quadrature, random_curve, run,
+                          moments, periodic_quadrature, random_curve, run,
                           sample_points, step_exact_modal, step_grid_rk4,
                           steiner_point, synthesize)
 from legendreflow.flows import GridFlowState
@@ -34,20 +34,21 @@ class TestLambdas:
 
     def test_lambda_area_circle(self):
         for r in (0.5, 2.0):
-            assert lambda_area(FlowState(0.0, SupportFourier(r))) == \
-                pytest.approx(r)
+            m = moments(SupportFourier(r))
+            assert lambda_area(m.L, m.int_b2, 0.0) == pytest.approx(r)
 
     def test_lambda_area_fig_a_with_quadrature_oracle(self):
-        lam = lambda_area(FlowState(0.0, P_FIG_A))
+        m = moments(P_FIG_A)
+        lam = lambda_area(m.L, m.int_b2, 0.0)
         assert lam == pytest.approx(17 / 4, abs=1e-12)
         beta = synthesize(beta_of(P_FIG_A), 1024).values
         oracle = periodic_quadrature(GridFunction(beta * beta)) / (4 * math.pi)
         assert lam == pytest.approx(oracle, abs=1e-12)
 
     def test_lambda_area_degenerate(self):
-        p = SupportFourier(0.0, ((1, 2.0, 1.0),))
-        with pytest.raises(DegenerateLengthError):
-            lambda_area(FlowState(0.0, p))
+        m = moments(SupportFourier(0.0, ((1, 2.0, 1.0),)))
+        with pytest.raises(DegenerateLengthError, match="at t = 0.5"):
+            lambda_area(m.L, m.int_b2, 0.5)
 
 
 def _mp_reference(p: SupportFourier, flow_type: FlowType, t: float):
@@ -167,6 +168,12 @@ class TestStepGridRK4:
         assert math.hypot(a3, b3) == pytest.approx(0.1 * math.exp(-8 * 0.5),
                                                    abs=1e-6)
 
+    def test_area_flow_length_floor(self):
+        g = GridFlowState(0.25, synthesize(P_ZERO_L, 64), 2)
+        step_grid_rk4(g, 1e-2, FlowType.LENGTH_PRESERVING)
+        with pytest.raises(DegenerateLengthError, match="at t = 0.25"):
+            step_grid_rk4(g, 1e-2, AREA)
+
     def test_stability_error(self):
         p = SupportFourier(1.0, ((8, 0.1, 0.0),))
         g = GridFlowState(0.0, synthesize(p, 64), 8)
@@ -209,7 +216,9 @@ class TestRun:
                        dt=0.4)
         FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, t_final=0.3, dt=1e-3)
         for bad in (dict(t_final=math.nan), dict(t_final=math.inf),
-                    dict(dt=math.nan), dict(grid_n=0)):
+                    dict(dt=math.nan), dict(grid_n=0),
+                    dict(stop_sup_dev=math.inf), dict(stop_sup_dev=math.nan),
+                    dict(stop_sup_dev=-1.0)):
             with pytest.raises(InputError):
                 FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, **bad)
         with pytest.raises(DegenerateLengthError):

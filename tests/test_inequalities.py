@@ -11,7 +11,7 @@ from legendreflow import (Constraint, CurveEnsembleSpec, CurveKind,
                           beta_of, check_beta2_family, check_beta2_zero_length,
                           check_grad_family, check_isoperimetric, classify,
                           equality_family, green_osher_quadratic,
-                          isoperimetric_deficit, periodic_quadrature,
+                          isoperimetric_deficit, moments, periodic_quadrature,
                           random_curve, run, run_ensemble, synthesize,
                           wirtinger_gap)
 from conftest import rand_support
@@ -42,13 +42,13 @@ class TestIsoperimetric:
 class TestBeta2Family:
     def test_sharp_at_tau8_for_mode012(self):
         p = equality_family(2.0, 0.0, 0.0, 0.3, 0.0)
-        rep = check_beta2_family(p, 8.0)
+        rep = check_beta2_family(moments(p), 8.0)
         assert abs(rep.slack) <= 1e-10 and rep.holds
 
     def test_tau0_is_basic_inequality(self, rng):
         for _ in range(50):
             p = rand_support(rng, K=6)
-            rep = check_beta2_family(p, 0.0)
+            rep = check_beta2_family(moments(p), 0.0)
             assert rep.slack >= -1e-9
             # slack at tau = 0 is int beta^2 - 2A, cross-checked by quadrature
             oracle = quad_int_beta2(p) - 2 * algebraic_area(p)
@@ -56,49 +56,50 @@ class TestBeta2Family:
 
     def test_mode3_breaks_sharpness(self):
         p = SupportFourier(1.0, ((3, 0.1, 0.0),))
-        assert check_beta2_family(p, 8.0).slack > 1e-3
+        assert check_beta2_family(moments(p), 8.0).slack > 1e-3
 
     def test_tau_monotone_and_expected_violable(self, rng):
         p = rand_support(rng, K=4)
         if isoperimetric_deficit(p) > 0:
-            assert check_beta2_family(p, 8.0).slack <= \
-                check_beta2_family(p, 4.0).slack + 1e-12
-        assert check_beta2_family(p, 9.0).expected_violable
+            assert check_beta2_family(moments(p), 8.0).slack <= \
+                check_beta2_family(moments(p), 4.0).slack + 1e-12
+        assert check_beta2_family(moments(p), 9.0).expected_violable
 
 
 class TestBeta2ZeroLength:
     def test_sharp_mode2(self):
         p = SupportFourier(0.0, ((2, 0.7, 0.0),))
         # int beta^2 = 9 pi a2^2, A = -(3 pi / 2) a2^2
-        rep = check_beta2_zero_length(p, 6.0)
+        rep = check_beta2_zero_length(moments(p), 6.0)
         assert abs(rep.slack) <= 1e-10
 
     def test_mode3_strict(self):
         p = SupportFourier(0.0, ((3, 0.4, 0.0),))
-        assert check_beta2_zero_length(p, 6.0).slack > 0
+        assert check_beta2_zero_length(moments(p), 6.0).slack > 0
 
     def test_point_equality(self):
         p = SupportFourier(0.0, ((1, 1.0, -2.0),))
-        assert check_beta2_zero_length(p, 6.0).slack == pytest.approx(0.0)
+        assert check_beta2_zero_length(moments(p), 6.0).slack == \
+            pytest.approx(0.0)
 
     def test_rejects_nonzero_length(self):
         with pytest.raises(NotZeroLengthError):
-            check_beta2_zero_length(P_FIG_A, 6.0)
+            check_beta2_zero_length(moments(P_FIG_A), 6.0)
 
 
 class TestGradFamily:
     def test_sharp_at_xi24(self):
         p = equality_family(2.0, 0.5, -0.3, 0.3, 0.1)
-        assert abs(check_grad_family(p, 24.0).slack) <= 1e-10
+        assert abs(check_grad_family(moments(p), 24.0).slack) <= 1e-10
 
     def test_circle_trivial(self):
-        rep = check_grad_family(SupportFourier(1.0), 24.0)
+        rep = check_grad_family(moments(SupportFourier(1.0)), 24.0)
         assert rep.slack == pytest.approx(0.0, abs=1e-12)
 
     def test_scaled_form(self, rng):
         # (1/12) int beta'^2 - 2(L^2/4pi - A) = slack(xi = 24) / 12
         p = rand_support(rng, K=5)
-        rep = check_grad_family(p, 24.0)
+        rep = check_grad_family(moments(p), 24.0)
         from legendreflow import l2_quantities
         int_db2 = l2_quantities(beta_of(p))["int_dp2"]
         L = algebraic_length(p)
@@ -109,24 +110,25 @@ class TestGradFamily:
 
     def test_zero_length_branch(self):
         p = SupportFourier(0.0, ((2, 0.7, 0.2),))
-        rep = check_grad_family(p, 24.0, zero_length=True)
+        rep = check_grad_family(moments(p), 24.0, zero_length=True)
         assert abs(rep.slack) <= 1e-10
         with pytest.raises(NotZeroLengthError):
-            check_grad_family(P_FIG_A, 24.0, zero_length=True)
+            check_grad_family(moments(P_FIG_A), 24.0, zero_length=True)
 
 
 class TestGreenOsher:
     def test_circle(self):
-        assert green_osher_quadratic(SupportFourier(2.0)).slack == \
+        assert green_osher_quadratic(moments(SupportFourier(2.0))).slack == \
             pytest.approx(0.0, abs=1e-12)
 
     def test_fig_a(self):
-        assert green_osher_quadratic(P_FIG_A).slack == \
+        assert green_osher_quadratic(moments(P_FIG_A)).slack == \
             pytest.approx(6 * math.pi, abs=1e-10)
 
     def test_random_ensemble_nonnegative(self, rng):
         for _ in range(100):
-            assert green_osher_quadratic(rand_support(rng, K=8)).slack >= -1e-9
+            p = rand_support(rng, K=8)
+            assert green_osher_quadratic(moments(p)).slack >= -1e-9
 
 
 class TestWirtinger:
@@ -204,8 +206,8 @@ class TestRunEnsemble:
         spec = CurveEnsembleSpec(seed=42, count=200, K=8, amplitude_decay=1.5)
         checkers = [
             ("isoperimetric", check_isoperimetric),
-            ("beta2_tau8", lambda p: check_beta2_family(p, 8.0)),
-            ("grad_xi24", lambda p: check_grad_family(p, 24.0)),
+            ("beta2_tau8", lambda m: check_beta2_family(m, 8.0)),
+            ("grad_xi24", lambda m: check_grad_family(m, 24.0)),
             ("green_osher", green_osher_quadratic),
         ]
         for rep in run_ensemble(spec, checkers):
@@ -218,7 +220,7 @@ class TestRunEnsemble:
         # goes negative for tau > 8
         spec = CurveEnsembleSpec(seed=42, count=50, K=2)
         reports = run_ensemble(
-            spec, [("beta2_tau8.5", lambda p: check_beta2_family(p, 8.5))])
+            spec, [("beta2_tau8.5", lambda m: check_beta2_family(m, 8.5))])
         assert reports[0].n_violations >= 1
         assert not reports[0].holds
         assert reports[0].expected_violable
@@ -234,8 +236,8 @@ class TestFlowMonotonicity:
         from legendreflow import step_exact_modal, FlowState
         s = FlowState(0.0, p)
         for _ in range(300):
-            ws.append(check_beta2_family(s.p, 8.0).slack)
-            vs.append(check_grad_family(s.p, 24.0).slack)
+            ws.append(check_beta2_family(moments(s.p), 8.0).slack)
+            vs.append(check_grad_family(moments(s.p), 24.0).slack)
             s = step_exact_modal(s, 1e-2, FlowType.LENGTH_PRESERVING)
         assert all(b - a <= 1e-12 for a, b in zip(ws, ws[1:]))
         assert all(b - a <= 1e-12 for a, b in zip(vs, vs[1:]))
@@ -247,11 +249,12 @@ def test_translation_invariance_of_slacks(da, db):
     p = SupportFourier(2.0, ((1, 0.2, -0.4), (2, 0.3, 1.0), (3, 0.1, 0.0)))
     a1, b1 = p.coeff(1)
     q = p.with_mode(1, a1 + da, b1 + db)
-    assert check_beta2_family(q, 8.0).slack == \
-        check_beta2_family(p, 8.0).slack
-    assert check_grad_family(q, 24.0).slack == \
-        check_grad_family(p, 24.0).slack
-    assert green_osher_quadratic(q).slack == green_osher_quadratic(p).slack
+    assert check_beta2_family(moments(q), 8.0).slack == \
+        check_beta2_family(moments(p), 8.0).slack
+    assert check_grad_family(moments(q), 24.0).slack == \
+        check_grad_family(moments(p), 24.0).slack
+    assert green_osher_quadratic(moments(q)).slack == \
+        green_osher_quadratic(moments(p)).slack
     assert isoperimetric_deficit(q) == isoperimetric_deficit(p)
 
 
@@ -260,7 +263,7 @@ def test_sharpness_characterization(rng):
     spec = CurveEnsembleSpec(seed=9, count=100, K=8)
     for i in range(100):
         p = random_curve(spec, i)
-        slack = check_beta2_family(p, 8.0).slack
+        slack = check_beta2_family(moments(p), 8.0).slack
         high = max((max(abs(a), abs(b)) for k, a, b in p.modes if k >= 3),
                    default=0.0)
         if slack < 1e-10:

@@ -1,12 +1,22 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from legendreflow import (AliasError, GridFunction, SupportFourier, analyze,
-                          default_grid_size, derivative, l2_quantities,
-                          periodic_quadrature, synthesize)
-from conftest import rand_support
+from legendreflow import (AliasError, DegenerateLengthError, FlowState,
+                          FlowType, GridFunction, NotZeroLengthError,
+                          SupportFourier, algebraic_area, algebraic_length,
+                          analyze, beta_of, check_beta2_family,
+                          check_beta2_zero_length, check_grad_family,
+                          check_isoperimetric, default_grid_size, derivative,
+                          diagnostics, green_osher_quadratic,
+                          isoperimetric_deficit, l2_quantities, lambda_area,
+                          moments, periodic_quadrature, synthesize,
+                          uniform_grid)
+from legendreflow.flows import LAMBDA_FLOOR
+from conftest import rand_support, supports
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,6 +140,116 @@ class TestL2Quantities:
                 periodic_quadrature(GridFunction(g * g)), abs=1e-10)
             assert q["int_dp2"] == pytest.approx(
                 periodic_quadrature(GridFunction(dg * dg)), abs=1e-10)
+
+
+def reference_slacks(p: SupportFourier, tau: float, xi: float) -> dict:
+    """The six slacks written straight from p, beta rebuilt for each."""
+    q = l2_quantities(beta_of(p))
+    int_b2, int_db2 = q["int_p2"], q["int_dp2"]
+    L = algebraic_length(p)
+    A = algebraic_area(p)
+    return {
+        "isoperimetric": isoperimetric_deficit(p),
+        "beta2_family": int_b2 - 2.0 * A - tau * (L * L / (4.0 * math.pi) - A),
+        "beta2_zero_length": int_b2 + tau * algebraic_area(p),
+        "grad_family": int_db2 - xi * (L * L / (4.0 * math.pi) - A),
+        "grad_zero_length": int_db2 + xi * A,
+        "green_osher_quadratic": int_b2 - (L * L - TWO_PI * A) / math.pi,
+    }
+
+
+def reference_row_fields(p: SupportFourier, flow_type: FlowType,
+                      grid_n: int) -> dict:
+    """The diagnostics fields that read the moments, written straight from p,
+    with beta rebuilt for lambda."""
+    L = algebraic_length(p)
+    A = algebraic_area(p)
+    beta = beta_of(p)
+    q = l2_quantities(beta)
+    int_b2, e1 = q["int_p2"], q["int_dp2"]
+    lam = p.a0 if flow_type is FlowType.LENGTH_PRESERVING \
+        else l2_quantities(beta_of(p))["int_p2"] / algebraic_length(p)
+    return {
+        "L": L, "A": A, "Q": L * L / TWO_PI - int_b2, "E1": e1, "lam": lam,
+        "E2": l2_quantities(derivative(beta))["int_dp2"],
+        "sup_dev": float(np.max(np.abs(
+            beta.evaluate(uniform_grid(grid_n)) - L / TWO_PI))),
+    }
+
+
+@st.composite
+def near_zero_area(draw):
+    """A support function whose a0 is solved so that |A| <= 1e-3."""
+    p = draw(supports())
+    target = draw(st.floats(-1e-3, 1e-3))
+    # A = pi*(a0^2 - s) with s = (1/2) sum_{k>=2} (k^2 - 1) c_k^2 >= 0
+    s = 0.5 * sum((k * k - 1) * (a * a + b * b) for k, a, b in p.modes)
+    a0 = math.sqrt(max(s + target / math.pi, 0.0))
+    return SupportFourier(draw(st.sampled_from([a0, -a0])), p.modes)
+
+
+class TestMoments:
+    @given(supports(), st.booleans(), st.floats(-30, 30), st.floats(-30, 30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_expressions_bit_for_bit(
+            self, p, zero_length, tau, xi):
+        if zero_length:
+            p = SupportFourier(0.0, p.modes)
+        m = moments(p)
+        ref = reference_slacks(p, tau, xi)
+        reps = [check_isoperimetric(m), check_beta2_family(m, tau),
+                check_grad_family(m, xi), green_osher_quadratic(m)]
+        if abs(m.L) <= 1e-12:
+            reps += [check_beta2_zero_length(m, tau),
+                     check_grad_family(m, xi, zero_length=True)]
+        else:
+            with pytest.raises(NotZeroLengthError):
+                check_beta2_zero_length(m, tau)
+        for rep in reps:
+            assert rep.slack.hex() == ref[rep.ineq_id].hex(), rep.ineq_id
+            assert rep.witness is p
+        for flow_type in FlowType:
+            state = FlowState(0.5, p)
+            if flow_type is FlowType.AREA_PRESERVING \
+                    and abs(m.L) < LAMBDA_FLOOR:
+                for call in (lambda: lambda_area(m.L, m.int_b2, state.t),
+                             lambda: diagnostics(state, flow_type, 64)):
+                    with pytest.raises(DegenerateLengthError,
+                                       match="at t = 0.5"):
+                        call()
+                continue
+            row = diagnostics(state, flow_type, 64)
+            for name, want in reference_row_fields(p, flow_type, 64).items():
+                assert getattr(row, name).hex() == want.hex(), name
+            if flow_type is FlowType.AREA_PRESERVING:
+                assert lambda_area(m.L, m.int_b2, state.t) == row.lam
+
+    @staticmethod
+    def check_against_quadrature(p: SupportFourier, n: int = 64) -> None:
+        m = moments(p)
+        pg = synthesize(p, n).values
+        bg = synthesize(m.beta, n).values
+        bh = np.fft.rfft(bg)
+        dbg = np.fft.irfft(1j * np.arange(bh.size) * bh, n)
+        quad = {"L": periodic_quadrature(GridFunction(pg)),
+                "A": 0.5 * periodic_quadrature(GridFunction(pg * bg)),
+                "int_b2": periodic_quadrature(GridFunction(bg * bg)),
+                "int_db2": periodic_quadrature(GridFunction(dbg * dbg))}
+        assert m.p is p and m.beta == beta_of(p)
+        for name, want in quad.items():
+            assert getattr(m, name) == pytest.approx(want, rel=1e-12,
+                                                     abs=1e-10), name
+
+    @given(supports())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_periodic_quadrature(self, p):
+        self.check_against_quadrature(p)
+
+    @given(near_zero_area())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_periodic_quadrature_near_zero_area(self, p):
+        assert abs(algebraic_area(p)) <= 1e-3 + 1e-9
+        self.check_against_quadrature(p)
 
 
 def test_default_grid_size():
