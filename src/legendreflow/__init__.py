@@ -14,12 +14,13 @@ from .flows import (DegenerateLengthError, DiagnosticsRow, FlowConfig,
                     StabilityError, WindowTooNoisyError, diagnostics,
                     fit_decay_rate, grid_stability_bound, lambda_area, run,
                     step_exact_modal, step_grid_rk4)
-from .inequalities import (Constraint, CurveEnsembleSpec, InequalityReport,
-                           ModeNotExcludedError, NotZeroLengthError,
-                           RejectionExhaustedError, check_beta2_family,
-                           check_beta2_zero_length, check_grad_family,
+from .inequalities import (Constraint, CurveEnsembleSpec, Inequality,
+                           InequalityReport, ModeNotExcludedError,
+                           NotZeroLengthError, RejectionExhaustedError,
+                           check_beta2_family, check_beta2_zero_length,
+                           check_grad_family, check_grad_zero_length,
                            check_isoperimetric, equality_family,
-                           green_osher_quadratic, random_curve, run_ensemble,
-                           wirtinger_gap)
+                           green_osher_quadratic, inequality_table,
+                           random_curve, run_ensemble, wirtinger_gap)
 
 __version__ = "0.1.0"

@@ -24,10 +24,9 @@ from .curves import (InputError, SupportFourier, algebraic_area,
 from .flows import (LAMBDA_FLOOR, DegenerateLengthError, FlowConfig, FlowTrace,
                     FlowType, Scheme, run)
 from .inequalities import (Constraint, CurveEnsembleSpec,
-                           RejectionExhaustedError, check_beta2_family,
-                           check_beta2_zero_length, check_grad_family,
-                           check_isoperimetric, green_osher_quadratic,
+                           RejectionExhaustedError, inequality_table,
                            run_ensemble)
+from .spectral import default_grid_size
 
 CSV_HEADER = "t,L,A,deficit_U,sup_dev,Q,lambda,E1,E2,a0,max_mode"
 
@@ -108,7 +107,7 @@ def write_trace_csv(trace: FlowTrace, path: str | Path) -> None:
         f"# scheme = {cfg.scheme.value}",
         f"# t_final = {_g17(cfg.t_final)}",
         f"# dt = {_g17(cfg.dt)}",
-        f"# grid_n = {cfg.effective_grid_n}",
+        f"# grid_n = {default_grid_size(cfg.initial.K)}",
         f"# record_every = {cfg.record_every}",
         f"# K = {cfg.initial.K}",
         f"# stop_sup_dev = {_g17(cfg.stop_sup_dev)}",
@@ -203,7 +202,6 @@ def _cmd_simulate(args) -> int:
         t_final=args.t_final,
         dt=args.dt,
         scheme=Scheme(args.scheme),
-        grid_n=args.grid_n,
         record_every=args.record_every,
         stop_sup_dev=args.stop_sup_dev,
     )
@@ -231,21 +229,9 @@ def _cmd_inequalities(args) -> int:
     constraint = Constraint(args.constraint)
     spec = CurveEnsembleSpec(seed=args.seed, count=args.count, K=args.k_max,
                              amplitude_decay=args.decay, constraint=constraint)
-    checkers = [("isoperimetric", check_isoperimetric),
-                ("green_osher_quadratic", green_osher_quadratic)]
-    for tau in args.tau:
-        checkers.append((f"beta2_family(tau={tau:g})",
-                         lambda m, t=tau: check_beta2_family(m, t)))
-    for xi in args.xi:
-        checkers.append((f"grad_family(xi={xi:g})",
-                         lambda m, x=xi: check_grad_family(m, x)))
-    if constraint is Constraint.ZERO_LENGTH:
-        checkers.append(("beta2_zero_length(tau=6)",
-                         lambda m: check_beta2_zero_length(m, 6.0)))
-        checkers.append(("grad_zero_length(xi=24)",
-                         lambda m: check_grad_family(m, 24.0, zero_length=True)))
-
-    reports = run_ensemble(spec, checkers)
+    rows = inequality_table(args.tau, args.xi,
+                            constraint is Constraint.ZERO_LENGTH)
+    reports = run_ensemble(spec, rows)
     failed = False
     for rep in reports:
         status = "ok" if rep.holds else (
@@ -295,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--dt", type=float, default=1e-3)
     ps.add_argument("--scheme", choices=[s.value for s in Scheme],
                     default=Scheme.EXACT_MODAL.value)
-    ps.add_argument("--grid-n", type=int, default=None)
     ps.add_argument("--record-every", type=int, default=1)
     ps.add_argument("--stop-sup-dev", type=float, default=0.0)
     ps.add_argument("--out", default="trace.csv")

@@ -14,7 +14,8 @@ k >= 2 decay as exp((1 - k^2) t), a0 is constant under the length-preserving
 flow, and under the area-preserving flow freezing A gives a0(t)^2 in closed
 form (the support-function form of Gage's area-preserving flow).  It needs no
 time stepper, so dt only sets the record spacing.  A method-of-lines GridRK4
-scheme serves as the independent oracle.
+scheme on default_grid_size(K) points serves as the independent oracle;
+every run takes sup_dev on that grid.
 
 lambda_area raises DegenerateLengthError when |L| < LAMBDA_FLOOR; runs start
 from A > 0 and keep |L| >= 2*sqrt(pi*A), so only direct calls reach the floor.
@@ -72,7 +73,6 @@ class FlowConfig:
     t_final: float = 6.0
     dt: float = 1e-3
     scheme: Scheme = Scheme.EXACT_MODAL
-    grid_n: int | None = None
     record_every: int = 1
     stop_sup_dev: float = 0.0      # 0 disables early stop
 
@@ -82,13 +82,13 @@ class FlowConfig:
         if self.t_final > 0 and self.dt > self.t_final:
             raise InputError("dt exceeds t_final")
         steps = self.t_final / self.dt
+        if not math.isfinite(steps):
+            raise InputError(f"t_final / dt = {steps!r} is not finite")
         if abs(steps - round(steps)) > 1e-9:
             raise InputError(f"t_final = {self.t_final!r} is not a whole "
                              f"number of steps dt = {self.dt!r}")
         if self.record_every < 1:
             raise InputError("record_every must be >= 1")
-        if self.grid_n is not None and self.grid_n < 1:
-            raise InputError("grid_n must be >= 1")
         if not 0 <= self.stop_sup_dev < math.inf:
             raise InputError("need 0 <= stop_sup_dev < inf")
         if self.flow_type is FlowType.AREA_PRESERVING:
@@ -97,11 +97,6 @@ class FlowConfig:
                 raise DegenerateLengthError(
                     f"area-preserving flow needs positive initial algebraic "
                     f"area, got {a0_area:.6g}")
-
-    @property
-    def effective_grid_n(self) -> int:
-        return self.grid_n if self.grid_n is not None \
-            else default_grid_size(self.initial.K)
 
 
 @dataclass(frozen=True)
@@ -245,11 +240,11 @@ def diagnostics(state: FlowState, flow_type: FlowType,
         E1=m.int_db2, E2=e2, a0=p.a0, max_abs_mode=max_abs)
 
 
-def _record_states(config: FlowConfig, steps: list[int]):
+def _record_states(config: FlowConfig, steps: list[int], grid_n: int):
     """Yield the state after each of the increasing step counts `steps`.
 
     The modal scheme evaluates its closed form at step*dt; the grid scheme
-    advances RK4 to the step and analyzes the grid there.
+    advances RK4 to the step and analyzes the grid_n-point grid there.
     """
     flow_type, dt = config.flow_type, config.dt
     if config.scheme is Scheme.EXACT_MODAL:
@@ -259,8 +254,7 @@ def _record_states(config: FlowConfig, steps: list[int]):
         return
     k_cut = max(config.initial.K, 1)
     _check_stability(dt, k_cut)
-    gstate = GridFlowState(
-        0.0, synthesize(config.initial, config.effective_grid_n), k_cut)
+    gstate = GridFlowState(0.0, synthesize(config.initial, grid_n), k_cut)
     done = 0
     for step in steps:
         for _ in range(step - done):
@@ -276,14 +270,14 @@ def run(config: FlowConfig, on_record=None) -> FlowTrace:
     on_record, if given, is called with (record_index, FlowState) at every
     recorded row (snapshot hook for the CLI).
     """
-    grid_n = config.effective_grid_n
+    grid_n = default_grid_size(config.initial.K)
     n_steps = round(config.t_final / config.dt)
     steps = list(range(0, n_steps + 1, config.record_every))
     if steps[-1] != n_steps:
         steps.append(n_steps)
     rows = []
     converged = False
-    for index, state in enumerate(_record_states(config, steps)):
+    for index, state in enumerate(_record_states(config, steps, grid_n)):
         rows.append(diagnostics(state, config.flow_type, grid_n))
         if on_record is not None:
             on_record(index, state)

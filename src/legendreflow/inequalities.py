@@ -1,17 +1,19 @@
 """Geometric inequalities for l-convex Legendre curves, checked on
 deterministic random ensembles.
 
-Each checker takes a curve's `Moments`, and each slack is written in its four
-numbers L = 2*pi*a0, A = pi*a0^2 + (pi/2) sum (1-k^2) c_k^2, int beta^2 =
-2*pi*a0^2 + pi*sum (1-k^2)^2 c_k^2 and int beta'^2 = pi*sum k^2 (1-k^2)^2 c_k^2
-(c_k^2 = a_k^2+b_k^2), so every slack is an exact modal expression:
+Each checker takes a curve's `Moments` and returns its slack, written in the
+four numbers L = 2*pi*a0, A = pi*a0^2 + (pi/2) sum (1-k^2) c_k^2,
+int beta^2 = 2*pi*a0^2 + pi*sum (1-k^2)^2 c_k^2 and
+int beta'^2 = pi*sum k^2 (1-k^2)^2 c_k^2 (c_k^2 = a_k^2+b_k^2), so every slack
+is an exact modal expression; slack >= 0 up to the sharp bound:
 
-    isoperimetric        L^2 - 4*pi*A >= 0
-    beta2 family         int beta^2 - 2A - tau*(L^2/4pi - A) >= 0   (tau <= 8)
-    beta2, L = 0         int beta^2 + tau*A >= 0                    (tau <= 6)
-    gradient family      int beta'^2 - xi*(L^2/4pi - A) >= 0        (xi <= 24)
-    gradient, L = 0      int beta'^2 + xi*A >= 0                    (xi <= 24)
-    Green-Osher (F=x^2)  int beta^2 - (L^2 - 2*pi*A)/pi >= 0
+    inequality           slack                                  sharp bound
+    isoperimetric        L^2 - 4*pi*A                           -
+    beta2 family         int beta^2 - 2A - tau*(L^2/4pi - A)    tau <= 8
+    beta2, L = 0         int beta^2 + tau*A                     tau <= 6
+    gradient family      int beta'^2 - xi*(L^2/4pi - A)         xi <= 24
+    gradient, L = 0      int beta'^2 + xi*A                     xi <= 24
+    Green-Osher (F=x^2)  int beta^2 - (L^2 - 2*pi*A)/pi         -
 
 The tau = 8 and xi = 24 cases are saturated exactly by support functions with
 modes {0, 1, 2} only (parallel curves of astroids).
@@ -21,8 +23,8 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -74,28 +76,18 @@ class InequalityReport:
     slack: float
     holds: bool
     witness: SupportFourier
-    expected_violable: bool = False
-    n_checked: int = 1
-    n_violations: int = 0
+    expected_violable: bool
+    n_checked: int
+    n_violations: int
 
 
-def _report(ineq_id: str, parameter: float | None, slack: float,
-            m: Moments, expected_violable: bool = False) -> InequalityReport:
-    return InequalityReport(ineq_id=ineq_id, parameter=parameter, slack=slack,
-                            holds=slack >= -SLACK_TOL, witness=m.p,
-                            expected_violable=expected_violable,
-                            n_violations=0 if slack >= -SLACK_TOL else 1)
+def check_isoperimetric(m: Moments) -> float:
+    return isoperimetric_deficit(m.p)
 
 
-def check_isoperimetric(m: Moments) -> InequalityReport:
-    return _report("isoperimetric", None, isoperimetric_deficit(m.p), m)
-
-
-def check_beta2_family(m: Moments, tau: float) -> InequalityReport:
-    """int beta^2 - 2A - tau*(L^2/4pi - A); holds for tau <= 8, saturated at
-    tau = 8 by mode-{0,1,2} curves."""
-    slack = m.int_b2 - 2.0 * m.A - tau * (m.L * m.L / (4.0 * math.pi) - m.A)
-    return _report("beta2_family", tau, slack, m, expected_violable=tau > 8)
+def check_beta2_family(m: Moments, tau: float) -> float:
+    """int beta^2 - 2A - tau*(L^2/4pi - A), the beta2 family at tau."""
+    return m.int_b2 - 2.0 * m.A - tau * (m.L * m.L / (4.0 * math.pi) - m.A)
 
 
 def _require_zero_length(m: Moments) -> None:
@@ -103,31 +95,63 @@ def _require_zero_length(m: Moments) -> None:
         raise NotZeroLengthError(f"|L| = {abs(m.L):.3e} > 1e-12")
 
 
-def check_beta2_zero_length(m: Moments, tau: float) -> InequalityReport:
-    """int beta^2 + tau*A for L = 0 curves; holds for tau <= 6."""
+def check_beta2_zero_length(m: Moments, tau: float) -> float:
+    """int beta^2 + tau*A; NotZeroLengthError unless |L| <= 1e-12."""
     _require_zero_length(m)
-    slack = m.int_b2 + tau * m.A
-    return _report("beta2_zero_length", tau, slack, m, expected_violable=tau > 6)
+    return m.int_b2 + tau * m.A
 
 
-def check_grad_family(m: Moments, xi: float,
-                      zero_length: bool = False) -> InequalityReport:
-    """int beta'^2 - xi*(L^2/4pi - A), or int beta'^2 + xi*A on the L = 0
-    branch; both hold for xi <= 24, saturated at 24 by mode-{0,1,2} curves."""
+def check_grad_family(m: Moments, xi: float) -> float:
+    """int beta'^2 - xi*(L^2/4pi - A), the gradient family at xi."""
+    return m.int_db2 - xi * (m.L * m.L / (4.0 * math.pi) - m.A)
+
+
+def check_grad_zero_length(m: Moments, xi: float) -> float:
+    """int beta'^2 + xi*A; NotZeroLengthError unless |L| <= 1e-12."""
+    _require_zero_length(m)
+    return m.int_db2 + xi * m.A
+
+
+def green_osher_quadratic(m: Moments) -> float:
+    """int beta^2 - (L^2 - 2*pi*A)/pi, the F(x) = x^2 Green-Osher case."""
+    return m.int_b2 - (m.L * m.L - TWO_PI * m.A) / math.pi
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """One row of the slack table: row(m) is the checker's slack at the row's
+    parameter; past its sharp bound the inequality may fail."""
+    ineq_id: str
+    slack: Callable[..., float]
+    parameter: float | None = None
+    sharp: float | None = None
+
+    @property
+    def expected_violable(self) -> bool:
+        return self.sharp is not None and self.parameter > self.sharp
+
+    def __call__(self, m: Moments) -> float:
+        return self.slack(m) if self.parameter is None \
+            else self.slack(m, self.parameter)
+
+
+def inequality_table(taus: Sequence[float], xis: Sequence[float],
+                     zero_length: bool) -> list[Inequality]:
+    """The isoperimetric and Green-Osher rows, the beta2 family at each tau,
+    the gradient family at each xi and, for zero-length ensembles, the two
+    L = 0 inequalities at their sharp parameters."""
+    rows = [Inequality("isoperimetric", check_isoperimetric),
+            Inequality("green_osher_quadratic", green_osher_quadratic)]
+    rows += [Inequality(f"beta2_family(tau={tau:g})", check_beta2_family,
+                        tau, 8.0) for tau in taus]
+    rows += [Inequality(f"grad_family(xi={xi:g})", check_grad_family, xi, 24.0)
+             for xi in xis]
     if zero_length:
-        _require_zero_length(m)
-        slack = m.int_db2 + xi * m.A
-        ineq_id = "grad_zero_length"
-    else:
-        slack = m.int_db2 - xi * (m.L * m.L / (4.0 * math.pi) - m.A)
-        ineq_id = "grad_family"
-    return _report(ineq_id, xi, slack, m, expected_violable=xi > 24)
-
-
-def green_osher_quadratic(m: Moments) -> InequalityReport:
-    """int beta^2 >= (L^2 - 2*pi*A)/pi (the F(x) = x^2 Green-Osher case)."""
-    slack = m.int_b2 - (m.L * m.L - TWO_PI * m.A) / math.pi
-    return _report("green_osher_quadratic", None, slack, m)
+        rows += [Inequality("beta2_zero_length(tau=6)",
+                            check_beta2_zero_length, 6.0, 6.0),
+                 Inequality("grad_zero_length(xi=24)",
+                            check_grad_zero_length, 24.0, 24.0)]
+    return rows
 
 
 def wirtinger_gap(series: SupportFourier) -> tuple[float, float]:
@@ -211,33 +235,28 @@ def equality_family(a0: float, a1: float, b1: float,
     return SupportFourier(a0, tuple(modes))
 
 
-def run_ensemble(
-        spec: CurveEnsembleSpec,
-        checkers: list[tuple[str, Callable[[Moments], InequalityReport]]],
-) -> list[InequalityReport]:
-    """Apply each (name, checker) pair to the moments of every curve of the
-    ensemble; aggregate per checker the minimum slack and its witness.
+def run_ensemble(spec: CurveEnsembleSpec,
+                 rows: Sequence[Inequality]) -> list[InequalityReport]:
+    """One report per row: the minimum slack over the moments of every curve
+    of the ensemble, its witness, and the number of curves whose slack is
+    not >= -SLACK_TOL.
 
-    The reduce is order-independent with a stable tie-break on curve index,
-    so parallel evaluation over indices would give identical reports.
+    Ties go to the lowest curve index, so evaluating the indices in parallel
+    and reducing in index order would give identical reports.
     """
-    best: dict[str, InequalityReport] = {}
-    counts: dict[str, tuple[int, int]] = {}
+    low = [0.0] * len(rows)
+    witness: list[SupportFourier | None] = [None] * len(rows)
+    violations = [0] * len(rows)
     for index in range(spec.count):
         m = moments(random_curve(spec, index))
-        for name, fn in checkers:
-            rep = fn(m)
-            checked, viol = counts.get(name, (0, 0))
-            counts[name] = (checked + 1, viol + rep.n_violations)
-            if name not in best or rep.slack < best[name].slack:
-                best[name] = rep
-    out = []
-    for name, _ in checkers:
-        rep = best[name]
-        checked, viol = counts[name]
-        out.append(InequalityReport(
-            ineq_id=name, parameter=rep.parameter, slack=rep.slack,
-            holds=viol == 0, witness=rep.witness,
-            expected_violable=rep.expected_violable,
-            n_checked=checked, n_violations=viol))
-    return out
+        for j, row in enumerate(rows):
+            slack = row(m)
+            if not slack >= -SLACK_TOL:
+                violations[j] += 1
+            if index == 0 or slack < low[j]:
+                low[j], witness[j] = slack, m.p
+    return [InequalityReport(
+        ineq_id=row.ineq_id, parameter=row.parameter, slack=slack,
+        holds=viol == 0, witness=p, expected_violable=row.expected_violable,
+        n_checked=spec.count, n_violations=viol)
+        for row, slack, p, viol in zip(rows, low, witness, violations)]

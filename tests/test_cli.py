@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import shlex
@@ -219,11 +220,10 @@ class TestCliMain:
     @pytest.mark.parametrize("argv, message", [
         (["inequalities", "--count", "3", "--decay", "nan"],
          "0 <= amplitude_decay < inf"),
-        (["simulate", "--flow", "area", "--curve", "c.curve", "--scheme",
-          "grid", "--grid-n", "100", "--t-final", "0.1", "--dt", "0.01"],
-         "power of two"),
-        (["simulate", "--flow", "area", "--curve", "c.curve", "--grid-n", "0",
-          "--t-final", "0.1", "--dt", "0.01"], "grid_n must be >= 1"),
+        (["simulate", "--flow", "area", "--curve", "c.curve",
+          "--t-final", "1e300", "--dt", "1e-300"], "t_final / dt = inf"),
+        (["simulate", "--flow", "area", "--curve", "c.curve",
+          "--t-final", "1e308", "--dt", "1e-10"], "t_final / dt = inf"),
         (["simulate", "--flow", "area", "--curve", "c.curve",
           "--t-final", "nan"], "finite t_final"),
         (["simulate", "--flow", "area", "--curve", "c.curve", "--t-final",
@@ -289,9 +289,23 @@ class TestCliMain:
         rc = cli_main(["inequalities", "--count", "20", "--seed", "5",
                        "--json", str(out)])
         assert rc == 0
-        import json
         payload = json.loads(out.read_text())
         assert all(entry["holds"] for entry in payload)
+
+    def test_inequalities_equal_display_names_kept_apart(self, tmp_path):
+        # tau = 4 and 4.0000001 both print as beta2_family(tau=4)
+        reports = {}
+        for taus in (["4"], ["4.0000001"], ["4", "4.0000001"]):
+            out = tmp_path / f"{len(taus)}{taus[-1]}.json"
+            assert cli_main(["inequalities", "--count", "50", "--tau", *taus,
+                             "--xi", "--json", str(out)]) == 0
+            reports[tuple(taus)] = json.loads(out.read_text())
+        both = reports[("4", "4.0000001")]
+        assert [r["ineq_id"] for r in both[2:]] == ["beta2_family(tau=4)"] * 2
+        assert [r["parameter"] for r in both[2:]] == [4.0, 4.0000001]
+        assert all(r["n_checked"] == 50 for r in both)
+        assert both[2] == reports[("4",)][2]
+        assert both[3] == reports[("4.0000001",)][2]
 
     def test_examples_reparse_areas(self, tmp_path):
         outdir = tmp_path / "ex"

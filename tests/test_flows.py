@@ -162,7 +162,7 @@ class TestStepGridRK4:
     def test_mode3_decay_rate(self):
         p = SupportFourier(1.0, ((3, 0.1, 0.0),))
         cfg = FlowConfig(FlowType.LENGTH_PRESERVING, p, t_final=0.5, dt=1e-3,
-                         scheme=Scheme.GRID_RK4, grid_n=64, record_every=500)
+                         scheme=Scheme.GRID_RK4, record_every=500)
         tr = run(cfg)
         a3, b3 = tr.final_state.p.coeff(3)
         assert math.hypot(a3, b3) == pytest.approx(0.1 * math.exp(-8 * 0.5),
@@ -187,8 +187,7 @@ class TestStepGridRK4:
             tm = run(FlowConfig(ft, P_FIG_A, t_final=1.0, dt=1e-3,
                                 record_every=1000))
             tg = run(FlowConfig(ft, P_FIG_A, t_final=1.0, dt=1e-3,
-                                scheme=Scheme.GRID_RK4, grid_n=256,
-                                record_every=1000))
+                                scheme=Scheme.GRID_RK4, record_every=1000))
             dp = np.abs(tm.final_state.p.evaluate(theta)
                         - tg.final_state.p.evaluate(theta))
             assert np.max(dp) < 1e-8
@@ -216,7 +215,8 @@ class TestRun:
                        dt=0.4)
         FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, t_final=0.3, dt=1e-3)
         for bad in (dict(t_final=math.nan), dict(t_final=math.inf),
-                    dict(dt=math.nan), dict(grid_n=0),
+                    dict(dt=math.nan), dict(t_final=1e300, dt=1e-300),
+                    dict(t_final=1e308, dt=1e-10),
                     dict(stop_sup_dev=math.inf), dict(stop_sup_dev=math.nan),
                     dict(stop_sup_dev=-1.0)):
             with pytest.raises(InputError):
@@ -283,14 +283,14 @@ class TestRun:
                             record_every=1000))
         assert tm.final_state.p.coeff(1) == (0.7, -0.3)  # bit-identical
         tg = run(FlowConfig(FlowType.LENGTH_PRESERVING, p, t_final=1.0,
-                            dt=1e-3, scheme=Scheme.GRID_RK4, grid_n=256,
+                            dt=1e-3, scheme=Scheme.GRID_RK4,
                             record_every=1000))
         assert tg.final_state.p.coeff(1) == pytest.approx((0.7, -0.3),
                                                           abs=1e-10)
 
     def test_conservation_grid_scheme(self):
         tg = run(FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, t_final=1.0,
-                            dt=1e-3, scheme=Scheme.GRID_RK4, grid_n=256,
+                            dt=1e-3, scheme=Scheme.GRID_RK4,
                             record_every=100))
         assert all(abs(r.L - 4 * math.pi) < 1e-8 for r in tg.rows)
 

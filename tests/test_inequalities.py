@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from legendreflow import (Constraint, CurveEnsembleSpec, CurveKind,
@@ -9,11 +9,13 @@ from legendreflow import (Constraint, CurveEnsembleSpec, CurveKind,
                           ModeNotExcludedError, NotZeroLengthError,
                           SupportFourier, algebraic_area, algebraic_length,
                           beta_of, check_beta2_family, check_beta2_zero_length,
-                          check_grad_family, check_isoperimetric, classify,
-                          equality_family, green_osher_quadratic,
+                          check_grad_family, check_grad_zero_length,
+                          check_isoperimetric, classify, equality_family,
+                          green_osher_quadratic, inequality_table,
                           isoperimetric_deficit, moments, periodic_quadrature,
                           random_curve, run, run_ensemble, synthesize,
                           wirtinger_gap)
+from legendreflow.inequalities import SLACK_TOL
 from conftest import rand_support
 
 P_FIG_A = SupportFourier(2.0, ((2, 0.0, 1.0),))
@@ -42,45 +44,45 @@ class TestIsoperimetric:
 class TestBeta2Family:
     def test_sharp_at_tau8_for_mode012(self):
         p = equality_family(2.0, 0.0, 0.0, 0.3, 0.0)
-        rep = check_beta2_family(moments(p), 8.0)
-        assert abs(rep.slack) <= 1e-10 and rep.holds
+        slack = check_beta2_family(moments(p), 8.0)
+        assert abs(slack) <= 1e-10 and slack >= -SLACK_TOL
 
     def test_tau0_is_basic_inequality(self, rng):
         for _ in range(50):
             p = rand_support(rng, K=6)
-            rep = check_beta2_family(moments(p), 0.0)
-            assert rep.slack >= -1e-9
+            slack = check_beta2_family(moments(p), 0.0)
+            assert slack >= -1e-9
             # slack at tau = 0 is int beta^2 - 2A, cross-checked by quadrature
             oracle = quad_int_beta2(p) - 2 * algebraic_area(p)
-            assert rep.slack == pytest.approx(oracle, abs=1e-9)
+            assert slack == pytest.approx(oracle, abs=1e-9)
 
     def test_mode3_breaks_sharpness(self):
         p = SupportFourier(1.0, ((3, 0.1, 0.0),))
-        assert check_beta2_family(moments(p), 8.0).slack > 1e-3
+        assert check_beta2_family(moments(p), 8.0) > 1e-3
 
     def test_tau_monotone_and_expected_violable(self, rng):
         p = rand_support(rng, K=4)
         if isoperimetric_deficit(p) > 0:
-            assert check_beta2_family(moments(p), 8.0).slack <= \
-                check_beta2_family(moments(p), 4.0).slack + 1e-12
-        assert check_beta2_family(moments(p), 9.0).expected_violable
+            assert check_beta2_family(moments(p), 8.0) <= \
+                check_beta2_family(moments(p), 4.0) + 1e-12
+        rows = {r.ineq_id: r for r in inequality_table([8.0, 9.0], [], False)}
+        assert rows["beta2_family(tau=9)"].expected_violable
+        assert not rows["beta2_family(tau=8)"].expected_violable
 
 
 class TestBeta2ZeroLength:
     def test_sharp_mode2(self):
         p = SupportFourier(0.0, ((2, 0.7, 0.0),))
         # int beta^2 = 9 pi a2^2, A = -(3 pi / 2) a2^2
-        rep = check_beta2_zero_length(moments(p), 6.0)
-        assert abs(rep.slack) <= 1e-10
+        assert abs(check_beta2_zero_length(moments(p), 6.0)) <= 1e-10
 
     def test_mode3_strict(self):
         p = SupportFourier(0.0, ((3, 0.4, 0.0),))
-        assert check_beta2_zero_length(moments(p), 6.0).slack > 0
+        assert check_beta2_zero_length(moments(p), 6.0) > 0
 
     def test_point_equality(self):
         p = SupportFourier(0.0, ((1, 1.0, -2.0),))
-        assert check_beta2_zero_length(moments(p), 6.0).slack == \
-            pytest.approx(0.0)
+        assert check_beta2_zero_length(moments(p), 6.0) == pytest.approx(0.0)
 
     def test_rejects_nonzero_length(self):
         with pytest.raises(NotZeroLengthError):
@@ -90,45 +92,44 @@ class TestBeta2ZeroLength:
 class TestGradFamily:
     def test_sharp_at_xi24(self):
         p = equality_family(2.0, 0.5, -0.3, 0.3, 0.1)
-        assert abs(check_grad_family(moments(p), 24.0).slack) <= 1e-10
+        assert abs(check_grad_family(moments(p), 24.0)) <= 1e-10
 
     def test_circle_trivial(self):
-        rep = check_grad_family(moments(SupportFourier(1.0)), 24.0)
-        assert rep.slack == pytest.approx(0.0, abs=1e-12)
+        slack = check_grad_family(moments(SupportFourier(1.0)), 24.0)
+        assert slack == pytest.approx(0.0, abs=1e-12)
 
     def test_scaled_form(self, rng):
         # (1/12) int beta'^2 - 2(L^2/4pi - A) = slack(xi = 24) / 12
         p = rand_support(rng, K=5)
-        rep = check_grad_family(moments(p), 24.0)
+        slack = check_grad_family(moments(p), 24.0)
         from legendreflow import l2_quantities
         int_db2 = l2_quantities(beta_of(p))["int_dp2"]
         L = algebraic_length(p)
         A = algebraic_area(p)
         lhs = int_db2 / 12 - 2 * (L * L / (4 * math.pi) - A)
-        assert lhs == pytest.approx(rep.slack / 12, abs=1e-10)
+        assert lhs == pytest.approx(slack / 12, abs=1e-10)
         assert lhs >= -1e-9
 
     def test_zero_length_branch(self):
         p = SupportFourier(0.0, ((2, 0.7, 0.2),))
-        rep = check_grad_family(moments(p), 24.0, zero_length=True)
-        assert abs(rep.slack) <= 1e-10
+        assert abs(check_grad_zero_length(moments(p), 24.0)) <= 1e-10
         with pytest.raises(NotZeroLengthError):
-            check_grad_family(moments(P_FIG_A), 24.0, zero_length=True)
+            check_grad_zero_length(moments(P_FIG_A), 24.0)
 
 
 class TestGreenOsher:
     def test_circle(self):
-        assert green_osher_quadratic(moments(SupportFourier(2.0))).slack == \
+        assert green_osher_quadratic(moments(SupportFourier(2.0))) == \
             pytest.approx(0.0, abs=1e-12)
 
     def test_fig_a(self):
-        assert green_osher_quadratic(moments(P_FIG_A)).slack == \
+        assert green_osher_quadratic(moments(P_FIG_A)) == \
             pytest.approx(6 * math.pi, abs=1e-10)
 
     def test_random_ensemble_nonnegative(self, rng):
         for _ in range(100):
             p = rand_support(rng, K=8)
-            assert green_osher_quadratic(moments(p)).slack >= -1e-9
+            assert green_osher_quadratic(moments(p)) >= -1e-9
 
 
 class TestWirtinger:
@@ -204,13 +205,7 @@ class TestEqualityFamily:
 class TestRunEnsemble:
     def test_standard_set_no_violations(self):
         spec = CurveEnsembleSpec(seed=42, count=200, K=8, amplitude_decay=1.5)
-        checkers = [
-            ("isoperimetric", check_isoperimetric),
-            ("beta2_tau8", lambda m: check_beta2_family(m, 8.0)),
-            ("grad_xi24", lambda m: check_grad_family(m, 24.0)),
-            ("green_osher", green_osher_quadratic),
-        ]
-        for rep in run_ensemble(spec, checkers):
+        for rep in run_ensemble(spec, inequality_table([8.0], [24.0], False)):
             assert rep.holds and rep.n_violations == 0
             assert rep.n_checked == 200
             assert rep.witness is not None
@@ -219,11 +214,53 @@ class TestRunEnsemble:
         # slack(tau) = pi sum (k^2-1)(k^2 - tau/2) c_k^2: any mode-2 mass
         # goes negative for tau > 8
         spec = CurveEnsembleSpec(seed=42, count=50, K=2)
-        reports = run_ensemble(
-            spec, [("beta2_tau8.5", lambda m: check_beta2_family(m, 8.5))])
-        assert reports[0].n_violations >= 1
-        assert not reports[0].holds
-        assert reports[0].expected_violable
+        reports = run_ensemble(spec, inequality_table([8.5], [], False))
+        rep = reports[2]
+        assert rep.ineq_id == "beta2_family(tau=8.5)"
+        assert rep.n_violations >= 1
+        assert not rep.holds
+        assert rep.expected_violable
+
+
+def reference_reduction(spec, taus, xis):
+    """(id, parameter, expected_violable, min slack, witness, violations)
+    per inequality, from a plain loop over the curves and the checkers."""
+    zero = spec.constraint is Constraint.ZERO_LENGTH
+    checks = ([("isoperimetric", None, False, check_isoperimetric),
+               ("green_osher_quadratic", None, False, green_osher_quadratic)]
+              + [(f"beta2_family(tau={t:g})", t, t > 8,
+                  lambda m, t=t: check_beta2_family(m, t)) for t in taus]
+              + [(f"grad_family(xi={x:g})", x, x > 24,
+                  lambda m, x=x: check_grad_family(m, x)) for x in xis])
+    if zero:
+        checks += [("beta2_zero_length(tau=6)", 6.0, False,
+                    lambda m: check_beta2_zero_length(m, 6.0)),
+                   ("grad_zero_length(xi=24)", 24.0, False,
+                    lambda m: check_grad_zero_length(m, 24.0))]
+    curves = [random_curve(spec, i) for i in range(spec.count)]
+    out = []
+    for ineq_id, parameter, violable, check in checks:
+        slacks = [check(moments(p)) for p in curves]
+        best = min(range(spec.count), key=slacks.__getitem__)
+        out.append((ineq_id, parameter, violable, slacks[best].hex(),
+                    curves[best], sum(not s >= -SLACK_TOL for s in slacks)))
+    return out
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 6),
+       st.sampled_from(list(Constraint)))
+@example(seed=5, count=7, K=1, constraint=Constraint.ZERO_LENGTH)
+@settings(max_examples=40, deadline=None)
+def test_run_ensemble_matches_reference_reduction(seed, count, K, constraint):
+    # K = 1 zero-length curves have every slack exactly 0, so ties occur
+    spec = CurveEnsembleSpec(seed, count, K, constraint=constraint)
+    taus, xis = [0.0, 4.0, 8.0, 9.0], [0.0, 12.0, 24.0, 25.0]
+    rows = inequality_table(taus, xis, constraint is Constraint.ZERO_LENGTH)
+    got = [(r.ineq_id, r.parameter, r.expected_violable, r.slack.hex(),
+            r.witness, r.n_violations) for r in run_ensemble(spec, rows)]
+    assert got == reference_reduction(spec, taus, xis)
+    for rep in run_ensemble(spec, rows):
+        assert rep.n_checked == count and rep.holds == (rep.n_violations == 0)
 
 
 class TestFlowMonotonicity:
@@ -236,8 +273,8 @@ class TestFlowMonotonicity:
         from legendreflow import step_exact_modal, FlowState
         s = FlowState(0.0, p)
         for _ in range(300):
-            ws.append(check_beta2_family(moments(s.p), 8.0).slack)
-            vs.append(check_grad_family(moments(s.p), 24.0).slack)
+            ws.append(check_beta2_family(moments(s.p), 8.0))
+            vs.append(check_grad_family(moments(s.p), 24.0))
             s = step_exact_modal(s, 1e-2, FlowType.LENGTH_PRESERVING)
         assert all(b - a <= 1e-12 for a, b in zip(ws, ws[1:]))
         assert all(b - a <= 1e-12 for a, b in zip(vs, vs[1:]))
@@ -249,12 +286,12 @@ def test_translation_invariance_of_slacks(da, db):
     p = SupportFourier(2.0, ((1, 0.2, -0.4), (2, 0.3, 1.0), (3, 0.1, 0.0)))
     a1, b1 = p.coeff(1)
     q = p.with_mode(1, a1 + da, b1 + db)
-    assert check_beta2_family(moments(q), 8.0).slack == \
-        check_beta2_family(moments(p), 8.0).slack
-    assert check_grad_family(moments(q), 24.0).slack == \
-        check_grad_family(moments(p), 24.0).slack
-    assert green_osher_quadratic(moments(q)).slack == \
-        green_osher_quadratic(moments(p)).slack
+    assert check_beta2_family(moments(q), 8.0) == \
+        check_beta2_family(moments(p), 8.0)
+    assert check_grad_family(moments(q), 24.0) == \
+        check_grad_family(moments(p), 24.0)
+    assert green_osher_quadratic(moments(q)) == \
+        green_osher_quadratic(moments(p))
     assert isoperimetric_deficit(q) == isoperimetric_deficit(p)
 
 
@@ -263,7 +300,7 @@ def test_sharpness_characterization(rng):
     spec = CurveEnsembleSpec(seed=9, count=100, K=8)
     for i in range(100):
         p = random_curve(spec, i)
-        slack = check_beta2_family(moments(p), 8.0).slack
+        slack = check_beta2_family(moments(p), 8.0)
         high = max((max(abs(a), abs(b)) for k, a, b in p.modes if k >= 3),
                    default=0.0)
         if slack < 1e-10:

@@ -10,7 +10,8 @@ from legendreflow import (AliasError, DegenerateLengthError, FlowState,
                           SupportFourier, algebraic_area, algebraic_length,
                           analyze, beta_of, check_beta2_family,
                           check_beta2_zero_length, check_grad_family,
-                          check_isoperimetric, default_grid_size, derivative,
+                          check_grad_zero_length, check_isoperimetric,
+                          default_grid_size, derivative,
                           diagnostics, green_osher_quadratic,
                           isoperimetric_deficit, l2_quantities, lambda_area,
                           moments, periodic_quadrature, synthesize,
@@ -197,17 +198,20 @@ class TestMoments:
             p = SupportFourier(0.0, p.modes)
         m = moments(p)
         ref = reference_slacks(p, tau, xi)
-        reps = [check_isoperimetric(m), check_beta2_family(m, tau),
-                check_grad_family(m, xi), green_osher_quadratic(m)]
+        slacks = {"isoperimetric": check_isoperimetric(m),
+                  "beta2_family": check_beta2_family(m, tau),
+                  "grad_family": check_grad_family(m, xi),
+                  "green_osher_quadratic": green_osher_quadratic(m)}
         if abs(m.L) <= 1e-12:
-            reps += [check_beta2_zero_length(m, tau),
-                     check_grad_family(m, xi, zero_length=True)]
+            slacks["beta2_zero_length"] = check_beta2_zero_length(m, tau)
+            slacks["grad_zero_length"] = check_grad_zero_length(m, xi)
         else:
             with pytest.raises(NotZeroLengthError):
                 check_beta2_zero_length(m, tau)
-        for rep in reps:
-            assert rep.slack.hex() == ref[rep.ineq_id].hex(), rep.ineq_id
-            assert rep.witness is p
+            with pytest.raises(NotZeroLengthError):
+                check_grad_zero_length(m, xi)
+        for name, slack in slacks.items():
+            assert slack.hex() == ref[name].hex(), name
         for flow_type in FlowType:
             state = FlowState(0.5, p)
             if flow_type is FlowType.AREA_PRESERVING \
