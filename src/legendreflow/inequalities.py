@@ -17,6 +17,12 @@ is an exact modal expression; slack >= 0 up to the sharp bound:
 
 The tau = 8 and xi = 24 cases are saturated exactly by support functions with
 modes {0, 1, 2} only (parallel curves of astroids).
+
+run_ensemble draws its curves a chunk of indices at a time, as arrays:
+splitmix64 over the key (seed, index, mode, slot, attempt) in numpy uint64,
+so random_curve(spec, i) draws curve i alone with the same bits.  Each slack
+above is one expression for floats and arrays alike, evaluated as a column
+and reduced by argmin; the lowest index wins ties.
 """
 
 from __future__ import annotations
@@ -25,11 +31,12 @@ import enum
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
-                     beta_of, isoperimetric_deficit, uniform_grid)
+                     algebraic_length, beta_of, uniform_grid)
 from .spectral import Moments, l2_quantities, moments
 
 SLACK_TOL = 1e-9
@@ -82,7 +89,7 @@ class InequalityReport:
 
 
 def check_isoperimetric(m: Moments) -> float:
-    return isoperimetric_deficit(m.p)
+    return m.L * m.L - 4.0 * math.pi * m.A
 
 
 def check_beta2_family(m: Moments, tau: float) -> float:
@@ -91,8 +98,8 @@ def check_beta2_family(m: Moments, tau: float) -> float:
 
 
 def _require_zero_length(m: Moments) -> None:
-    if abs(m.L) > 1e-12:
-        raise NotZeroLengthError(f"|L| = {abs(m.L):.3e} > 1e-12")
+    if np.any(np.abs(m.L) > 1e-12):
+        raise NotZeroLengthError(f"|L| = {np.max(np.abs(m.L)):.3e} > 1e-12")
 
 
 def check_beta2_zero_length(m: Moments, tau: float) -> float:
@@ -166,23 +173,38 @@ def wirtinger_gap(series: SupportFourier) -> tuple[float, float]:
 
 # --- deterministic ensembles -------------------------------------------------
 
-_MASK64 = (1 << 64) - 1
+#: run_ensemble draws CHUNK_ENTRIES // n curves at a time, n = max(4(K+1), 256)
+#: being the convex lift's grid, so that its arrays stay at 2 MiB.
+CHUNK_ENTRIES = 1 << 18
+#: Positive-area rejection rounds run on arrays; the curves still rejected
+#: after them (a share 0.8^64 ~ 6e-7 where one draw in five passes) are drawn
+#: one by one by random_curve, which also raises RejectionExhaustedError.
+_ARRAY_ROUNDS = 64
+_GOLDEN, _MIX1, _MIX2, _S27, _S30, _S31 = map(np.uint64, (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 27, 30, 31))
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _fold(h: np.ndarray, part) -> np.ndarray:
+    """splitmix64(h ^ part) elementwise, in wrapping uint64 arithmetic."""
+    x = (h ^ part) + _GOLDEN
+    z = (x ^ (x >> _S30)) * _MIX1
+    z = (z ^ (z >> _S27)) * _MIX2
+    return z ^ (z >> _S31)
 
 
-def _unit(*key: int) -> float:
-    """Counter-based uniform in [0, 1): splitmix64 folded over the key
-    (seed, index, mode, slot, attempt).  Platform-independent by construction."""
-    h = 0
-    for part in key:
-        h = _splitmix64(h ^ (part & _MASK64))
-    return h / 2.0 ** 64
+def _draw(spec: CurveEnsembleSpec, index: np.ndarray, attempt: int) -> np.ndarray:
+    """Rows a0, a_1, b_1, ..., a_K, b_K, one column per index: (2u - 1) *
+    (mode + 1)^-s, with u the key (seed, index, mode, slot, attempt) folded
+    by splitmix64, over 2^64.  Counter-based: an index draws alone what it
+    draws in a chunk, with the same bits on every platform."""
+    row = np.arange(2 * spec.K + 1, dtype=np.uint64)[:, None]
+    h = _fold(_fold(np.zeros(1, np.uint64), np.uint64(spec.seed % 2**64)),
+              index.astype(np.uint64))
+    h = _fold(_fold(_fold(h, (row + 1) // 2), (row > 0) & (row % 2 == 0)),
+              np.uint64(attempt))
+    bound = np.array([((j + 1) // 2 + 1.0) ** (-spec.amplitude_decay)
+                      for j in range(len(row))])[:, None]
+    return (2.0 * (h.astype(np.float64) / 2.0 ** 64) - 1.0) * bound
 
 
 def random_curve(spec: CurveEnsembleSpec, index: int) -> SupportFourier:
@@ -194,15 +216,10 @@ def random_curve(spec: CurveEnsembleSpec, index: int) -> SupportFourier:
     """
     if not 0 <= index < spec.count:
         raise InputError(f"index {index} outside [0, {spec.count})")
-    s = spec.amplitude_decay
     for attempt in range(10_000):
-        def draw(mode: int, slot: int) -> float:
-            bound = (mode + 1.0) ** (-s)
-            return (2.0 * _unit(spec.seed, index, mode, slot, attempt) - 1.0) * bound
-
-        a0 = draw(0, 0)
-        modes = tuple((k, draw(k, 0), draw(k, 1)) for k in range(1, spec.K + 1))
-        p = SupportFourier(a0, modes)
+        c = _draw(spec, np.array([index]), attempt)[:, 0].tolist()
+        modes = tuple((k, c[2 * k - 1], c[2 * k]) for k in range(1, spec.K + 1))
+        p = SupportFourier(c[0], modes)
 
         if spec.constraint is Constraint.ZERO_LENGTH:
             return SupportFourier(0.0, modes)
@@ -212,7 +229,7 @@ def random_curve(spec: CurveEnsembleSpec, index: int) -> SupportFourier:
             min_p = float(np.min(rest.evaluate(theta)))
             min_b = float(np.min(beta_of(rest).evaluate(theta)))
             lift = max(0.1 - min_p, 0.1 - min_b, 0.0) + 1e-9
-            return SupportFourier(max(a0, 0.0) + lift, modes)
+            return SupportFourier(max(c[0], 0.0) + lift, modes)
         if spec.constraint is Constraint.POSITIVE_AREA:
             if algebraic_area(p) > 0.01:
                 return p
@@ -235,28 +252,73 @@ def equality_family(a0: float, a1: float, b1: float,
     return SupportFourier(a0, tuple(modes))
 
 
+def _columns(c: np.ndarray) -> SimpleNamespace:
+    """Rows a0, a_1, b_1, ..., a_K, b_K as SupportFourier's a0 and modes, for
+    the scalar formulas to evaluate each column with their expression trees."""
+    return SimpleNamespace(a0=c[0], modes=tuple(zip(
+        range(1, len(c) // 2 + 1), c[1::2], c[2::2])))
+
+
+def _chunk(spec: CurveEnsembleSpec, start: int, stop: int) -> np.ndarray:
+    """Coefficient rows of curves start..stop-1 as random_curve gives them:
+    drawn at once, positive-area's rejects redrawn with attempt + 1, and the
+    convex lift's p and beta summed mode by mode in evaluate's order."""
+    c, todo = np.empty((2 * spec.K + 1, stop - start)), np.arange(stop - start)
+    for attempt in range(_ARRAY_ROUNDS):
+        c[:, todo] = _draw(spec, start + todo, attempt)
+        todo = todo[~(algebraic_area(_columns(c[:, todo])) > 0.01)] \
+            if spec.constraint is Constraint.POSITIVE_AREA else todo[:0]
+        if not todo.size:
+            break
+    for i in todo:      # in index order, so the first to exhaust raises
+        curve = random_curve(spec, start + int(i))
+        c[:, i] = [curve.a0] + [x for _, a, b in curve.modes for x in (a, b)]
+    if spec.constraint is Constraint.ZERO_LENGTH:
+        c[0] = 0.0
+    elif spec.constraint is Constraint.CONVEX:
+        theta = uniform_grid(max(4 * (spec.K + 1), 256))
+        p = beta = np.zeros((1, theta.size))
+        for k, a, b in _columns(c[:, :, None]).modes:
+            cos_k, sin_k = np.cos(k * theta), np.sin(k * theta)
+            p = p + a * cos_k + b * sin_k
+            if k >= 2:
+                f = 1.0 - k * k
+                beta = beta + f * a * cos_k + f * b * sin_k
+        c[0] = np.maximum(c[0], 0.0) + (np.maximum(np.maximum(
+            0.1 - p.min(1), 0.1 - beta.min(1)), 0.0) + 1e-9)
+    return c
+
+
 def run_ensemble(spec: CurveEnsembleSpec,
                  rows: Sequence[Inequality]) -> list[InequalityReport]:
     """One report per row: the minimum slack over the moments of every curve
     of the ensemble, its witness, and the number of curves whose slack is
-    not >= -SLACK_TOL.
-
-    Ties go to the lowest curve index, so evaluating the indices in parallel
-    and reducing in index order would give identical reports.
-    """
-    low = [0.0] * len(rows)
-    witness: list[SupportFourier | None] = [None] * len(rows)
-    violations = [0] * len(rows)
-    for index in range(spec.count):
-        m = moments(random_curve(spec, index))
+    not >= -SLACK_TOL.  Each slack is a column over a chunk of curves; ties
+    go to the lowest index.  The witness is rebuilt by random_curve, and its
+    own slack must equal the column minimum bit for bit."""
+    low, best, violations = [0.0] * len(rows), [0] * len(rows), [0] * len(rows)
+    size = max(1, CHUNK_ENTRIES // max(4 * (spec.K + 1), 256))
+    for start in range(0, spec.count, size):
+        c = _chunk(spec, start, min(start + size, spec.count))
+        p = _columns(c)
+        q = l2_quantities(_columns(  # beta = p + p'': mode k times 1 - k^2
+            (1.0 - ((np.arange(len(c)) + 1) // 2) ** 2)[:, None] * c))
+        m = Moments(None, None, algebraic_length(p), algebraic_area(p),
+                    q["int_p2"], q["int_dp2"])
         for j, row in enumerate(rows):
-            slack = row(m)
-            if not slack >= -SLACK_TOL:
-                violations[j] += 1
-            if index == 0 or slack < low[j]:
-                low[j], witness[j] = slack, m.p
+            col = row(m)
+            i = int(np.argmin(col))
+            violations[j] += int(np.count_nonzero(~(col >= -SLACK_TOL)))
+            if start == 0 or col[i] < low[j]:
+                low[j], best[j] = float(col[i]), start + i
+    witness = {i: moments(random_curve(spec, i)) for i in sorted(set(best))}
+    for row, slack, i in zip(rows, low, best):
+        if row(witness[i]).hex() != slack.hex():
+            raise RuntimeError(f"{row.ineq_id}: curve {i} has slack "
+                               f"{row(witness[i])!r}, its column {slack!r}")
     return [InequalityReport(
         ineq_id=row.ineq_id, parameter=row.parameter, slack=slack,
-        holds=viol == 0, witness=p, expected_violable=row.expected_violable,
-        n_checked=spec.count, n_violations=viol)
-        for row, slack, p, viol in zip(rows, low, witness, violations)]
+        holds=viol == 0, witness=witness[i].p,
+        expected_violable=row.expected_violable, n_checked=spec.count,
+        n_violations=viol)
+        for row, slack, i, viol in zip(rows, low, best, violations)]

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shlex
+import time
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 
 from legendreflow import (FlowConfig, FlowType, SupportFourier,
                           algebraic_area, algebraic_length, cli, run)
+from legendreflow.curves import MAX_ROOT_MODE
 from legendreflow.cli import (ParseError, cli_main, format_curve,
                               parse_curve_file, read_trace_csv,
                               write_curve_svg, write_trace_csv)
@@ -164,6 +166,25 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert "class = degenerate-point" in out
         assert "singular_angles = []" in out
+
+    def test_analyze_mode_above_root_bound_fails_at_once(self, tmp_path,
+                                                         capsys):
+        f = tmp_path / "high.curve"
+        f.write_text("a0 = 2\nmode 100000 = 0.001 0\n")
+        start = time.perf_counter()
+        assert cli_main(["analyze", "--curve", str(f)]) == 1
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: InputError: ") and err.count("\n") == 1
+        assert f"MAX_ROOT_MODE = {MAX_ROOT_MODE}" in err
+
+    def test_analyze_mode_256_still_works(self, tmp_path, capsys):
+        f = tmp_path / "k256.curve"
+        f.write_text("a0 = 2\nmode 256 = 0.001 0\n")
+        assert cli_main(["analyze", "--curve", str(f)]) == 0
+        # beta = 2 - 65.535 cos(256 theta) has 2 * 256 simple zeros
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.count(",") + 1 == 512
 
     def test_simulate_length_flow(self, tmp_path):
         f = tmp_path / "c.curve"

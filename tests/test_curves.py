@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from legendreflow import (CurveKind, FlowState, FlowType, SupportFourier,
+from legendreflow import (CurveKind, FlowState, FlowType, InputError,
+                          SupportFourier,
                           algebraic_area, algebraic_length, beta_of, classify,
                           ell_convex_residuals, sample_points,
                           singular_angles, step_exact_modal, steiner_point,
@@ -260,6 +261,14 @@ class TestSteiner:
 class TestSingularAngles:
     def test_circle_empty(self):
         assert singular_angles(SupportFourier(1.0)) == []
+
+    def test_mode_bound_counts_modes_of_beta(self):
+        top = curves.MAX_ROOT_MODE + 1
+        with pytest.raises(InputError, match=f"beta has mode {top} > "):
+            singular_angles(SupportFourier(2.0, ((top, 1e-3, 0.0),)))
+        # beta drops mode 1 and zero modes, so these locate no roots at all
+        assert singular_angles(SupportFourier(2.0, ((1, 0.5, 0.0),
+                                                    (top, 0.0, 0.0)))) == []
 
     def test_sin2theta(self):
         roots = singular_angles(SupportFourier(0.0, ((2, 0.0, 1.0),)))

@@ -1,5 +1,8 @@
 import math
+import re
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
@@ -7,6 +10,7 @@ import hypothesis.strategies as st
 from legendreflow import (Constraint, CurveEnsembleSpec, CurveKind,
                           FlowConfig, FlowType, GridFunction,
                           ModeNotExcludedError, NotZeroLengthError,
+                          RejectionExhaustedError,
                           SupportFourier, algebraic_area, algebraic_length,
                           beta_of, check_beta2_family, check_beta2_zero_length,
                           check_grad_family, check_grad_zero_length,
@@ -14,7 +18,8 @@ from legendreflow import (Constraint, CurveEnsembleSpec, CurveKind,
                           green_osher_quadratic, inequality_table,
                           isoperimetric_deficit, moments, periodic_quadrature,
                           random_curve, run, run_ensemble, synthesize,
-                          wirtinger_gap)
+                          uniform_grid, wirtinger_gap)
+from legendreflow import inequalities
 from legendreflow.inequalities import SLACK_TOL
 from conftest import rand_support
 
@@ -261,6 +266,156 @@ def test_run_ensemble_matches_reference_reduction(seed, count, K, constraint):
     assert got == reference_reduction(spec, taus, xis)
     for rep in run_ensemble(spec, rows):
         assert rep.n_checked == count and rep.holds == (rep.n_violations == 0)
+
+
+# --- the array ensemble against a per-curve oracle ----------------------------
+
+_MASK64 = (1 << 64) - 1
+
+
+def oracle_splitmix64(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def oracle_unit(*key: int) -> float:
+    """splitmix64 folded over (seed, index, mode, slot, attempt), over 2^64,
+    in Python integers."""
+    h = 0
+    for part in key:
+        h = oracle_splitmix64(h ^ (part & _MASK64))
+    return h / 2.0 ** 64
+
+
+def oracle_curve(spec, index):
+    """Curve `index` drawn one coefficient at a time in Python integers,
+    with the constraint applied to that one curve."""
+    s = spec.amplitude_decay
+    for attempt in range(10_000):
+        def draw(mode, slot):
+            bound = (mode + 1.0) ** (-s)
+            return (2.0 * oracle_unit(spec.seed, index, mode, slot, attempt)
+                    - 1.0) * bound
+
+        a0 = draw(0, 0)
+        modes = tuple((k, draw(k, 0), draw(k, 1))
+                      for k in range(1, spec.K + 1))
+        if spec.constraint is Constraint.ZERO_LENGTH:
+            return SupportFourier(0.0, modes)
+        if spec.constraint is Constraint.CONVEX:
+            rest = SupportFourier(0.0, modes)
+            theta = uniform_grid(max(4 * (spec.K + 1), 256))
+            min_p = float(np.min(rest.evaluate(theta)))
+            min_b = float(np.min(beta_of(rest).evaluate(theta)))
+            lift = max(0.1 - min_p, 0.1 - min_b, 0.0) + 1e-9
+            return SupportFourier(max(a0, 0.0) + lift, modes)
+        p = SupportFourier(a0, modes)
+        if (spec.constraint is not Constraint.POSITIVE_AREA
+                or algebraic_area(p) > 0.01):
+            return p
+    raise AssertionError("oracle rejection budget exhausted")
+
+
+def oracle_reports(spec, rows):
+    """(id, min slack as hex, witness, violations) per row from one loop
+    over the curves: the first index wins ties."""
+    low, witness, violations = [None] * len(rows), [None] * len(rows), \
+        [0] * len(rows)
+    for index in range(spec.count):
+        m = moments(oracle_curve(spec, index))
+        for j, row in enumerate(rows):
+            slack = row(m)
+            violations[j] += not slack >= -SLACK_TOL
+            if low[j] is None or slack < low[j]:
+                low[j], witness[j] = slack, m.p
+    return [(row.ineq_id, slack.hex(), p, v)
+            for row, slack, p, v in zip(rows, low, witness, violations)]
+
+
+def ensemble_reports(spec, rows):
+    return [(r.ineq_id, r.slack.hex(), r.witness, r.n_violations)
+            for r in run_ensemble(spec, rows)]
+
+
+ALL_TAUS, ALL_XIS = [0.0, 4.0, 8.0, 9.0], [0.0, 12.0, 24.0, 25.0]
+
+
+@pytest.mark.parametrize("constraint", list(Constraint))
+def test_first_10k_indices_match_per_curve_oracle(constraint):
+    # 10^4 curves at K = 8 span several chunks of CHUNK_ENTRIES // 256
+    spec = CurveEnsembleSpec(42, 10_000, 8, constraint=constraint)
+    assert spec.count > 2 * inequalities.CHUNK_ENTRIES // 256
+    rows = inequality_table(ALL_TAUS, ALL_XIS,
+                            constraint is Constraint.ZERO_LENGTH)
+    assert ensemble_reports(spec, rows) == oracle_reports(spec, rows)
+
+
+@st.composite
+def ensemble_specs(draw, counts):
+    """Seeds below 0 and at or above 2^63 included; below decay 1.5 a K = 32
+    curve almost never has A > 0.01, so positive-area draws from 1.5 up."""
+    constraint = draw(st.sampled_from(list(Constraint)))
+    low = 1.5 if constraint is Constraint.POSITIVE_AREA else 0.0
+    seed = draw(st.one_of(st.integers(-2**70, -1), st.integers(0, 2**32),
+                          st.integers(2**63, 2**70)))
+    return CurveEnsembleSpec(seed, draw(counts), draw(st.integers(1, 32)),
+                             draw(st.floats(low, 3.0)), constraint)
+
+
+def chunked_reports(spec, rows, per_chunk, rounds=64):
+    """run_ensemble with chunks of per_chunk curves, and positive-area
+    rejects left to random_curve after `rounds` array rounds."""
+    entries = per_chunk * max(4 * (spec.K + 1), 256)
+    with mock.patch.object(inequalities, "CHUNK_ENTRIES", entries), \
+            mock.patch.object(inequalities, "_ARRAY_ROUNDS", rounds):
+        return ensemble_reports(spec, rows)
+
+
+@given(ensemble_specs(st.integers(2, 24)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_chunked_ensemble_matches_per_curve_oracle(spec, data):
+    per_chunk = data.draw(st.integers(1, spec.count - 1))   # >= 2 chunks
+    rounds = data.draw(st.sampled_from([1, 2, 64]))
+    rows = inequality_table(ALL_TAUS, ALL_XIS,
+                            spec.constraint is Constraint.ZERO_LENGTH)
+    assert chunked_reports(spec, rows, per_chunk, rounds) == \
+        oracle_reports(spec, rows)
+
+
+def test_ties_go_to_the_first_index():
+    # K = 1 zero-length curves are points: every slack is exactly 0
+    spec = CurveEnsembleSpec(5, 9, 1, constraint=Constraint.ZERO_LENGTH)
+    rows = inequality_table(ALL_TAUS, ALL_XIS, True)
+    got = chunked_reports(spec, rows, 4)
+    assert got == oracle_reports(spec, rows)
+    assert {(slack, p) for _, slack, p, _ in got} == \
+        {((0.0).hex(), random_curve(spec, 0))}
+
+
+@given(ensemble_specs(st.just(1)), st.integers(0, 2**40))
+@settings(max_examples=60, deadline=None)
+def test_random_curve_matches_per_curve_oracle(spec, index):
+    spec = CurveEnsembleSpec(spec.seed, index + 1, spec.K,
+                             spec.amplitude_decay, spec.constraint)
+    assert random_curve(spec, index) == oracle_curve(spec, index)
+
+
+def test_witness_is_checked_against_its_column(monkeypatch):
+    spec = CurveEnsembleSpec(3, 20, 4)
+    monkeypatch.setattr(inequalities, "random_curve",
+                        lambda spec, i: SupportFourier(1.0))
+    with pytest.raises(RuntimeError, match="isoperimetric: curve"):
+        run_ensemble(spec, inequality_table([], [], False))
+
+
+def test_rejection_exhausted_names_the_first_index():
+    # with no amplitude decay, modes up to 16 leave A > 0.01 out of reach
+    spec = CurveEnsembleSpec(1, 3, 16, 0.0, Constraint.POSITIVE_AREA)
+    message = "after 10000 resamples (seed 1, index 0)"
+    with pytest.raises(RejectionExhaustedError, match=re.escape(message)):
+        run_ensemble(spec, inequality_table([], [], False))
 
 
 class TestFlowMonotonicity:
