@@ -105,11 +105,14 @@ class SupportFourier:
 
         Differentiation acts modally: d/dtheta maps (a_k, b_k) to
         (k*b_k, -k*a_k); the constant term survives only at order 0.
+        Called on columns of coefficients of shape (rows, 1) in place of
+        self, it sums the same terms as a (rows, len(theta)) block.
         """
         if order < 0:
             raise InputError("order must be >= 0")
         th = np.asarray(theta, dtype=float)
-        out = np.full(th.shape, self.a0 if order == 0 else 0.0)
+        out = np.full(np.broadcast(self.a0, th).shape,
+                      self.a0 if order == 0 else 0.0)
         table = _grid_table(th, self.K)
         for k, a, b in self.modes:
             for _ in range(order):
@@ -118,7 +121,8 @@ class SupportFourier:
                 cos_k, sin_k = np.cos(k * th), np.sin(k * th)
             else:
                 cos_k, sin_k = table[0][k - 1], table[1][k - 1]
-            out = out + a * cos_k + b * sin_k
+            out += a * cos_k
+            out += b * sin_k
         return out if th.ndim else float(out)
 
 

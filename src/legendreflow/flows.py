@@ -17,6 +17,14 @@ time stepper, so dt only sets the record spacing.  A method-of-lines GridRK4
 scheme on default_grid_size(K) points serves as the independent oracle;
 every run takes sup_dev on that grid.
 
+run computes its record rows a chunk of record times at a time, as columns:
+the closed form at those times, every field by diagnostics' formulas, and
+sup_dev from a rows x grid_n block summed mode by mode as
+SupportFourier.evaluate sums it.  The grid scheme's analyzed states go
+through the same kernel.  The final row of every run is computed again by
+diagnostics from the final state; a field that differs in any bit raises
+RuntimeError.
+
 lambda_area raises DegenerateLengthError when |L| < LAMBDA_FLOOR; runs start
 from A > 0 and keep |L| >= 2*sqrt(pi*A), so only direct calls reach the floor.
 """
@@ -24,18 +32,25 @@ from A > 0 and keep |L| >= 2*sqrt(pi*A), so only direct calls reach the floor.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
-                     isoperimetric_deficit, uniform_grid)
+from .curves import (TABLE_MAX_ENTRIES, TWO_PI, InputError, SupportFourier,
+                     algebraic_area, algebraic_length, isoperimetric_deficit,
+                     uniform_grid)
 from .spectral import (GridFunction, analyze, default_grid_size, derivative,
                        l2_quantities, moments, synthesize)
 
 #: |L| below this leaves lambda_area = (1/L) int beta^2 undefined.
 LAMBDA_FLOOR = 1e-9
+
+#: Entries of the rows x grid_n sup_dev block of one chunk of run's rows:
+#: 256 KiB, as fast as larger blocks, keeps memory flat at large K.
+CHUNK_ENTRIES = TABLE_MAX_ENTRIES // 8
 
 
 class DegenerateLengthError(ArithmeticError):
@@ -122,8 +137,14 @@ class FlowTrace:
     converged: bool = False
 
 
-def lambda_area(L: float, int_b2: float, t: float) -> float:
-    """lambda = (1/L) int beta^2; t only labels DegenerateLengthError."""
+def lambda_area(L, int_b2, t):
+    """lambda = (1/L) int beta^2, for floats or for columns over the record
+    times t; t only labels DegenerateLengthError.  A column's first row
+    below the floor (else its row 0) is checked as a float."""
+    if isinstance(L, np.ndarray):
+        i = int(np.argmax(np.abs(L) < LAMBDA_FLOOR))
+        lambda_area(float(L[i]), 0.0, t[i])
+        return int_b2 / L
     if abs(L) < LAMBDA_FLOOR:
         raise DegenerateLengthError(
             f"|L| = {abs(L):.3e} below floor {LAMBDA_FLOOR} at t = {t}")
@@ -147,22 +168,43 @@ def step_exact_modal(state: FlowState, dt: float,
     """
     if dt < 0:
         raise InputError("dt must be >= 0")
-    p = state.p
-    new_modes = tuple(
-        (k, a, b) if k == 1 else
-        (k, a * math.exp((1 - k * k) * dt), b * math.exp((1 - k * k) * dt))
-        for k, a, b in p.modes)
-    a0 = p.a0
+    c = _closed_form(state.p, [dt], flow_type, state.t)
+    return _state(state.t + dt, c, 0)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _closed_form(p: SupportFourier, ts: list[float], flow_type: FlowType,
+                 t0: float = 0.0) -> SimpleNamespace:
+    """step_exact_modal from p after each duration in ts, as columns a0 and
+    (k, a_k, b_k) over ts with its bits: math.exp and math.expm1 act element
+    by element, sum adds the a0^2 terms, and mode 1 is scaled by exp(0)."""
+    t = np.array(ts, dtype=float)
+    f = np.array([1 - k * k for k, _, _ in p.modes], dtype=float)
+    decay = np.array(list(map(math.exp, np.outer(f, t).ravel().tolist())))
+    ab = np.array([m[1:] for m in p.modes]).reshape(-1, 2, 1) \
+        * decay.reshape(-1, 1, t.size)
+    a0 = np.full(t.size, p.a0)
     if flow_type is FlowType.AREA_PRESERVING:
-        a0_sq = p.a0 * p.a0 + 0.5 * sum(
-            (1 - k * k) * (a * a + b * b) * -math.expm1(2 * (1 - k * k) * dt)
-            for k, a, b in p.modes if k >= 2)
-        if not a0_sq >= (LAMBDA_FLOOR / TWO_PI) ** 2:
+        w = np.array([(1 - k * k) * (a * a + b * b)
+                      for k, a, b in p.modes if k >= 2])[:, None]
+        em1 = np.array(list(map(math.expm1, np.outer(2 * f[f < 0], t)
+                                .ravel().tolist()))).reshape(w.size, t.size)
+        a0_sq = p.a0 * p.a0 + 0.5 * np.array(
+            [sum(terms) for terms in (w * -em1).T.tolist()])
+        low = np.flatnonzero(~(a0_sq >= (LAMBDA_FLOOR / TWO_PI) ** 2))
+        if low.size:
             raise DegenerateLengthError(
                 f"|L| falls below floor {LAMBDA_FLOOR} before "
-                f"t = {state.t + dt}")
-        a0 = math.copysign(math.sqrt(a0_sq), p.a0)
-    return FlowState(state.t + dt, SupportFourier(a0, new_modes))
+                f"t = {t0 + ts[low[0]]}")
+        a0 = np.copysign(np.sqrt(a0_sq), p.a0)
+    return SimpleNamespace(a0=a0, modes=tuple(
+        zip([k for k, _, _ in p.modes], ab[:, 0], ab[:, 1])))
+
+
+def _state(t: float, c: SimpleNamespace, i: int) -> FlowState:
+    """Column i of the coefficient columns c, as the state at time t."""
+    return FlowState(t, SupportFourier(
+        c.a0[i], tuple((k, a[i], b[i]) for k, a, b in c.modes)))
 
 
 @dataclass(frozen=True)
@@ -240,27 +282,76 @@ def diagnostics(state: FlowState, flow_type: FlowType,
         E1=m.int_db2, E2=e2, a0=p.a0, max_abs_mode=max_abs)
 
 
-def _record_states(config: FlowConfig, steps: list[int], grid_n: int):
-    """Yield the state after each of the increasing step counts `steps`.
+@np.errstate(over="ignore", invalid="ignore")
+def _rows(t, c, flow_type: FlowType, grid_n: int) -> list[DiagnosticsRow]:
+    """diagnostics of the state c at time t, or of column i of coefficient
+    columns c at each time t[i]: its formulas take floats and columns alike,
+    and sup_dev is summed as one rows x grid_n block."""
+    beta = SimpleNamespace(a0=c.a0, modes=tuple(
+        (k, (1.0 - k * k) * a, (1.0 - k * k) * b)
+        for k, a, b in c.modes if k >= 2))
+    q = l2_quantities(beta)
+    e2 = l2_quantities(SimpleNamespace(a0=0.0, modes=tuple(
+        (k, k * b, -k * a) for k, a, b in beta.modes)))["int_dp2"]
+    L = algebraic_length(c)
+    lam = c.a0 if flow_type is FlowType.LENGTH_PRESERVING \
+        else lambda_area(L, q["int_p2"], t)
 
-    The modal scheme evaluates its closed form at step*dt; the grid scheme
-    advances RK4 to the step and analyzes the grid_n-point grid there.
-    """
+    def column(x):
+        return x[:, None] if isinstance(x, np.ndarray) else x
+    dev = SupportFourier.evaluate(SimpleNamespace(
+        a0=column(c.a0), K=beta.modes[-1][0] if beta.modes else 0,
+        modes=[(k, column(a), column(b)) for k, a, b in beta.modes]),
+        uniform_grid(grid_n))
+    dev -= column(L / TWO_PI)
+    max_abs = np.max(np.abs([x for k, a, b in c.modes if k >= 2
+                             for x in (a, b)]), axis=0, initial=0.0)
+    fields = (t, L, algebraic_area(c), isoperimetric_deficit(c),
+              np.max(np.abs(dev, out=dev), axis=-1),
+              L * L / TWO_PI - q["int_p2"], lam, q["int_dp2"], e2, c.a0,
+              max_abs)
+    out = np.empty((len(fields), np.size(t)))
+    for j, field in enumerate(fields):
+        out[j] = field
+    return [DiagnosticsRow(*r) for r in out.T.tolist()]
+
+
+def _records(config: FlowConfig, steps: list[int], grid_n: int):
+    """Yield (row, state) for each of the increasing step counts `steps`:
+    its DiagnosticsRow, and a function that builds its FlowState.
+
+    The modal scheme evaluates its closed form at a chunk of record times at
+    once; a chunk in which the flow degenerates is done again row by row, so
+    the rows before the failing one come first.  The grid scheme advances
+    RK4 to each step and analyzes the grid_n-point grid there."""
     flow_type, dt = config.flow_type, config.dt
-    if config.scheme is Scheme.EXACT_MODAL:
-        start = FlowState(0.0, config.initial)
+    if config.scheme is Scheme.GRID_RK4:
+        k_cut = max(config.initial.K, 1)
+        _check_stability(dt, k_cut)
+        gstate = GridFlowState(0.0, synthesize(config.initial, grid_n), k_cut)
+        done = 0
         for step in steps:
-            yield step_exact_modal(start, step * dt, flow_type)
+            for _ in range(step - done):
+                gstate = step_grid_rk4(gstate, dt, flow_type)
+            done = step
+            p = analyze(gstate.grid, k_cut)
+            yield (_rows(step * dt, p, flow_type, grid_n)[0],
+                   functools.partial(FlowState, step * dt, p))
         return
-    k_cut = max(config.initial.K, 1)
-    _check_stability(dt, k_cut)
-    gstate = GridFlowState(0.0, synthesize(config.initial, grid_n), k_cut)
-    done = 0
-    for step in steps:
-        for _ in range(step - done):
-            gstate = step_grid_rk4(gstate, dt, flow_type)
-        done = step
-        yield FlowState(step * dt, analyze(gstate.grid, k_cut))
+
+    def chunk(ts):
+        c = _closed_form(config.initial, ts, flow_type)
+        return [(row, functools.partial(_state, ts[i], c, i))
+                for i, row in enumerate(_rows(ts, c, flow_type, grid_n))]
+
+    size = max(1, CHUNK_ENTRIES // grid_n)
+    for lo in range(0, len(steps), size):
+        ts = [step * dt for step in steps[lo:lo + size]]
+        try:
+            records = chunk(ts)
+        except DegenerateLengthError:
+            records = (r for t in ts for r in chunk([t]))
+        yield from records
 
 
 def run(config: FlowConfig, on_record=None) -> FlowTrace:
@@ -268,7 +359,8 @@ def run(config: FlowConfig, on_record=None) -> FlowTrace:
     record_every steps plus the initial and final rows.
 
     on_record, if given, is called with (record_index, FlowState) at every
-    recorded row (snapshot hook for the CLI).
+    recorded row (snapshot hook for the CLI), before the next chunk of rows
+    is computed.
     """
     grid_n = default_grid_size(config.initial.K)
     n_steps = round(config.t_final / config.dt)
@@ -277,15 +369,21 @@ def run(config: FlowConfig, on_record=None) -> FlowTrace:
         steps.append(n_steps)
     rows = []
     converged = False
-    for index, state in enumerate(_record_states(config, steps, grid_n)):
-        rows.append(diagnostics(state, config.flow_type, grid_n))
+    for index, (row, state) in enumerate(_records(config, steps, grid_n)):
+        rows.append(row)
         if on_record is not None:
-            on_record(index, state)
+            on_record(index, state())
         if index > 0 and config.stop_sup_dev > 0 \
-                and rows[-1].sup_dev < config.stop_sup_dev:
+                and row.sup_dev < config.stop_sup_dev:
             converged = True
             break
-    return FlowTrace(config=config, rows=tuple(rows), final_state=state,
+    final = step_exact_modal(FlowState(0.0, config.initial), row.t,
+                             config.flow_type) \
+        if config.scheme is Scheme.EXACT_MODAL else state()
+    check = diagnostics(final, config.flow_type, grid_n)
+    if [x.hex() for x in astuple(check)] != [x.hex() for x in astuple(row)]:
+        raise RuntimeError(f"final row {row} differs from {check}")
+    return FlowTrace(config=config, rows=tuple(rows), final_state=final,
                      converged=converged)
 
 

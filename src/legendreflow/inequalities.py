@@ -192,18 +192,23 @@ def _fold(h: np.ndarray, part) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
-def _draw(spec: CurveEnsembleSpec, index: np.ndarray, attempt: int) -> np.ndarray:
-    """Rows a0, a_1, b_1, ..., a_K, b_K, one column per index: (2u - 1) *
-    (mode + 1)^-s, with u the key (seed, index, mode, slot, attempt) folded
-    by splitmix64, over 2^64.  Counter-based: an index draws alone what it
-    draws in a chunk, with the same bits on every platform."""
+def _keys(spec: CurveEnsembleSpec, index: np.ndarray) -> np.ndarray:
+    """The (seed, index, mode, slot) part of every key folded by splitmix64:
+    rows a0, a_1, b_1, ..., a_K, b_K, one column per index."""
     row = np.arange(2 * spec.K + 1, dtype=np.uint64)[:, None]
     h = _fold(_fold(np.zeros(1, np.uint64), np.uint64(spec.seed % 2**64)),
               index.astype(np.uint64))
-    h = _fold(_fold(_fold(h, (row + 1) // 2), (row > 0) & (row % 2 == 0)),
-              np.uint64(attempt))
+    return _fold(_fold(h, (row + 1) // 2), (row > 0) & (row % 2 == 0))
+
+
+def _draw(spec: CurveEnsembleSpec, keys: np.ndarray, attempt: int) -> np.ndarray:
+    """Coefficients in _keys' layout: (2u - 1) * (mode + 1)^-s, with u the
+    key (seed, index, mode, slot, attempt) folded by splitmix64, over 2^64.
+    Counter-based: an index draws alone what it draws in a chunk, with the
+    same bits on every platform."""
+    h = _fold(keys, np.uint64(attempt))
     bound = np.array([((j + 1) // 2 + 1.0) ** (-spec.amplitude_decay)
-                      for j in range(len(row))])[:, None]
+                      for j in range(len(keys))])[:, None]
     return (2.0 * (h.astype(np.float64) / 2.0 ** 64) - 1.0) * bound
 
 
@@ -216,8 +221,9 @@ def random_curve(spec: CurveEnsembleSpec, index: int) -> SupportFourier:
     """
     if not 0 <= index < spec.count:
         raise InputError(f"index {index} outside [0, {spec.count})")
+    keys = _keys(spec, np.array([index]))
     for attempt in range(10_000):
-        c = _draw(spec, np.array([index]), attempt)[:, 0].tolist()
+        c = _draw(spec, keys, attempt)[:, 0].tolist()
         modes = tuple((k, c[2 * k - 1], c[2 * k]) for k in range(1, spec.K + 1))
         p = SupportFourier(c[0], modes)
 
@@ -264,8 +270,9 @@ def _chunk(spec: CurveEnsembleSpec, start: int, stop: int) -> np.ndarray:
     drawn at once, positive-area's rejects redrawn with attempt + 1, and the
     convex lift's p and beta summed mode by mode in evaluate's order."""
     c, todo = np.empty((2 * spec.K + 1, stop - start)), np.arange(stop - start)
+    keys = _keys(spec, start + todo)
     for attempt in range(_ARRAY_ROUNDS):
-        c[:, todo] = _draw(spec, start + todo, attempt)
+        c[:, todo] = _draw(spec, keys[:, todo], attempt)
         todo = todo[~(algebraic_area(_columns(c[:, todo])) > 0.01)] \
             if spec.constraint is Constraint.POSITIVE_AREA else todo[:0]
         if not todo.size:

@@ -1,4 +1,6 @@
 import math
+from dataclasses import astuple, replace
+from unittest import mock
 
 import hypothesis.strategies as st
 import mpmath
@@ -9,13 +11,15 @@ from hypothesis import example, given, settings
 from legendreflow import (Constraint, CurveEnsembleSpec, DegenerateLengthError,
                           FlowConfig, FlowState, FlowType, GridFunction,
                           InputError, Scheme, StabilityError, SupportFourier,
-                          algebraic_area, algebraic_length, beta_of,
-                          derivative, diagnostics, ell_convex_residuals,
-                          fit_decay_rate, grid_stability_bound, lambda_area,
-                          moments, periodic_quadrature, random_curve, run,
+                          algebraic_area, algebraic_length, analyze, beta_of,
+                          default_grid_size, derivative, diagnostics,
+                          ell_convex_residuals, fit_decay_rate,
+                          grid_stability_bound, lambda_area, moments,
+                          periodic_quadrature, random_curve, run,
                           sample_points, step_exact_modal, step_grid_rk4,
                           steiner_point, synthesize)
-from legendreflow.flows import GridFlowState
+from legendreflow import flows
+from legendreflow.flows import LAMBDA_FLOOR, GridFlowState
 
 TWO_PI = 2.0 * math.pi
 AREA = FlowType.AREA_PRESERVING
@@ -49,6 +53,12 @@ class TestLambdas:
         m = moments(SupportFourier(0.0, ((1, 2.0, 1.0),)))
         with pytest.raises(DegenerateLengthError, match="at t = 0.5"):
             lambda_area(m.L, m.int_b2, 0.5)
+        # a column names its first row below the floor
+        L = np.array([4.0, 1e-10, 0.0])
+        with pytest.raises(DegenerateLengthError,
+                           match=r"^\|L\| = 1.000e-10 .* at t = 0.25$"):
+            lambda_area(L, np.ones(3), [0.125, 0.25, 0.5])
+        assert lambda_area(L[:1], np.ones(1), [0.125]).tolist() == [0.25]
 
 
 def _mp_reference(p: SupportFourier, flow_type: FlowType, t: float):
@@ -380,3 +390,169 @@ class TestLimitCircle:
                             dt=1e-3, record_every=100))
         assert tr.final_state.p.a0 == algebraic_length(P_FIG_A) / TWO_PI
         assert tr.rows[-1].max_abs_mode < 1e-6
+
+
+# --- run's chunked rows against one state and one diagnostics call per row ---
+
+def one_step_reference(p: SupportFourier, dt: float,
+                       flow_type: FlowType) -> SupportFourier:
+    """The closed form from p after dt, one mode at a time in Python floats."""
+    modes = tuple(
+        (k, a, b) if k == 1 else
+        (k, a * math.exp((1 - k * k) * dt), b * math.exp((1 - k * k) * dt))
+        for k, a, b in p.modes)
+    a0 = p.a0
+    if flow_type is AREA:
+        a0_sq = p.a0 * p.a0 + 0.5 * sum(
+            (1 - k * k) * (a * a + b * b) * -math.expm1(2 * (1 - k * k) * dt)
+            for k, a, b in p.modes if k >= 2)
+        if not a0_sq >= (LAMBDA_FLOOR / TWO_PI) ** 2:
+            raise DegenerateLengthError(
+                f"|L| falls below floor {LAMBDA_FLOOR} before t = {dt}")
+        a0 = math.copysign(math.sqrt(a0_sq), p.a0)
+    return SupportFourier(a0, modes)
+
+
+def bits(state: FlowState) -> tuple:
+    return (state.t.hex(), state.p.a0.hex(),
+            tuple((k, a.hex(), b.hex()) for k, a, b in state.p.modes))
+
+
+def row_bits(row) -> list[str]:
+    return [x.hex() for x in astuple(row)]
+
+
+def per_row_states(config: FlowConfig):
+    """The state of every record step, built on its own."""
+    dt, n_steps = config.dt, round(config.t_final / config.dt)
+    steps = list(range(0, n_steps + 1, config.record_every))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    if config.scheme is Scheme.EXACT_MODAL:
+        start = FlowState(0.0, config.initial)
+        for step in steps:
+            state = FlowState(step * dt, one_step_reference(
+                config.initial, step * dt, config.flow_type))
+            assert bits(step_exact_modal(start, step * dt,
+                                         config.flow_type)) == bits(state)
+            yield state
+        return
+    k_cut = max(config.initial.K, 1)
+    g = GridFlowState(0.0, synthesize(
+        config.initial, default_grid_size(config.initial.K)), k_cut)
+    done = 0
+    for step in steps:
+        for _ in range(step - done):
+            g = step_grid_rk4(g, dt, config.flow_type)
+        done = step
+        yield FlowState(step * dt, analyze(g.grid, k_cut))
+
+
+def outcome(config: FlowConfig, per_row: bool) -> tuple:
+    """The bits of the rows, of the states passed to on_record and of the
+    final state of run(config), or of the same run made one state at a time;
+    the states passed and the message if DegenerateLengthError is raised."""
+    rows, hooked = [], []
+    try:
+        if not per_row:
+            trace = run(config, lambda i, s: hooked.append((i, bits(s))))
+            return ([row_bits(r) for r in trace.rows], hooked,
+                    bits(trace.final_state), trace.converged)
+        grid_n = default_grid_size(config.initial.K)
+        for i, state in enumerate(per_row_states(config)):
+            rows.append(diagnostics(state, config.flow_type, grid_n))
+            hooked.append((i, bits(state)))
+            if i > 0 and 0 < config.stop_sup_dev and \
+                    rows[-1].sup_dev < config.stop_sup_dev:
+                break
+        converged = i > 0 and 0 < config.stop_sup_dev and \
+            rows[-1].sup_dev < config.stop_sup_dev
+        return [row_bits(r) for r in rows], hooked, bits(state), converged
+    except DegenerateLengthError as exc:
+        return hooked, str(exc)
+
+
+coefficient = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def flow_configs(draw):
+    scheme = draw(st.sampled_from(list(Scheme)))
+    flow_type = draw(st.sampled_from(list(FlowType)))
+    max_k = 48 if scheme is Scheme.EXACT_MODAL else 6
+    ks = draw(st.one_of(
+        st.sets(st.integers(1, max_k), max_size=6),
+        st.integers(0, max_k).map(lambda K: set(range(1, K + 1)))))
+    scale = draw(st.sampled_from([1.0, 1e-6]))
+    modes = tuple((k, scale * draw(coefficient), scale * draw(coefficient))
+                  for k in sorted(ks))
+    a0 = draw(st.one_of(st.just(0.0), st.just(1e-11), st.floats(-3.0, 3.0)))
+    if flow_type is AREA:
+        # a0 solved for A = pi * a0_drawn^2
+        s = 0.5 * sum((k * k - 1) * (a * a + b * b) for k, a, b in modes)
+        a0 = math.copysign(math.sqrt(a0 * a0 + s), a0)
+        if not algebraic_area(SupportFourier(a0, modes)) > 0.0:
+            a0 = 1.0 + math.sqrt(s)
+    dt = draw(st.sampled_from([1e-3, 1e-2] if scheme is Scheme.GRID_RK4
+                              else [1e-3, 1e-2, 0.05, 0.25]))
+    return FlowConfig(flow_type, SupportFourier(a0, modes),
+                      t_final=draw(st.integers(0, 40)) * dt, dt=dt,
+                      scheme=scheme, record_every=draw(st.integers(1, 12)),
+                      stop_sup_dev=draw(st.sampled_from(
+                          [0.0, 1e-12, 1e-4, 1e-2, 1.0])))
+
+
+# mode 129 puts grid_n * 256 table rows over TABLE_MAX_ENTRIES
+OVER_TABLE = SupportFourier(3.0, ((1, 0.5, 0.25), (2, 0.1, 0.2),
+                                  (129, 1e-3, -1e-3)))
+
+
+class TestChunkedRows:
+    @given(flow_configs(), st.sampled_from([None, 1, 300, 1024, 3000]))
+    @example(FlowConfig(FlowType.LENGTH_PRESERVING, OVER_TABLE, t_final=0.1,
+                        dt=1e-2, record_every=3), 5000)
+    @example(FlowConfig(AREA, OVER_TABLE, t_final=0.1, dt=1e-2), None)
+    @example(FlowConfig(FlowType.LENGTH_PRESERVING, P_ZERO_L, t_final=1.0,
+                        dt=0.05, record_every=7), 1024)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_per_row_path_bit_for_bit(self, config, chunk):
+        with mock.patch.object(flows, "CHUNK_ENTRIES",
+                               chunk or flows.CHUNK_ENTRIES):
+            got = outcome(config, per_row=False)
+        assert got == outcome(config, per_row=True)
+
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 267, 268, 299, 300])
+    def test_floor_and_early_stop(self, chunk_rows):
+        # A = 1.6e-27 > 0, so |L| = 2 sqrt(pi A) at the limit is below the
+        # floor: the closed form fails before t = 2.99, after 299 rows; with
+        # stop_sup_dev the run converges at its 268th row and never fails
+        p = SupportFourier(1.2247448713915892e-06, ((2, 0.0, 1e-6),))
+        assert 0.0 < algebraic_area(p) < 2e-27
+        config = FlowConfig(AREA, p, t_final=3.0, dt=1e-2)
+        entries = chunk_rows and chunk_rows * default_grid_size(p.K)
+        with mock.patch.object(flows, "CHUNK_ENTRIES",
+                               entries or flows.CHUNK_ENTRIES):
+            hooked = []
+            with pytest.raises(DegenerateLengthError, match=(
+                    r"^\|L\| falls below floor 1e-09 before t = 2.99$")):
+                run(config, lambda i, s: hooked.append(i))
+            assert hooked == list(range(299))
+            trace = run(replace(config, stop_sup_dev=1e-9),
+                        lambda i, s: hooked.append(i))
+        assert trace.converged and len(trace.rows) == 268
+        assert hooked[299:] == list(range(268))
+        assert trace.rows[-1].sup_dev < 1e-9 <= trace.rows[-2].sup_dev
+        assert outcome(replace(config, stop_sup_dev=1e-9), per_row=True) \
+            == outcome(replace(config, stop_sup_dev=1e-9), per_row=False)
+
+    def test_final_row_check(self):
+        config = FlowConfig(AREA, P_FIG_A, t_final=0.1, dt=1e-2)
+        real = flows._rows
+
+        def off_by_one_bit(t, c, flow_type, grid_n):
+            rows = real(t, c, flow_type, grid_n)
+            return rows[:-1] + [replace(rows[-1], E2=math.nextafter(
+                rows[-1].E2, math.inf))]
+        with mock.patch.object(flows, "_rows", off_by_one_bit), \
+                pytest.raises(RuntimeError, match="final row"):
+            run(config)
