@@ -14,8 +14,10 @@ k >= 2 decay as exp((1 - k^2) t), a0 is constant under the length-preserving
 flow, and under the area-preserving flow freezing A gives a0(t)^2 in closed
 form (the support-function form of Gage's area-preserving flow).  It needs no
 time stepper, so dt only sets the record spacing.  A method-of-lines GridRK4
-scheme on default_grid_size(K) points serves as the independent oracle;
-every run takes sup_dev on that grid.
+scheme on default_grid_size(K) points serves as the independent oracle: each
+RK4 stage takes the same right-hand side beta - lambda on the grid, with beta
+from one rfft/irfft pair (the multiplier 1 - k^2 up to k_cut) and L by
+periodic quadrature of the samples.  Every run takes sup_dev on that grid.
 
 run computes its record rows a chunk of record times at a time, as columns:
 the closed form at those times, every field by diagnostics' formulas, and
@@ -228,37 +230,37 @@ def _check_stability(dt: float, k_cut: int) -> None:
             f"{grid_stability_bound(k_cut):.3e} for k_cut = {k_cut}")
 
 
-def _grid_rhs(v: np.ndarray, flow_type: FlowType, k_cut: int,
+def _grid_rhs(v: np.ndarray, flow_type: FlowType, mult: np.ndarray,
               t: float) -> np.ndarray:
+    """beta - lambda: beta = irfft(mult * rfft(v)[:mult.size], n) with
+    mult = 1 - k^2, and L by periodic quadrature of v."""
     n = v.shape[0]
-    vh = np.fft.rfft(v)
-    vh[k_cut + 1:] = 0.0
-    vf = np.fft.irfft(vh, n)
-    k = np.arange(vh.shape[0])
-    pdd = np.fft.irfft(-(k * k) * vh, n)
-    L = TWO_PI / n * float(np.sum(vf))
+    beta = np.fft.irfft(mult * np.fft.rfft(v)[:mult.size], n)
+    L = TWO_PI / n * float(np.sum(v))
     if flow_type is FlowType.LENGTH_PRESERVING:
         lam = L / TWO_PI
     else:
-        beta = vf + pdd
         lam = lambda_area(L, TWO_PI / n * float(np.sum(beta * beta)), t)
-    return pdd + vf - lam
+    return beta - lam
 
 
 def step_grid_rk4(state: GridFlowState, dt: float,
                   flow_type: FlowType) -> GridFlowState:
-    """One classical RK4 step of p_t = p_thetatheta + p - lambda(t) with
-    spectral differentiation band-limited to k <= k_cut.
+    """One classical RK4 step of p_t = beta - lambda(t), beta = p + p''
+    differentiated spectrally with modes k <= k_cut (at most the Nyquist
+    mode n/2): one rfft/irfft pair per stage.
 
     The independent time-stepping oracle for step_exact_modal.
     """
     _check_stability(dt, state.k_cut)
     v = state.grid.values
     t = state.t
-    f1 = _grid_rhs(v, flow_type, state.k_cut, t)
-    f2 = _grid_rhs(v + 0.5 * dt * f1, flow_type, state.k_cut, t)
-    f3 = _grid_rhs(v + 0.5 * dt * f2, flow_type, state.k_cut, t)
-    f4 = _grid_rhs(v + dt * f3, flow_type, state.k_cut, t)
+    k = np.arange(min(state.k_cut, v.shape[0] // 2) + 1)
+    mult = 1.0 - k * k
+    f1 = _grid_rhs(v, flow_type, mult, t)
+    f2 = _grid_rhs(v + 0.5 * dt * f1, flow_type, mult, t)
+    f3 = _grid_rhs(v + 0.5 * dt * f2, flow_type, mult, t)
+    f4 = _grid_rhs(v + dt * f3, flow_type, mult, t)
     vn = v + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
     return GridFlowState(t + dt, GridFunction(vn), state.k_cut)
 

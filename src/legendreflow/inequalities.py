@@ -268,7 +268,7 @@ def _columns(c: np.ndarray) -> SimpleNamespace:
 def _chunk(spec: CurveEnsembleSpec, start: int, stop: int) -> np.ndarray:
     """Coefficient rows of curves start..stop-1 as random_curve gives them:
     drawn at once, positive-area's rejects redrawn with attempt + 1, and the
-    convex lift's p and beta summed mode by mode in evaluate's order."""
+    convex lift's p and beta evaluated on coefficient columns."""
     c, todo = np.empty((2 * spec.K + 1, stop - start)), np.arange(stop - start)
     keys = _keys(spec, start + todo)
     for attempt in range(_ARRAY_ROUNDS):
@@ -284,13 +284,11 @@ def _chunk(spec: CurveEnsembleSpec, start: int, stop: int) -> np.ndarray:
         c[0] = 0.0
     elif spec.constraint is Constraint.CONVEX:
         theta = uniform_grid(max(4 * (spec.K + 1), 256))
-        p = beta = np.zeros((1, theta.size))
-        for k, a, b in _columns(c[:, :, None]).modes:
-            cos_k, sin_k = np.cos(k * theta), np.sin(k * theta)
-            p = p + a * cos_k + b * sin_k
-            if k >= 2:
-                f = 1.0 - k * k
-                beta = beta + f * a * cos_k + f * b * sin_k
+        modes = _columns(c[:, :, None]).modes
+        p, beta = (SupportFourier.evaluate(SimpleNamespace(
+            a0=np.zeros((c.shape[1], 1)), K=spec.K, modes=m), theta)
+            for m in (modes, [(k, (1.0 - k * k) * a, (1.0 - k * k) * b)
+                              for k, a, b in modes if k >= 2]))
         c[0] = np.maximum(c[0], 0.0) + (np.maximum(np.maximum(
             0.1 - p.min(1), 0.1 - beta.min(1)), 0.0) + 1e-9)
     return c

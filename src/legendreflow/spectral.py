@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
-                     algebraic_length, beta_of, uniform_grid)
+from .curves import (TWO_PI, InputError, SupportFourier, _grid_table,
+                     algebraic_area, algebraic_length, beta_of, uniform_grid)
 
 
 class AliasError(InputError):
@@ -64,17 +64,23 @@ def analyze(g: GridFunction, K: int) -> SupportFourier:
     """Discrete Fourier coefficients up to mode K.
 
     a_k = (2/N) sum g_j cos(k theta_j), b_k likewise, a0 = mean(g); the exact
-    inverse of synthesize for trig polynomials of degree <= K.
+    inverse of synthesize for trig polynomials of degree <= K.  cos(k theta_j)
+    and sin(k theta_j) come from evaluate's cached table where it has one.
     """
     if 2 * K + 2 > g.n:
         raise AliasError(f"cannot recover K={K} modes from {g.n} samples")
     v = g.values
     theta = uniform_grid(g.n)
+    table = _grid_table(theta, K)
     a0 = float(np.mean(v))
     modes = []
     for k in range(1, K + 1):
-        a = 2.0 / g.n * float(np.sum(v * np.cos(k * theta)))
-        b = 2.0 / g.n * float(np.sum(v * np.sin(k * theta)))
+        if table is None:
+            cos_k, sin_k = np.cos(k * theta), np.sin(k * theta)
+        else:
+            cos_k, sin_k = table[0][k - 1], table[1][k - 1]
+        a = 2.0 / g.n * float(np.sum(v * cos_k))
+        b = 2.0 / g.n * float(np.sum(v * sin_k))
         if a != 0.0 or b != 0.0:
             modes.append((k, a, b))
     return SupportFourier(a0, tuple(modes))

@@ -17,7 +17,7 @@ from legendreflow import (Constraint, CurveEnsembleSpec, DegenerateLengthError,
                           grid_stability_bound, lambda_area, moments,
                           periodic_quadrature, random_curve, run,
                           sample_points, step_exact_modal, step_grid_rk4,
-                          steiner_point, synthesize)
+                          steiner_point, synthesize, uniform_grid)
 from legendreflow import flows
 from legendreflow.flows import LAMBDA_FLOOR, GridFlowState
 
@@ -162,6 +162,48 @@ class TestStepExactModal:
             step_exact_modal(start, 0.1, AREA)
 
 
+def reference_grid_rhs(v: np.ndarray, flow_type: FlowType, k_cut: int,
+                       t: float) -> np.ndarray:
+    """The grid right-hand side in three FFTs: p and p'' band-limited to
+    k_cut, added back together, and L from the band-limited p."""
+    n = v.shape[0]
+    vh = np.fft.rfft(v)
+    vh[k_cut + 1:] = 0.0
+    vf = np.fft.irfft(vh, n)
+    k = np.arange(vh.shape[0])
+    pdd = np.fft.irfft(-(k * k) * vh, n)
+    L = TWO_PI / n * float(np.sum(vf))
+    if flow_type is FlowType.LENGTH_PRESERVING:
+        lam = L / TWO_PI
+    else:
+        beta = vf + pdd
+        lam = lambda_area(L, TWO_PI / n * float(np.sum(beta * beta)), t)
+    return pdd + vf - lam
+
+
+def reference_grid_step(state: GridFlowState, dt: float,
+                        flow_type: FlowType) -> GridFlowState:
+    """One RK4 step on reference_grid_rhs."""
+    v, t, k_cut = state.grid.values, state.t, state.k_cut
+    f1 = reference_grid_rhs(v, flow_type, k_cut, t)
+    f2 = reference_grid_rhs(v + 0.5 * dt * f1, flow_type, k_cut, t)
+    f3 = reference_grid_rhs(v + 0.5 * dt * f2, flow_type, k_cut, t)
+    f4 = reference_grid_rhs(v + dt * f3, flow_type, k_cut, t)
+    vn = v + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    return GridFlowState(t + dt, GridFunction(vn), k_cut)
+
+
+def smooth_support(seed: int, K: int, decay: float = 2.0) -> SupportFourier:
+    """|a0| in [0.5, 3] and modes 1..K of size up to (k+1)^-decay: a step
+    at the stability bound then changes p by about max|p|, so that a
+    tolerance relative to max|p| measures rounding alone."""
+    rng = np.random.default_rng(seed)
+    a0 = rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])
+    return SupportFourier(a0, tuple(
+        (k, *(rng.uniform(-1.0, 1.0, 2) * (k + 1.0) ** -decay))
+        for k in range(1, K + 1)))
+
+
 class TestStepGridRK4:
     def test_circle_fixed_point(self):
         g = GridFlowState(0.0, synthesize(SupportFourier(1.5), 64), 1)
@@ -201,6 +243,48 @@ class TestStepGridRK4:
             dp = np.abs(tm.final_state.p.evaluate(theta)
                         - tg.final_state.p.evaluate(theta))
             assert np.max(dp) < 1e-8
+
+    @given(st.integers(3, 10), st.data(), st.sampled_from(list(FlowType)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_three_fft_reference(self, log_n, data, ft):
+        n = 2 ** log_n
+        k_cut = data.draw(st.integers(0, n), label="k_cut")
+        p = smooth_support(data.draw(st.integers(0, 2**32 - 1), label="seed"),
+                           data.draw(st.integers(0, n // 2 - 1), label="K"),
+                           data.draw(st.sampled_from([1.5, 2.0, 3.0]),
+                                     label="decay"))
+        dt = grid_stability_bound(k_cut) * data.draw(
+            st.sampled_from([1.0, 0.5, 1e-2]), label="dt / bound")
+        state = GridFlowState(0.5, synthesize(p, n), k_cut)
+        got, want = (step(state, dt, ft).grid.values
+                     for step in (step_grid_rk4, reference_grid_step))
+        assert np.max(np.abs(got - want)) \
+            <= 1e-13 * np.max(np.abs(state.grid.values))
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_k_cut_up_to_and_past_nyquist(self, n):
+        # a k_cut at or past the Nyquist mode n/2 truncates nothing
+        v = synthesize(smooth_support(n, n // 2 - 1), n).values \
+            + 0.01 * np.cos(n // 2 * uniform_grid(n))
+        for k_cut in (0, n // 2 - 1, n // 2, n):
+            state = GridFlowState(0.0, GridFunction(v), k_cut)
+            dt = grid_stability_bound(k_cut)
+            for ft in FlowType:
+                got = step_grid_rk4(state, dt, ft).grid.values
+                want = reference_grid_step(state, dt, ft).grid.values
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(v))
+
+    def test_trajectory_matches_three_fft_reference(self):
+        # the shape of the benchmark's grid runs: K = 16, 1000 steps of 1e-3
+        p = random_curve(CurveEnsembleSpec(3, 1, 16,
+                                           constraint=Constraint.CONVEX), 0)
+        for ft in FlowType:
+            got = want = GridFlowState(0.0, synthesize(p, 256), 16)
+            for _ in range(1000):
+                got = step_grid_rk4(got, 1e-3, ft)
+                want = reference_grid_step(want, 1e-3, ft)
+                assert np.max(np.abs(got.grid.values - want.grid.values)) \
+                    <= 1e-12
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 16),
            st.sampled_from(list(FlowType)))

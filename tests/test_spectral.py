@@ -16,6 +16,7 @@ from legendreflow import (AliasError, DegenerateLengthError, FlowState,
                           isoperimetric_deficit, l2_quantities, lambda_area,
                           moments, periodic_quadrature, synthesize,
                           uniform_grid)
+from legendreflow import curves
 from legendreflow.flows import LAMBDA_FLOOR
 from conftest import rand_support, supports
 
@@ -76,6 +77,26 @@ class TestAnalyze:
     def test_alias_error(self):
         with pytest.raises(AliasError):
             analyze(GridFunction(np.zeros(8)), 4)
+
+    @pytest.mark.parametrize("n, K, on_table", [
+        (8, 3, True), (256, 16, True), (256, 100, True), (4096, 64, True),
+        (4096, 65, False), (1024, 300, False)])
+    def test_matches_per_mode_formula_bit_for_bit(self, rng, n, K, on_table):
+        # off the table, K rounded up to a power of two times n exceeds
+        # TABLE_MAX_ENTRIES and analyze computes cos and sin per mode
+        assert (curves._grid_table(uniform_grid(n), K) is not None) \
+            == on_table
+        v = rng.standard_normal(n)
+        theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        want = [float(np.mean(v))]
+        for k in range(1, K + 1):
+            a = 2.0 / n * float(np.sum(v * np.cos(k * theta)))
+            b = 2.0 / n * float(np.sum(v * np.sin(k * theta)))
+            if a != 0.0 or b != 0.0:
+                want += [k, a, b]
+        p = analyze(GridFunction(v), K)
+        got = [p.a0] + [x for m in p.modes for x in m]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestDerivative:
