@@ -65,6 +65,7 @@ def parse_curve_file(path: str | Path) -> SupportFourier:
                 if len(fields) != 1:
                     raise ParseError("a0 takes one value", lineno)
                 a0 = float(fields[0])
+                values = (a0,)
                 seen_a0 = True
             elif len(mode_key) == 2 and mode_key[0] == "mode":
                 k = int(mode_key[1])
@@ -74,15 +75,14 @@ def parse_curve_file(path: str | Path) -> SupportFourier:
                     raise ParseError(f"duplicate mode {k}", lineno)
                 if len(fields) != 2:
                     raise ParseError(f"mode {k} takes two values", lineno)
-                modes[k] = (float(fields[0]), float(fields[1]))
+                modes[k] = values = (float(fields[0]), float(fields[1]))
             else:
                 raise ParseError(f"unknown key {key!r}", lineno)
         except ParseError:
             raise
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
-        if not all(math.isfinite(x) for x in
-                   ([a0] + [c for ab in modes.values() for c in ab])):
+        if not all(map(math.isfinite, values)):
             raise ParseError("non-finite coefficient", lineno)
     return SupportFourier(a0, tuple((k, a, b) for k, (a, b) in modes.items()))
 

@@ -105,16 +105,19 @@ class SupportFourier:
 
         Differentiation acts modally: d/dtheta maps (a_k, b_k) to
         (k*b_k, -k*a_k); the constant term survives only at order 0.
-        Called on columns of coefficients of shape (rows, 1) in place of
-        self, it sums the same terms as a (rows, len(theta)) block.
+        Called on Columns in place of self, it sums the same terms into a
+        (rows,) + theta.shape block whose row i is column i's series.
         """
         if order < 0:
             raise InputError("order must be >= 0")
         th = np.asarray(theta, dtype=float)
-        out = np.full(np.broadcast(self.a0, th).shape,
-                      self.a0 if order == 0 else 0.0)
-        table = _grid_table(th, self.K)
-        for k, a, b in self.modes:
+        a0, modes = self.a0, self.modes
+        if np.ndim(a0):     # Columns: rows first, then the axes of theta
+            axes = (...,) + (None,) * th.ndim
+            a0, modes = a0[axes], [(k, a[axes], b[axes]) for k, a, b in modes]
+        out = np.full(np.broadcast(a0, th).shape, a0 if order == 0 else 0.0)
+        table = _grid_table(th, modes[-1][0] if modes else 0)
+        for k, a, b in modes:
             for _ in range(order):
                 a, b = k * b, -k * a
             if table is None:
@@ -123,7 +126,15 @@ class SupportFourier:
                 cos_k, sin_k = table[0][k - 1], table[1][k - 1]
             out += a * cos_k
             out += b * sin_k
-        return out if th.ndim else float(out)
+        return out if out.ndim else float(out)
+
+
+class Columns(NamedTuple):
+    """Coefficient columns: a0 and each a_k, b_k of the (k, a_k, b_k) modes,
+    in SupportFourier's order, are 1-D arrays over rows (record times or
+    curves); the modal formulas take them in place of a SupportFourier."""
+    a0: np.ndarray
+    modes: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
 
 @functools.lru_cache(maxsize=8)
@@ -182,18 +193,20 @@ def sample_points(p: SupportFourier, thetas: np.ndarray) -> np.ndarray:
                      pv * np.sin(th) + dv * np.cos(th)], axis=-1)
 
 
-def beta_of(p: SupportFourier) -> SupportFourier:
+def beta_of(p: SupportFourier | Columns) -> SupportFourier | Columns:
     """beta = p + p'': coefficientwise (a_k, b_k) -> (1 - k^2)(a_k, b_k).
 
     Mode 1 is annihilated, which is exactly the condition that beta stays
-    orthogonal to cos/sin and the curve remains l-convex.
+    orthogonal to cos/sin and the curve remains l-convex.  Modes that vanish
+    are dropped from a SupportFourier; Columns keep every mode k >= 2.
     """
+    columns = isinstance(p, Columns)
     modes = []
     for k, a, b in p.modes:
         f = 1.0 - k * k
-        if f * a != 0.0 or f * b != 0.0:
+        if k >= 2 and (columns or f * a != 0.0 or f * b != 0.0):
             modes.append((k, f * a, f * b))
-    return SupportFourier(p.a0, tuple(modes))
+    return (Columns if columns else SupportFourier)(p.a0, tuple(modes))
 
 
 def algebraic_length(p: SupportFourier) -> float:

@@ -19,13 +19,12 @@ RK4 stage takes the same right-hand side beta - lambda on the grid, with beta
 from one rfft/irfft pair (the multiplier 1 - k^2 up to k_cut) and L by
 periodic quadrature of the samples.  Every run takes sup_dev on that grid.
 
-run computes its record rows a chunk of record times at a time, as columns:
-the closed form at those times, every field by diagnostics' formulas, and
-sup_dev from a rows x grid_n block summed mode by mode as
-SupportFourier.evaluate sums it.  The grid scheme's analyzed states go
-through the same kernel.  The final row of every run is computed again by
-diagnostics from the final state; a field that differs in any bit raises
-RuntimeError.
+run computes its record rows a chunk of record times at a time: the closed
+form at those times as Columns, every field from their moments, and sup_dev
+from the rows x grid_n block SupportFourier.evaluate sums for their beta.
+The grid scheme's analyzed states go through the same kernel.  diagnostics
+computes the final row again (E2 through derivative) from the final state;
+a field that differs in any bit raises RuntimeError.
 
 lambda_area raises DegenerateLengthError when |L| < LAMBDA_FLOOR; runs start
 from A > 0 and keep |L| >= 2*sqrt(pi*A), so only direct calls reach the floor.
@@ -37,12 +36,11 @@ import enum
 import functools
 import math
 from dataclasses import astuple, dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from .curves import (TABLE_MAX_ENTRIES, TWO_PI, InputError, SupportFourier,
-                     algebraic_area, algebraic_length, isoperimetric_deficit,
+from .curves import (TABLE_MAX_ENTRIES, TWO_PI, Columns, InputError,
+                     SupportFourier, algebraic_area, isoperimetric_deficit,
                      uniform_grid)
 from .spectral import (GridFunction, analyze, default_grid_size, derivative,
                        l2_quantities, moments, synthesize)
@@ -176,7 +174,7 @@ def step_exact_modal(state: FlowState, dt: float,
 
 @np.errstate(over="ignore", invalid="ignore")
 def _closed_form(p: SupportFourier, ts: list[float], flow_type: FlowType,
-                 t0: float = 0.0) -> SimpleNamespace:
+                 t0: float = 0.0) -> Columns:
     """step_exact_modal from p after each duration in ts, as columns a0 and
     (k, a_k, b_k) over ts with its bits: math.exp and math.expm1 act element
     by element, sum adds the a0^2 terms, and mode 1 is scaled by exp(0)."""
@@ -199,11 +197,11 @@ def _closed_form(p: SupportFourier, ts: list[float], flow_type: FlowType,
                 f"|L| falls below floor {LAMBDA_FLOOR} before "
                 f"t = {t0 + ts[low[0]]}")
         a0 = np.copysign(np.sqrt(a0_sq), p.a0)
-    return SimpleNamespace(a0=a0, modes=tuple(
+    return Columns(a0, tuple(
         zip([k for k, _, _ in p.modes], ab[:, 0], ab[:, 1])))
 
 
-def _state(t: float, c: SimpleNamespace, i: int) -> FlowState:
+def _state(t: float, c: Columns, i: int) -> FlowState:
     """Column i of the coefficient columns c, as the state at time t."""
     return FlowState(t, SupportFourier(
         c.a0[i], tuple((k, a[i], b[i]) for k, a, b in c.modes)))
@@ -286,32 +284,20 @@ def diagnostics(state: FlowState, flow_type: FlowType,
 
 @np.errstate(over="ignore", invalid="ignore")
 def _rows(t, c, flow_type: FlowType, grid_n: int) -> list[DiagnosticsRow]:
-    """diagnostics of the state c at time t, or of column i of coefficient
-    columns c at each time t[i]: its formulas take floats and columns alike,
-    and sup_dev is summed as one rows x grid_n block."""
-    beta = SimpleNamespace(a0=c.a0, modes=tuple(
-        (k, (1.0 - k * k) * a, (1.0 - k * k) * b)
-        for k, a, b in c.modes if k >= 2))
-    q = l2_quantities(beta)
-    e2 = l2_quantities(SimpleNamespace(a0=0.0, modes=tuple(
-        (k, k * b, -k * a) for k, a, b in beta.modes)))["int_dp2"]
-    L = algebraic_length(c)
+    """diagnostics of the state c at time t, or of each column i of the
+    Columns c at time t[i]: the moments of c, and sup_dev from one
+    rows x grid_n block."""
+    m = moments(c)
     lam = c.a0 if flow_type is FlowType.LENGTH_PRESERVING \
-        else lambda_area(L, q["int_p2"], t)
-
-    def column(x):
-        return x[:, None] if isinstance(x, np.ndarray) else x
-    dev = SupportFourier.evaluate(SimpleNamespace(
-        a0=column(c.a0), K=beta.modes[-1][0] if beta.modes else 0,
-        modes=[(k, column(a), column(b)) for k, a, b in beta.modes]),
-        uniform_grid(grid_n))
-    dev -= column(L / TWO_PI)
+        else lambda_area(m.L, m.int_b2, t)
+    dev = SupportFourier.evaluate(m.beta, uniform_grid(grid_n))
+    dev -= np.expand_dims(m.L / TWO_PI, -1)
     max_abs = np.max(np.abs([x for k, a, b in c.modes if k >= 2
                              for x in (a, b)]), axis=0, initial=0.0)
-    fields = (t, L, algebraic_area(c), isoperimetric_deficit(c),
+    fields = (t, m.L, m.A, isoperimetric_deficit(c),
               np.max(np.abs(dev, out=dev), axis=-1),
-              L * L / TWO_PI - q["int_p2"], lam, q["int_dp2"], e2, c.a0,
-              max_abs)
+              m.L * m.L / TWO_PI - m.int_b2, lam, m.int_db2, m.int_d2b2,
+              c.a0, max_abs)
     out = np.empty((len(fields), np.size(t)))
     for j, field in enumerate(fields):
         out[j] = field

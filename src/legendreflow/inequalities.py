@@ -31,12 +31,11 @@ import enum
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from .curves import (TWO_PI, InputError, SupportFourier, algebraic_area,
-                     algebraic_length, beta_of, uniform_grid)
+from .curves import (TWO_PI, Columns, InputError, SupportFourier,
+                     algebraic_area, beta_of, uniform_grid)
 from .spectral import Moments, l2_quantities, moments
 
 SLACK_TOL = 1e-9
@@ -258,17 +257,16 @@ def equality_family(a0: float, a1: float, b1: float,
     return SupportFourier(a0, tuple(modes))
 
 
-def _columns(c: np.ndarray) -> SimpleNamespace:
-    """Rows a0, a_1, b_1, ..., a_K, b_K as SupportFourier's a0 and modes, for
-    the scalar formulas to evaluate each column with their expression trees."""
-    return SimpleNamespace(a0=c[0], modes=tuple(zip(
+def _columns(c: np.ndarray) -> Columns:
+    """Rows a0, a_1, b_1, ..., a_K, b_K as Columns over the curves."""
+    return Columns(c[0], tuple(zip(
         range(1, len(c) // 2 + 1), c[1::2], c[2::2])))
 
 
 def _chunk(spec: CurveEnsembleSpec, start: int, stop: int) -> np.ndarray:
     """Coefficient rows of curves start..stop-1 as random_curve gives them:
     drawn at once, positive-area's rejects redrawn with attempt + 1, and the
-    convex lift's p and beta evaluated on coefficient columns."""
+    convex lift's p and beta evaluated on Columns."""
     c, todo = np.empty((2 * spec.K + 1, stop - start)), np.arange(stop - start)
     keys = _keys(spec, start + todo)
     for attempt in range(_ARRAY_ROUNDS):
@@ -284,11 +282,9 @@ def _chunk(spec: CurveEnsembleSpec, start: int, stop: int) -> np.ndarray:
         c[0] = 0.0
     elif spec.constraint is Constraint.CONVEX:
         theta = uniform_grid(max(4 * (spec.K + 1), 256))
-        modes = _columns(c[:, :, None]).modes
-        p, beta = (SupportFourier.evaluate(SimpleNamespace(
-            a0=np.zeros((c.shape[1], 1)), K=spec.K, modes=m), theta)
-            for m in (modes, [(k, (1.0 - k * k) * a, (1.0 - k * k) * b)
-                              for k, a, b in modes if k >= 2]))
+        rest = _columns(c)._replace(a0=np.zeros(c.shape[1]))
+        p, beta = (SupportFourier.evaluate(x, theta)
+                   for x in (rest, beta_of(rest)))
         c[0] = np.maximum(c[0], 0.0) + (np.maximum(np.maximum(
             0.1 - p.min(1), 0.1 - beta.min(1)), 0.0) + 1e-9)
     return c
@@ -304,12 +300,8 @@ def run_ensemble(spec: CurveEnsembleSpec,
     low, best, violations = [0.0] * len(rows), [0] * len(rows), [0] * len(rows)
     size = max(1, CHUNK_ENTRIES // max(4 * (spec.K + 1), 256))
     for start in range(0, spec.count, size):
-        c = _chunk(spec, start, min(start + size, spec.count))
-        p = _columns(c)
-        q = l2_quantities(_columns(  # beta = p + p'': mode k times 1 - k^2
-            (1.0 - ((np.arange(len(c)) + 1) // 2) ** 2)[:, None] * c))
-        m = Moments(None, None, algebraic_length(p), algebraic_area(p),
-                    q["int_p2"], q["int_dp2"])
+        m = moments(_columns(_chunk(spec, start,
+                                    min(start + size, spec.count))))
         for j, row in enumerate(rows):
             col = row(m)
             i = int(np.argmin(col))

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from legendreflow import SupportFourier, beta_of, periodic_quadrature, synthesize
+from legendreflow.curves import Columns
 
 
 def rand_support(rng: np.random.Generator, K: int = 6,
@@ -22,6 +23,27 @@ def supports(draw, max_k: int = 6):
     a0 = draw(coeff)
     modes = tuple((k, draw(coeff), draw(coeff)) for k in range(1, k_max + 1))
     return SupportFourier(a0, modes)
+
+
+@st.composite
+def rows_on_modes(draw, p: SupportFourier, scale: float = 1.0,
+                  max_size: int = 3):
+    """p and up to max_size more series on p's mode numbers, in random order,
+    with coefficients scale * [-1, 1] that are often 0.0 or -0.0."""
+    unit = st.sampled_from([0.0, -0.0]) | st.floats(-1, 1, allow_nan=False)
+    rows = [SupportFourier(scale * draw(unit), tuple(
+        (k, scale * draw(unit), scale * draw(unit)) for k, _, _ in p.modes))
+        for _ in range(draw(st.integers(0, max_size)))]
+    rows.insert(draw(st.integers(0, len(rows))), p)
+    return rows
+
+
+def columns_of(rows: list[SupportFourier]) -> Columns:
+    """Columns whose column i is rows[i]; the rows share their mode numbers."""
+    return Columns(np.array([r.a0 for r in rows]), tuple(
+        (k, np.array([r.modes[j][1] for r in rows]),
+         np.array([r.modes[j][2] for r in rows]))
+        for j, (k, _, _) in enumerate(rows[0].modes)))
 
 
 def length_quadrature(p: SupportFourier, n: int = 256) -> float:

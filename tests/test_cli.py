@@ -63,6 +63,28 @@ class TestParseCurveFile:
             parse_curve_file(f)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("text, line", [
+        ("a0 = nan\nmode 2 = 0 1\n", 1),
+        ("a0 = 2\nmode 2 = 0 1\nmode 3 = 0 inf\n", 3),
+    ])
+    def test_non_finite_value_line_number(self, tmp_path, text, line):
+        f = tmp_path / "c.curve"
+        f.write_text(text)
+        with pytest.raises(ParseError, match="non-finite") as exc:
+            parse_curve_file(f)
+        assert exc.value.line == line
+
+    def test_many_modes_parse_in_linear_time(self, tmp_path):
+        # each line checks only its own values, so parsing stays linear in
+        # the mode count
+        f = tmp_path / "c.curve"
+        f.write_text("a0 = 1\n" + "".join(f"mode {k} = 1e-9 -1e-9\n"
+                                          for k in range(1, 20001)))
+        start = time.perf_counter()
+        p = parse_curve_file(f)
+        assert time.perf_counter() - start < 5.0
+        assert p.K == 20000 and p.coeff(20000) == (1e-9, -1e-9)
+
     def test_format_round_trip(self, tmp_path):
         p = SupportFourier(math.sqrt(1.5), ((1, 0.1, -0.2), (2, 0.0, 1.0)))
         f = tmp_path / "c.curve"

@@ -13,8 +13,8 @@ from legendreflow import (CurveKind, FlowState, FlowType, InputError,
                           singular_angles, step_exact_modal, steiner_point,
                           analyze, synthesize, uniform_grid)
 from legendreflow import curves
-from conftest import (area_quadrature, coeff, length_quadrature,
-                      rand_support, supports)
+from conftest import (area_quadrature, coeff, columns_of, length_quadrature,
+                      rand_support, rows_on_modes, supports)
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,14 +100,21 @@ class TestEvaluateTables:
     """evaluate reads cos(k*theta), sin(k*theta) from cached tables on the
     uniform grid; every result must match the per-mode loop bit for bit."""
 
-    @given(sparse_supports(), angles(), st.integers(0, 2))
+    @given(sparse_supports(), angles(), st.integers(0, 2), st.data())
     @settings(max_examples=400, deadline=None)
-    def test_matches_loop_bit_for_bit(self, p, theta, order):
+    def test_matches_loop_bit_for_bit(self, p, theta, order, data):
         got = p.evaluate(theta, order)
         want = evaluate_reference(p, theta, order)
         assert type(got) is type(want)
         assert np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # on Columns, row i is the series of column i, bit for bit
+        rows = data.draw(rows_on_modes(p, 10.0 ** data.draw(st.floats(-12, 3))))
+        block = SupportFourier.evaluate(columns_of(rows), theta, order)
+        assert block.shape == (len(rows),) + np.shape(theta)
+        for row, got in zip(rows, block):
+            want = evaluate_reference(row, theta, order)
+            assert got.tobytes() == np.asarray(want).tobytes()
 
     def test_cached_arrays_are_read_only(self):
         theta = uniform_grid(64)

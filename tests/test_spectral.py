@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from legendreflow import (AliasError, DegenerateLengthError, FlowState,
-                          FlowType, GridFunction, NotZeroLengthError,
+                          FlowType, GridFunction, Moments, NotZeroLengthError,
                           SupportFourier, algebraic_area, algebraic_length,
                           analyze, beta_of, check_beta2_family,
                           check_beta2_zero_length, check_grad_family,
@@ -18,7 +18,7 @@ from legendreflow import (AliasError, DegenerateLengthError, FlowState,
                           uniform_grid)
 from legendreflow import curves
 from legendreflow.flows import LAMBDA_FLOOR
-from conftest import rand_support, supports
+from conftest import columns_of, rand_support, rows_on_modes, supports
 
 TWO_PI = 2.0 * math.pi
 
@@ -211,13 +211,28 @@ def near_zero_area(draw):
 
 
 class TestMoments:
-    @given(supports(), st.booleans(), st.floats(-30, 30), st.floats(-30, 30))
+    @given(supports(), st.sampled_from([None, 0.0, -0.0]),
+           st.floats(-30, 30), st.floats(-30, 30), st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_expressions_bit_for_bit(
-            self, p, zero_length, tau, xi):
-        if zero_length:
-            p = SupportFourier(0.0, p.modes)
+            self, p, zero_a0, tau, xi, data):
+        if zero_a0 is not None:
+            p = SupportFourier(zero_a0, p.modes)
         m = moments(p)
+        # column i of the moments of Columns is the moments of row i, and
+        # int_d2b2 has the bits of the int (beta')^2 of derivative(beta)
+        rows = data.draw(rows_on_modes(p, 2.0))
+        cols = moments(columns_of(rows))
+        for i, row in enumerate(rows):
+            mi = moments(row)
+            assert mi.int_d2b2.hex() == l2_quantities(
+                derivative(mi.beta))["int_dp2"].hex()
+            for name in Moments._fields[2:]:
+                col = np.broadcast_to(getattr(cols, name), len(rows))
+                assert col[i].hex() == getattr(mi, name).hex(), name
+            assert SupportFourier(cols.beta.a0[i], tuple(
+                (k, a[i], b[i]) for k, a, b in cols.beta.modes
+                if a[i] != 0.0 or b[i] != 0.0)) == mi.beta
         ref = reference_slacks(p, tau, xi)
         slacks = {"isoperimetric": check_isoperimetric(m),
                   "beta2_family": check_beta2_family(m, tau),
