@@ -94,8 +94,7 @@ def format_curve(p: SupportFourier) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
+CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
 
 
 def write_trace_csv(trace: FlowTrace, path: str | Path) -> None:
@@ -105,19 +104,18 @@ def write_trace_csv(trace: FlowTrace, path: str | Path) -> None:
     lines = [
         f"# flow = {cfg.flow_type.value}",
         f"# scheme = {cfg.scheme.value}",
-        f"# t_final = {_g17(cfg.t_final)}",
-        f"# dt = {_g17(cfg.dt)}",
+        "# t_final = %.17g" % cfg.t_final,
+        "# dt = %.17g" % cfg.dt,
         f"# grid_n = {default_grid_size(cfg.initial.K)}",
         f"# record_every = {cfg.record_every}",
         f"# K = {cfg.initial.K}",
-        f"# stop_sup_dev = {_g17(cfg.stop_sup_dev)}",
-        f"# lambda_floor = {_g17(LAMBDA_FLOOR)}",
+        "# stop_sup_dev = %.17g" % cfg.stop_sup_dev,
+        "# lambda_floor = %.17g" % LAMBDA_FLOOR,
         CSV_HEADER,
     ]
-    for r in trace.rows:
-        lines.append(",".join(_g17(v) for v in (
-            r.t, r.L, r.A, r.deficit, r.sup_dev, r.Q, r.lam, r.E1, r.E2,
-            r.a0, r.max_abs_mode)))
+    lines += [CSV_ROW % (r.t, r.L, r.A, r.deficit, r.sup_dev, r.Q, r.lam,
+                         r.E1, r.E2, r.a0, r.max_abs_mode)
+              for r in trace.rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
                           newline="\n")
 
@@ -141,14 +139,16 @@ def write_curve_svg(p: SupportFourier, path: str | Path) -> None:
     cusps = sample_points(p, singular_angles(p))
 
     # y-up: flip the y coordinate, including marker positions
-    xs, ys = pts[:, 0], -pts[:, 1]
+    pts = pts * [1.0, -1.0]
+    xs, ys = pts[:, 0], pts[:, 1]
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
     span = max(x_hi - x_lo, y_hi - y_lo, 1e-6)
     m = 0.1 * span
     vb = (x_lo - m, y_lo - m, (x_hi - x_lo) + 2 * m, (y_hi - y_lo) + 2 * m)
     sw = 0.004 * span
-    d = "M " + " L ".join(f"{x:.6f} {y:.6f}" for x, y in zip(xs, ys)) + " Z"
+    d = ("M " + " L ".join(["%.6f %.6f"] * len(pts)) + " Z") % tuple(
+        pts.ravel().tolist())
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '

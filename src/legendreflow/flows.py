@@ -21,10 +21,10 @@ periodic quadrature of the samples.  Every run takes sup_dev on that grid.
 
 run computes its record rows a chunk of record times at a time: the closed
 form at those times as Columns, every field from their moments, and sup_dev
-from the rows x grid_n block SupportFourier.evaluate sums for their beta.
-The grid scheme's analyzed states go through the same kernel.  diagnostics
-computes the final row again (E2 through derivative) from the final state;
-a field that differs in any bit raises RuntimeError.
+from _sup_dev's BLAS-screened rows x grid_n block.  The grid scheme's
+analyzed states go through the same kernel.  diagnostics computes the final
+row again (E2 through derivative, sup_dev on the whole grid) from the final
+state; a field that differs in any bit raises RuntimeError.
 
 lambda_area raises DegenerateLengthError when |L| < LAMBDA_FLOOR; runs start
 from A > 0 and keep |L| >= 2*sqrt(pi*A), so only direct calls reach the floor.
@@ -40,8 +40,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .curves import (TABLE_MAX_ENTRIES, TWO_PI, Columns, InputError,
-                     SupportFourier, algebraic_area, isoperimetric_deficit,
-                     uniform_grid)
+                     SupportFourier, _grid_table, algebraic_area,
+                     isoperimetric_deficit, uniform_grid)
 from .spectral import (GridFunction, analyze, default_grid_size, derivative,
                        l2_quantities, moments, synthesize)
 
@@ -282,20 +282,58 @@ def diagnostics(state: FlowState, flow_type: FlowType,
         E1=m.int_db2, E2=e2, a0=p.a0, max_abs_mode=max_abs)
 
 
+def _sup_dev(beta, center, grid_n: int):
+    """max_j |beta(theta_j) - center| on uniform_grid(grid_n) for the
+    SupportFourier beta or each row of the Columns beta, with the bits of
+    evaluate's full-grid sum.  A BLAS product over the cached table screens
+    the rows: it and evaluate add the same m = 2K + 3 terms (K table modes,
+    |cos|, |sin| <= 1), each within gamma_m * M of the true sum, M = |a0| +
+    |center| + sum |a_k| + |b_k|, in any order, with or without FMA (Higham,
+    Accuracy and Stability, 3.1), and within tiny per term of underflow.  A
+    point screened below its row's max - 2 delta, delta = 2 m (eps M + tiny),
+    cannot hold the max, so evaluate's sum is redone, in its order and from
+    the table, on the other points only; on every point without a table, or
+    with 2M not finite, a flat row or too many points."""
+    theta, fp = uniform_grid(grid_n), np.finfo(float)
+    ks = np.array([k - 1 for k, _, _ in beta.modes], dtype=int)
+    table = _grid_table(theta, int(ks[-1]) + 1 if ks.size else 0)
+    a0, shift = np.reshape(beta.a0, (-1, 1)), np.reshape(center, (-1, 1))
+    J = None
+    if table is not None:
+        ab = np.reshape([m[1:] for m in beta.modes], (ks.size, 2, -1))
+        pad = np.zeros((2, a0.size, table[0].shape[0]))
+        pad[:, :, ks] = ab.transpose(1, 2, 0)
+        modes = np.sum(np.abs(ab), axis=(0, 1))[:, None]
+        M = np.abs(a0) + np.abs(shift) + modes
+        delta = 2.0 * (2 * pad.shape[2] + 3) * (fp.eps * M + fp.tiny)
+        if np.all((np.abs(a0 - shift) + modes > delta) & (2 * M < np.inf)):
+            screen = np.abs(a0 - shift + pad[0] @ table[0] + pad[1] @ table[1])
+            J = np.flatnonzero(np.any(screen >= np.max(
+                screen, axis=1, keepdims=True) - 2 * delta, axis=0))
+            J = J if ab.size * J.size <= TABLE_MAX_ENTRIES else None
+    if J is None:
+        dev = SupportFourier.evaluate(beta, theta)
+    else:
+        trig = np.stack([t[np.ix_(ks, J)] for t in table], axis=1)[:, :, None]
+        terms = (ab[..., None] * trig).reshape(-1, a0.size, J.size)
+        terms[0] += a0      # accumulate then adds term after term
+        dev = np.add.accumulate(terms)[-1]
+    dev -= np.expand_dims(center, -1)
+    return np.max(np.abs(dev, out=dev), axis=-1)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _rows(t, c, flow_type: FlowType, grid_n: int) -> list[DiagnosticsRow]:
     """diagnostics of the state c at time t, or of each column i of the
-    Columns c at time t[i]: the moments of c, and sup_dev from one
-    rows x grid_n block."""
+    Columns c at time t[i]: the moments of c, and sup_dev from _sup_dev's
+    screened block, each field with diagnostics' bits."""
     m = moments(c)
     lam = c.a0 if flow_type is FlowType.LENGTH_PRESERVING \
         else lambda_area(m.L, m.int_b2, t)
-    dev = SupportFourier.evaluate(m.beta, uniform_grid(grid_n))
-    dev -= np.expand_dims(m.L / TWO_PI, -1)
     max_abs = np.max(np.abs([x for k, a, b in c.modes if k >= 2
                              for x in (a, b)]), axis=0, initial=0.0)
-    fields = (t, m.L, m.A, isoperimetric_deficit(c),
-              np.max(np.abs(dev, out=dev), axis=-1),
+    fields = (t, m.L, m.A, m.L * m.L - 4.0 * math.pi * m.A,
+              _sup_dev(m.beta, m.L / TWO_PI, grid_n),
               m.L * m.L / TWO_PI - m.int_b2, lam, m.int_db2, m.int_d2b2,
               c.a0, max_abs)
     out = np.empty((len(fields), np.size(t)))

@@ -118,12 +118,14 @@ def l2_quantities(p: SupportFourier | Columns) -> dict:
         int_dp2 += w * e
         ka, kb = k * a, k * b
         int_d2p2 += w * (kb * kb + ka * ka)
+    if isinstance(p, Columns) and not p.modes:   # +0.0, not 0.0 * a0 = -0.0
+        int_dp2, int_d2p2 = np.zeros((2, p.a0.size))
     return {"int_p2": int_p2, "int_dp2": int_dp2, "int_d2p2": int_d2p2}
 
 
 class Moments(NamedTuple):
     """p, beta = p + p'' and the numbers the slacks and trace rows use, each
-    a column for Columns p (int_db2, int_d2b2 are 0.0 with no mode k >= 2)."""
+    a column for Columns p (zeros for int_db2, int_d2b2 with no mode k >= 2)."""
     p: SupportFourier | Columns
     beta: SupportFourier | Columns
     L: float

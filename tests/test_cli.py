@@ -4,15 +4,18 @@ import re
 import shlex
 import time
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from legendreflow import (FlowConfig, FlowType, SupportFourier,
-                          algebraic_area, algebraic_length, cli, run)
+from legendreflow import (FlowConfig, FlowState, FlowType, SupportFourier,
+                          algebraic_area, algebraic_length, cli,
+                          default_grid_size, run, uniform_grid)
 from legendreflow.curves import MAX_ROOT_MODE
+from legendreflow.flows import LAMBDA_FLOOR, DiagnosticsRow, FlowTrace
 from legendreflow.cli import (ParseError, cli_main, format_curve,
                               parse_curve_file, read_trace_csv,
                               write_curve_svg, write_trace_csv)
@@ -133,6 +136,114 @@ class TestTraceCsv:
         write_trace_csv(run(cfg), p1)
         write_trace_csv(run(cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# The writers as they were with one f-string per value: the one-template
+# writers must give their bytes.
+
+def reference_trace_csv(trace, path):
+    cfg = trace.config
+    g17 = lambda x: f"{x:.17g}"
+    lines = [
+        f"# flow = {cfg.flow_type.value}",
+        f"# scheme = {cfg.scheme.value}",
+        f"# t_final = {g17(cfg.t_final)}",
+        f"# dt = {g17(cfg.dt)}",
+        f"# grid_n = {default_grid_size(cfg.initial.K)}",
+        f"# record_every = {cfg.record_every}",
+        f"# K = {cfg.initial.K}",
+        f"# stop_sup_dev = {g17(cfg.stop_sup_dev)}",
+        f"# lambda_floor = {g17(LAMBDA_FLOOR)}",
+        cli.CSV_HEADER,
+    ]
+    for r in trace.rows:
+        lines.append(",".join(g17(v) for v in (
+            r.t, r.L, r.A, r.deficit, r.sup_dev, r.Q, r.lam, r.E1, r.E2,
+            r.a0, r.max_abs_mode)))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
+                          newline="\n")
+
+
+def reference_curve_svg(p, path):
+    pts = cli.sample_points(p, uniform_grid(512))
+    cusps = cli.sample_points(p, cli.singular_angles(p))
+    xs, ys = pts[:, 0], -pts[:, 1]
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
+    span = max(x_hi - x_lo, y_hi - y_lo, 1e-6)
+    m = 0.1 * span
+    vb = (x_lo - m, y_lo - m, (x_hi - x_lo) + 2 * m, (y_hi - y_lo) + 2 * m)
+    sw = 0.004 * span
+    d = "M " + " L ".join(f"{x:.6f} {y:.6f}" for x, y in zip(xs, ys)) + " Z"
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{vb[0]:.6f} {vb[1]:.6f} {vb[2]:.6f} {vb[3]:.6f}">',
+        f'<path d="{d}" fill="none" stroke="black" stroke-width="{sw:.6f}"/>',
+    ]
+    for x, y in cusps:
+        parts.append(f'<circle cx="{x:.6f}" cy="{-y:.6f}" '
+                     f'r="{2.5 * sw:.6f}" fill="red"/>')
+    parts.append("</svg>")
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8",
+                          newline="\n")
+
+
+#: Signed zeros, the smallest subnormal, values near or past overflow, and
+#: values whose 6th decimal rounds up, down or to a signed zero.
+AWKWARD = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308,
+    math.inf, -math.inf, math.nan, 2.5e-7, -2.5e-7, 5e-7, 1.0000005,
+    -1.0000005, 0.1234565, 2.0000015, -3.9999995, 1 / 3, 1e-300,
+    123456.7890125]) | FINITE
+
+
+class TestOneTemplateWriters:
+    @given(st.lists(AWKWARD, min_size=11, max_size=44))
+    @settings(max_examples=100, deadline=None)
+    def test_trace_csv_matches_per_value_writer(self, tmp_path_factory,
+                                                values):
+        rows = [DiagnosticsRow(*(values[i:] + values[:i])[:11])
+                for i in range(len(values) - 10)]
+        cfg = FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, t_final=0.3,
+                         dt=0.1, stop_sup_dev=abs(values[0])
+                         if math.isfinite(values[0]) else -0.0)
+        trace = FlowTrace(cfg, tuple(rows), FlowState(0.0, P_FIG_A))
+        d = tmp_path_factory.mktemp("csv")
+        write_trace_csv(trace, d / "new.csv")
+        reference_trace_csv(trace, d / "ref.csv")
+        assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+    @given(st.lists(AWKWARD, min_size=2, max_size=8), st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_curve_svg_matches_per_value_writer(self, tmp_path_factory,
+                                                values, n_cusps):
+        # sample_points returns the awkward values as the curve's points
+        pts = np.resize(np.array(values), (512, 2))
+        pts[::7] *= -1.0
+
+        def points(p, thetas):
+            return pts if len(thetas) == 512 else pts[1:1 + len(thetas)]
+        d = tmp_path_factory.mktemp("svg")
+        with mock.patch.object(cli, "sample_points", points), \
+                mock.patch.object(cli, "singular_angles",
+                                  lambda p: [0.5] * n_cusps), \
+                np.errstate(over="ignore", invalid="ignore"):
+            write_curve_svg(P_FIG_A, d / "new.svg")
+            reference_curve_svg(P_FIG_A, d / "ref.svg")
+        assert (d / "new.svg").read_bytes() == (d / "ref.svg").read_bytes()
+
+    def test_simulated_outputs_match_per_value_writers(self, tmp_path):
+        p = SupportFourier(-0.5, ((1, 0.25, -0.0), (2, 0.0, 1.0)))
+        trace = run(FlowConfig(FlowType.LENGTH_PRESERVING, p, t_final=1.0,
+                               dt=0.1))
+        for write, reference, name in (
+                (write_trace_csv, reference_trace_csv, "t.csv"),
+                (write_curve_svg, reference_curve_svg, "c.svg")):
+            obj = trace if name == "t.csv" else p
+            write(obj, tmp_path / name)
+            reference(obj, tmp_path / ("ref_" + name))
+            assert (tmp_path / name).read_bytes() \
+                == (tmp_path / ("ref_" + name)).read_bytes()
 
 
 class TestCurveSvg:

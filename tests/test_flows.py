@@ -19,7 +19,9 @@ from legendreflow import (Constraint, CurveEnsembleSpec, DegenerateLengthError,
                           sample_points, step_exact_modal, step_grid_rk4,
                           steiner_point, synthesize, uniform_grid)
 from legendreflow import flows
+from legendreflow.curves import Columns
 from legendreflow.flows import LAMBDA_FLOOR, GridFlowState
+from conftest import columns_of
 
 TWO_PI = 2.0 * math.pi
 AREA = FlowType.AREA_PRESERVING
@@ -640,3 +642,81 @@ class TestChunkedRows:
         with mock.patch.object(flows, "_rows", off_by_one_bit), \
                 pytest.raises(RuntimeError, match="final row"):
             run(config)
+
+
+# --- _sup_dev's screen against the full-grid evaluate -----------------------
+
+def full_sup_dev(beta, center, n: int):
+    """max_j |beta(theta_j) - center| from evaluate on the whole grid."""
+    dev = SupportFourier.evaluate(beta, uniform_grid(n))
+    return np.max(np.abs(dev - np.expand_dims(center, -1)), axis=-1)
+
+
+@st.composite
+def screened_columns(draw):
+    """Columns p whose rows are flat, k-fold symmetric, far from the origin,
+    full of signed zeros or not finite, with K up to past the largest
+    cached trig table (K = 128 on 2048 points)."""
+    K = draw(st.sampled_from([1, 2, 3, 8, 32, 64, 128, 129, 200]))
+    kind = draw(st.sampled_from(
+        ["generic", "flat", "ties", "far", "zeros", "nonfinite"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 6))
+    ks = np.arange(1, K + 1)
+    ab = rng.normal(size=(2, K, rows)) / ks[:, None] ** draw(
+        st.sampled_from([0.0, 1.0, 2.0]))
+    a0 = rng.uniform(-3.0, 3.0, rows)
+    if kind == "flat":
+        ab *= 1e-17 * np.abs(a0)
+    elif kind == "ties":
+        fold = draw(st.sampled_from([2, 4, 8]))
+        ab[:, ks % fold != 0] = 0.0
+    elif kind == "far":
+        a0 = np.copysign(10.0 ** rng.uniform(0, 8, rows), a0)
+    elif kind == "zeros":
+        signed = rng.choice([0.0, -0.0], size=ab.shape)
+        ab = np.where(rng.random(ab.shape) < 0.5, signed, ab)
+        a0 = np.where(rng.random(rows) < 0.5, rng.choice([0.0, -0.0]), a0)
+    elif kind == "nonfinite":
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        if draw(st.booleans()):
+            a0[draw(st.integers(0, rows - 1))] = bad
+        else:
+            ab[draw(st.integers(0, 1)), draw(st.integers(0, K - 1)),
+               draw(st.integers(0, rows - 1))] = bad
+    return Columns(a0, tuple(zip(ks.tolist(), ab[0], ab[1])))
+
+
+class TestScreenedSupDev:
+    @given(screened_columns())
+    @example(columns_of([SupportFourier(2.0, ((2, 0.0, 1.0),))] * 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_grid_bit_for_bit(self, c):
+        n = default_grid_size(c.modes[-1][0])
+        with np.errstate(all="ignore"):
+            m = moments(c)
+            center = m.L / TWO_PI
+            want = full_sup_dev(m.beta, center, n)
+            assert flows._sup_dev(m.beta, center, n).tobytes() \
+                == want.tobytes()
+        for i in np.flatnonzero(np.isfinite(c.a0) & np.all(
+                [np.isfinite(x) for _, a, b in c.modes for x in (a, b)],
+                axis=0)):
+            # one row as a SupportFourier, as the grid scheme passes it
+            beta = beta_of(SupportFourier(
+                c.a0[i], tuple((k, a[i], b[i]) for k, a, b in c.modes)))
+            got = flows._sup_dev(beta, float(m.L[i] / TWO_PI), n)
+            assert np.reshape(got, -1).tobytes() == want[i:i + 1].tobytes()
+
+    def test_screen_skips_the_full_grid_until_rows_are_flat(self):
+        # figure1a keeps its 4 symmetric maxima on the screened points; at
+        # round-off every point is a candidate and evaluate sums them all
+        for t, full in ((np.linspace(0.0, 0.3, 64), False),
+                        (np.array([15.0, 15.5]), True)):
+            m = moments(flows._closed_form(P_FIG_A, t.tolist(), AREA))
+            with mock.patch.object(SupportFourier, "evaluate",
+                                   wraps=SupportFourier.evaluate) as spy:
+                got = flows._sup_dev(m.beta, m.L / TWO_PI, 256)
+            assert spy.called == full
+            assert got.tobytes() == full_sup_dev(
+                m.beta, m.L / TWO_PI, 256).tobytes()

@@ -16,7 +16,7 @@ from legendreflow import (AliasError, DegenerateLengthError, FlowState,
                           isoperimetric_deficit, l2_quantities, lambda_area,
                           moments, periodic_quadrature, synthesize,
                           uniform_grid)
-from legendreflow import curves
+from legendreflow import curves, flows
 from legendreflow.flows import LAMBDA_FLOOR
 from conftest import columns_of, rand_support, rows_on_modes, supports
 
@@ -228,7 +228,7 @@ class TestMoments:
             assert mi.int_d2b2.hex() == l2_quantities(
                 derivative(mi.beta))["int_dp2"].hex()
             for name in Moments._fields[2:]:
-                col = np.broadcast_to(getattr(cols, name), len(rows))
+                col = getattr(cols, name)
                 assert col[i].hex() == getattr(mi, name).hex(), name
             assert SupportFourier(cols.beta.a0[i], tuple(
                 (k, a[i], b[i]) for k, a, b in cols.beta.modes
@@ -263,6 +263,26 @@ class TestMoments:
                 assert getattr(row, name).hex() == want.hex(), name
             if flow_type is FlowType.AREA_PRESERVING:
                 assert lambda_area(m.L, m.int_b2, state.t) == row.lam
+
+    @pytest.mark.parametrize("a0", [-2.0, -0.0, 0.0, 3.0])
+    def test_mode1_only_columns_give_zero_columns(self, a0):
+        # no mode k >= 2: the derivative integrals are +0.0 columns, so that
+        # a row's E1 and E2 never print as -0 for a negative a0
+        rows = [SupportFourier(a0, ((1, 0.5, -0.25),)),
+                SupportFourier(-1.0, ((1, -0.0, 2.0),))]
+        cols = moments(columns_of(rows))
+        for name in ("int_db2", "int_d2b2"):
+            col = getattr(cols, name)
+            assert isinstance(col, np.ndarray) and col.shape == (2,)
+            assert [x.hex() for x in col.tolist()] == [(0.0).hex()] * 2
+            assert [getattr(moments(r), name).hex() for r in rows] \
+                == [(0.0).hex()] * 2
+        for flow_type in FlowType:
+            if flow_type is FlowType.AREA_PRESERVING and a0 == 0.0:
+                continue
+            for row in flows._rows([0.0, 1.0], columns_of(rows), flow_type,
+                                   64):
+                assert (row.E1.hex(), row.E2.hex()) == ((0.0).hex(),) * 2
 
     @staticmethod
     def check_against_quadrature(p: SupportFourier, n: int = 64) -> None:
