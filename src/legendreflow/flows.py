@@ -14,10 +14,9 @@ k >= 2 decay as exp((1 - k^2) t), a0 is constant under the length-preserving
 flow, and under the area-preserving flow freezing A gives a0(t)^2 in closed
 form (the support-function form of Gage's area-preserving flow).  It needs no
 time stepper, so dt only sets the record spacing.  A method-of-lines GridRK4
-scheme on default_grid_size(K) points serves as the independent oracle: each
-RK4 stage takes the same right-hand side beta - lambda on the grid, with beta
-from one rfft/irfft pair (the multiplier 1 - k^2 up to k_cut) and L by
-periodic quadrature of the samples.  Every run takes sup_dev on that grid.
+scheme on default_grid_size(K) points is the independent oracle: its RK4
+stages act on the rfft modes k <= k_cut of the samples, with one rfft/irfft
+pair per step (see step_grid_rk4).  Every run takes sup_dev on that grid.
 
 run computes its record rows a chunk of record times at a time: the closed
 form at those times as Columns, every field from their moments, and sup_dev
@@ -228,38 +227,39 @@ def _check_stability(dt: float, k_cut: int) -> None:
             f"{grid_stability_bound(k_cut):.3e} for k_cut = {k_cut}")
 
 
-def _grid_rhs(v: np.ndarray, flow_type: FlowType, mult: np.ndarray,
-              t: float) -> np.ndarray:
-    """beta - lambda: beta = irfft(mult * rfft(v)[:mult.size], n) with
-    mult = 1 - k^2, and L by periodic quadrature of v."""
-    n = v.shape[0]
-    beta = np.fft.irfft(mult * np.fft.rfft(v)[:mult.size], n)
-    L = TWO_PI / n * float(np.sum(v))
-    if flow_type is FlowType.LENGTH_PRESERVING:
-        lam = L / TWO_PI
-    else:
-        lam = lambda_area(L, TWO_PI / n * float(np.sum(beta * beta)), t)
-    return beta - lam
+@functools.lru_cache(maxsize=64)
+def _rk4_modes(n: int, k_cut: int) -> np.ndarray:
+    """Read-only 1 - k^2, w_k (1 at 0, n/2, else 2), k <= min(k_cut, n/2)."""
+    k = np.arange(min(k_cut, n // 2) + 1)
+    out = np.stack([1.0 - k * k, np.where(2 * k % n == 0, 1.0, 2.0)])
+    out.flags.writeable = False
+    return out
 
 
 def step_grid_rk4(state: GridFlowState, dt: float,
                   flow_type: FlowType) -> GridFlowState:
-    """One classical RK4 step of p_t = beta - lambda(t), beta = p + p''
-    differentiated spectrally with modes k <= k_cut (at most the Nyquist
-    mode n/2): one rfft/irfft pair per stage.
-
-    The independent time-stepping oracle for step_exact_modal.
-    """
+    """One classical RK4 step of p_t = beta - lambda(t), beta = p + p'' with
+    modes k <= min(k_cut, n/2).  The DFT is linear, so each stage acts on
+    the modes U = rfft(v)[:k_cut + 1] + c dt F: B = (1 - k^2) U, L = 2 pi/n
+    Re U_0, int beta^2 = 2 pi/n^2 sum w_k |B_k|^2 (Parseval), F = B - n
+    lambda e_0; one rfft/irfft pair per step.  Oracle of step_exact_modal."""
     _check_stability(dt, state.k_cut)
-    v = state.grid.values
-    t = state.t
-    k = np.arange(min(state.k_cut, v.shape[0] // 2) + 1)
-    mult = 1.0 - k * k
-    f1 = _grid_rhs(v, flow_type, mult, t)
-    f2 = _grid_rhs(v + 0.5 * dt * f1, flow_type, mult, t)
-    f3 = _grid_rhs(v + 0.5 * dt * f2, flow_type, mult, t)
-    f4 = _grid_rhs(v + dt * f3, flow_type, mult, t)
-    vn = v + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    v, t, n = state.grid.values, state.t, state.grid.n
+    mult, w = _rk4_modes(n, state.k_cut)
+
+    def rhs(u):
+        b, L = mult * u, TWO_PI / n * float(u[0].real)
+        lam = L / TWO_PI if flow_type is FlowType.LENGTH_PRESERVING else \
+            lambda_area(L, TWO_PI / (n * n) * float(np.dot(
+                w, b.real * b.real + b.imag * b.imag)), t)
+        b[0] -= n * lam
+        return b
+    V = np.fft.rfft(v)[:mult.size]
+    f1 = rhs(V)
+    f2 = rhs(V + 0.5 * dt * f1)
+    f3 = rhs(V + 0.5 * dt * f2)
+    f4 = rhs(V + dt * f3)
+    vn = v + np.fft.irfft(dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4), n)
     return GridFlowState(t + dt, GridFunction(vn), state.k_cut)
 
 
@@ -292,14 +292,14 @@ def _sup_dev(beta, center, grid_n: int):
     Accuracy and Stability, 3.1), and within tiny per term of underflow.  A
     point screened below its row's max - 2 delta, delta = 2 m (eps M + tiny),
     cannot hold the max, so evaluate's sum is redone, in its order and from
-    the table, on the other points only; on every point without a table, or
-    with 2M not finite, a flat row or too many points."""
+    the table, on the other points only; on every point for one row, without
+    a table, or with 2M not finite, a flat row or too many points."""
     theta, fp = uniform_grid(grid_n), np.finfo(float)
     ks = np.array([k - 1 for k, _, _ in beta.modes], dtype=int)
     table = _grid_table(theta, int(ks[-1]) + 1 if ks.size else 0)
     a0, shift = np.reshape(beta.a0, (-1, 1)), np.reshape(center, (-1, 1))
     J = None
-    if table is not None:
+    if table is not None and a0.size > 1:
         ab = np.reshape([m[1:] for m in beta.modes], (ks.size, 2, -1))
         pad = np.zeros((2, a0.size, table[0].shape[0]))
         pad[:, :, ks] = ab.transpose(1, 2, 0)

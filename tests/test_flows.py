@@ -288,6 +288,53 @@ class TestStepGridRK4:
                 assert np.max(np.abs(got.grid.values - want.grid.values)) \
                     <= 1e-12
 
+    @pytest.mark.parametrize("ft", list(FlowType))
+    def test_large_k_trajectory_matches_three_fft_reference(self, ft):
+        # K = 128 on its 2048-point grid, 400 steps at half the stability bound
+        p = smooth_support(128, 128, 1.5)
+        assert default_grid_size(p.K) == 2048
+        dt = 0.5 * grid_stability_bound(128)
+        got = want = GridFlowState(0.0, synthesize(p, 2048), 128)
+        scale = np.max(np.abs(got.grid.values))
+        for _ in range(400):
+            got = step_grid_rk4(got, dt, ft)
+            want = reference_grid_step(want, dt, ft)
+            assert np.max(np.abs(got.grid.values - want.grid.values)) \
+                <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_stage_parseval_matches_quadrature(self, n):
+        # each stage's L and int beta^2, as lambda_area receives them, against
+        # the periodic quadrature of the irfft samples of the reference
+        # stage's input and its beta; the Nyquist mode n/2 is nonzero, so a
+        # k_cut at or past it checks the weight 1 of that mode
+        v = synthesize(smooth_support(n + 1, n // 2 - 1), n).values \
+            + 0.05 * np.cos(n // 2 * uniform_grid(n))
+
+        def quadrature(u, k_cut):
+            uh = np.fft.rfft(u)
+            uh[k_cut + 1:] = 0.0
+            k = np.arange(uh.size)
+            beta = np.fft.irfft((1.0 - k * k) * uh, n)
+            return (periodic_quadrature(GridFunction(np.fft.irfft(uh, n))),
+                    periodic_quadrature(GridFunction(beta * beta)))
+        for k_cut in (1, n // 2 - 1, n // 2, n):
+            state = GridFlowState(0.25, GridFunction(v), k_cut)
+            dt = 0.5 * grid_stability_bound(k_cut)
+            u2 = v + 0.5 * dt * reference_grid_rhs(v, AREA, k_cut, 0.25)
+            u3 = v + 0.5 * dt * reference_grid_rhs(u2, AREA, k_cut, 0.25)
+            u4 = v + dt * reference_grid_rhs(u3, AREA, k_cut, 0.25)
+            with mock.patch.object(flows, "lambda_area",
+                                   wraps=lambda_area) as spy:
+                step_grid_rk4(state, dt, AREA)
+            assert len(spy.call_args_list) == 4
+            for call, u in zip(spy.call_args_list, (v, u2, u3, u4)):
+                L, int_b2, t = call.args
+                want_L, want_b2 = quadrature(u, k_cut)
+                assert t == 0.25
+                assert L == pytest.approx(want_L, rel=1e-13, abs=0)
+                assert int_b2 == pytest.approx(want_b2, rel=1e-13, abs=0)
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 16),
            st.sampled_from(list(FlowType)))
     @example(seed=0, K=16, ft=FlowType.LENGTH_PRESERVING)
@@ -720,3 +767,17 @@ class TestScreenedSupDev:
             assert spy.called == full
             assert got.tobytes() == full_sup_dev(
                 m.beta, m.L / TWO_PI, 256).tobytes()
+
+    def test_one_row_sums_the_whole_grid(self):
+        # a screen has nothing to share on one row, as a SupportFourier (a
+        # grid-scheme row) or as one-row Columns (a modal chunk of one time)
+        c = flows._closed_form(P_FIG_A, [0.1], AREA)
+        for p in (c, flows._state(0.1, c, 0).p):
+            m = moments(p)
+            with mock.patch.object(SupportFourier, "evaluate",
+                                   wraps=SupportFourier.evaluate) as spy:
+                got = flows._sup_dev(m.beta, m.L / TWO_PI, 256)
+            assert spy.call_count == 1
+            assert spy.call_args.args[1] is uniform_grid(256)
+            assert np.reshape(got, -1).tobytes() == np.reshape(full_sup_dev(
+                m.beta, m.L / TWO_PI, 256), -1).tobytes()
