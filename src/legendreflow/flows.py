@@ -15,8 +15,8 @@ flow, and under the area-preserving flow freezing A gives a0(t)^2 in closed
 form (the support-function form of Gage's area-preserving flow).  It needs no
 time stepper, so dt only sets the record spacing.  A method-of-lines GridRK4
 scheme on default_grid_size(K) points is the independent oracle: its RK4
-stages act on the rfft modes k <= k_cut of the samples, with one rfft/irfft
-pair per step (see step_grid_rk4).  Every run takes sup_dev on that grid.
+stages act on the rfft modes k <= k_cut of the samples, one rfft/irfft pair
+per record interval (see step_grid_rk4).  Every run takes sup_dev there.
 
 run computes its record rows a chunk of record times at a time: the closed
 form at those times as Columns, every field from their moments, and sup_dev
@@ -236,13 +236,16 @@ def _rk4_modes(n: int, k_cut: int) -> np.ndarray:
     return out
 
 
-def step_grid_rk4(state: GridFlowState, dt: float,
-                  flow_type: FlowType) -> GridFlowState:
-    """One classical RK4 step of p_t = beta - lambda(t), beta = p + p'' with
-    modes k <= min(k_cut, n/2).  The DFT is linear, so each stage acts on
-    the modes U = rfft(v)[:k_cut + 1] + c dt F: B = (1 - k^2) U, L = 2 pi/n
-    Re U_0, int beta^2 = 2 pi/n^2 sum w_k |B_k|^2 (Parseval), F = B - n
-    lambda e_0; one rfft/irfft pair per step.  Oracle of step_exact_modal."""
+def step_grid_rk4(state: GridFlowState, dt: float, flow_type: FlowType,
+                  steps: int = 1) -> GridFlowState:
+    """`steps` classical RK4 steps of p_t = beta - lambda(t), beta = p + p''
+    with modes k <= min(k_cut, n/2): one rfft/irfft pair per record interval.
+    The DFT is linear, so each stage acts on the modes U = V + D + c dt F of
+    V = rfft(v)[:k_cut + 1] plus the steps so far, D: B = (1 - k^2) U, L =
+    2 pi/n Re U_0, int beta^2 = 2 pi/n^2 sum w_k |B_k|^2, F = B - n lambda
+    e_0 (t + dt per step); then v + irfft(D).  Oracle of step_exact_modal."""
+    if not isinstance(steps, int) or steps < 1:
+        raise InputError(f"steps must be an int >= 1, got {steps!r}")
     _check_stability(dt, state.k_cut)
     v, t, n = state.grid.values, state.t, state.grid.n
     mult, w = _rk4_modes(n, state.k_cut)
@@ -254,13 +257,16 @@ def step_grid_rk4(state: GridFlowState, dt: float,
                 w, b.real * b.real + b.imag * b.imag)), t)
         b[0] -= n * lam
         return b
-    V = np.fft.rfft(v)[:mult.size]
-    f1 = rhs(V)
-    f2 = rhs(V + 0.5 * dt * f1)
-    f3 = rhs(V + 0.5 * dt * f2)
-    f4 = rhs(V + dt * f3)
-    vn = v + np.fft.irfft(dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4), n)
-    return GridFlowState(t + dt, GridFunction(vn), state.k_cut)
+    V = U = np.fft.rfft(v)[:mult.size]
+    for i in range(steps):
+        f1 = rhs(U)
+        f2 = rhs(U + 0.5 * dt * f1)
+        f3 = rhs(U + 0.5 * dt * f2)
+        f4 = rhs(U + dt * f3)
+        inc = dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        D = D + inc if i else inc
+        U, t = V + D, t + dt
+    return GridFlowState(t, GridFunction(v + np.fft.irfft(D, n)), state.k_cut)
 
 
 def diagnostics(state: FlowState, flow_type: FlowType,
@@ -332,10 +338,12 @@ def _rows(t, c, flow_type: FlowType, grid_n: int) -> list[DiagnosticsRow]:
         else lambda_area(m.L, m.int_b2, t)
     max_abs = np.max(np.abs([x for k, a, b in c.modes if k >= 2
                              for x in (a, b)]), axis=0, initial=0.0)
+    e2 = 0.0    # int (beta'')^2, as l2_quantities(derivative(beta)) sums it
+    for k, ka, kb in ((k, k * a, k * b) for k, a, b in m.beta.modes):
+        e2 += math.pi * k * k * (kb * kb + ka * ka)
     fields = (t, m.L, m.A, m.L * m.L - 4.0 * math.pi * m.A,
               _sup_dev(m.beta, m.L / TWO_PI, grid_n),
-              m.L * m.L / TWO_PI - m.int_b2, lam, m.int_db2, m.int_d2b2,
-              c.a0, max_abs)
+              m.L * m.L / TWO_PI - m.int_b2, lam, m.int_db2, e2, c.a0, max_abs)
     out = np.empty((len(fields), np.size(t)))
     for j, field in enumerate(fields):
         out[j] = field
@@ -349,17 +357,15 @@ def _records(config: FlowConfig, steps: list[int], grid_n: int):
     The modal scheme evaluates its closed form at a chunk of record times at
     once; a chunk in which the flow degenerates is done again row by row, so
     the rows before the failing one come first.  The grid scheme advances
-    RK4 to each step and analyzes the grid_n-point grid there."""
+    RK4 one record interval per call and analyzes the grid_n-point grid."""
     flow_type, dt = config.flow_type, config.dt
     if config.scheme is Scheme.GRID_RK4:
         k_cut = max(config.initial.K, 1)
         _check_stability(dt, k_cut)
         gstate = GridFlowState(0.0, synthesize(config.initial, grid_n), k_cut)
-        done = 0
-        for step in steps:
-            for _ in range(step - done):
-                gstate = step_grid_rk4(gstate, dt, flow_type)
-            done = step
+        for done, step in zip([0] + steps, steps):
+            if step > done:
+                gstate = step_grid_rk4(gstate, dt, flow_type, step - done)
             p = analyze(gstate.grid, k_cut)
             yield (_rows(step * dt, p, flow_type, grid_n)[0],
                    functools.partial(FlowState, step * dt, p))

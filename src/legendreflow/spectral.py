@@ -106,33 +106,27 @@ def periodic_quadrature(g: GridFunction) -> float:
 
 
 def l2_quantities(p: SupportFourier | Columns) -> dict:
-    """Parseval values: int p^2 = 2*pi*a0^2 + pi*sum(a_k^2+b_k^2),
-    int (p')^2 = pi*sum k^2 (a_k^2+b_k^2) and int (p'')^2, the last with the
-    bits of int (p')^2 of derivative(p), for a SupportFourier or Columns."""
-    int_p2 = TWO_PI * p.a0 * p.a0
-    int_dp2 = int_d2p2 = 0.0
+    """Parseval values: int p^2 = 2*pi*a0^2 + pi*sum(a_k^2+b_k^2) and
+    int (p')^2 = pi*sum k^2 (a_k^2+b_k^2), for a SupportFourier or Columns."""
+    int_p2, int_dp2 = TWO_PI * p.a0 * p.a0, 0.0
     for k, a, b in p.modes:
         e = a * a + b * b
-        w = math.pi * k * k
         int_p2 += math.pi * e
-        int_dp2 += w * e
-        ka, kb = k * a, k * b
-        int_d2p2 += w * (kb * kb + ka * ka)
+        int_dp2 += math.pi * k * k * e
     if isinstance(p, Columns) and not p.modes:   # +0.0, not 0.0 * a0 = -0.0
-        int_dp2, int_d2p2 = np.zeros((2, p.a0.size))
-    return {"int_p2": int_p2, "int_dp2": int_dp2, "int_d2p2": int_d2p2}
+        int_dp2 = np.zeros(p.a0.size)
+    return {"int_p2": int_p2, "int_dp2": int_dp2}
 
 
 class Moments(NamedTuple):
     """p, beta = p + p'' and the numbers the slacks and trace rows use, each
-    a column for Columns p (zeros for int_db2, int_d2b2 with no mode k >= 2)."""
+    a column for Columns p (zeros for int_db2 with no mode k >= 2)."""
     p: SupportFourier | Columns
     beta: SupportFourier | Columns
     L: float
     A: float
     int_b2: float      # int beta^2
     int_db2: float     # int (beta')^2
-    int_d2b2: float    # int (beta'')^2
 
 
 def moments(p: SupportFourier | Columns) -> Moments:
@@ -140,4 +134,4 @@ def moments(p: SupportFourier | Columns) -> Moments:
     beta = beta_of(p)
     q = l2_quantities(beta)
     return Moments(p, beta, algebraic_length(p), algebraic_area(p),
-                   q["int_p2"], q["int_dp2"], q["int_d2p2"])
+                   q["int_p2"], q["int_dp2"])

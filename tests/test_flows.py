@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from legendreflow import (Constraint, CurveEnsembleSpec, DegenerateLengthError,
                           FlowConfig, FlowState, FlowType, GridFunction,
@@ -291,16 +291,92 @@ class TestStepGridRK4:
     @pytest.mark.parametrize("ft", list(FlowType))
     def test_large_k_trajectory_matches_three_fft_reference(self, ft):
         # K = 128 on its 2048-point grid, 400 steps at half the stability bound
+        # and one call of 400 steps against the 400 single steps
         p = smooth_support(128, 128, 1.5)
         assert default_grid_size(p.K) == 2048
         dt = 0.5 * grid_stability_bound(128)
-        got = want = GridFlowState(0.0, synthesize(p, 2048), 128)
+        start = got = want = GridFlowState(0.0, synthesize(p, 2048), 128)
         scale = np.max(np.abs(got.grid.values))
         for _ in range(400):
             got = step_grid_rk4(got, dt, ft)
             want = reference_grid_step(want, dt, ft)
             assert np.max(np.abs(got.grid.values - want.grid.values)) \
                 <= 1e-12 * scale
+        interval = step_grid_rk4(start, dt, ft, 400)
+        assert interval.t == got.t
+        assert np.max(np.abs(interval.grid.values - got.grid.values)) \
+            <= 1e-12 * scale
+
+    @given(st.integers(3, 10), st.data(), st.sampled_from(list(FlowType)))
+    @settings(max_examples=100, deadline=None)
+    def test_steps_match_single_steps(self, log_n, data, ft):
+        # steps = m carries the increments in the modes, m single steps put
+        # them on the samples after each step.  Only smooth curves, with
+        # A > 0 under the area flow: for A <= 0, L heads to 0 there and the
+        # rounding of either path grows without bound
+        n = 2 ** log_n
+        k_cut = data.draw(st.integers(0, n), label="k_cut")
+        p = smooth_support(data.draw(st.integers(0, 2**32 - 1), label="seed"),
+                           data.draw(st.integers(0, n // 2 - 1), label="K"),
+                           data.draw(st.sampled_from([1.5, 2.0, 3.0]),
+                                     label="decay"))
+        assume(ft is not AREA or algebraic_area(p) > 0.0)
+        steps = data.draw(st.integers(1, 200), label="steps")
+        dt = grid_stability_bound(k_cut) * data.draw(
+            st.sampled_from([1.0, 0.5, 1e-2]), label="dt / bound")
+        start = want = GridFlowState(0.5, synthesize(p, n), k_cut)
+        for _ in range(steps):
+            want = step_grid_rk4(want, dt, ft)
+        got = step_grid_rk4(start, dt, ft, steps)
+        assert got.t == want.t and got.k_cut == k_cut
+        assert np.max(np.abs(got.grid.values - want.grid.values)) \
+            <= 1e-12 * np.max(np.abs(start.grid.values))
+
+    @pytest.mark.parametrize("steps", [0, -3, 2.0, "2", None])
+    def test_steps_must_be_an_int_of_at_least_one(self, steps):
+        g = GridFlowState(0.0, synthesize(P_FIG_A, 64), 2)
+        with pytest.raises(InputError, match="steps must be an int >= 1"):
+            step_grid_rk4(g, 1e-2, FlowType.LENGTH_PRESERVING, steps)
+
+    def test_length_floor_mid_interval_keeps_the_t_label(self):
+        # A = 1.6e-27 > 0, so |L| falls below the floor near t = 3: a call
+        # of 400 steps fails in its middle with the label of single steps
+        p = SupportFourier(1.2247448713915892e-06, ((2, 0.0, 1e-6),))
+        start = state = GridFlowState(0.0, synthesize(p, 256), 2)
+        with pytest.raises(DegenerateLengthError) as single:
+            for _ in range(400):
+                state = step_grid_rk4(state, 1e-2, AREA)
+        with pytest.raises(DegenerateLengthError) as interval:
+            step_grid_rk4(start, 1e-2, AREA, 400)
+        assert 2.0 < state.t < 3.5
+        assert str(interval.value) == str(single.value)
+        assert str(single.value).endswith(f"at t = {state.t}")
+
+    def test_non_finite_stage_raises_at_the_end_of_the_interval(self):
+        # lambda is inf at the first stage of the second of three steps; the
+        # stages after it run on inf and nan (numpy's warnings about that
+        # are silenced here), and the samples are checked once, at the end
+        g = GridFlowState(0.0, synthesize(P_FIG_A, 64), 2)
+        ts = []
+
+        def inf_at_fifth_call(L, int_b2, t):
+            ts.append(t)
+            return math.inf if len(ts) == 5 else lambda_area(L, int_b2, t)
+        with mock.patch.object(flows, "lambda_area", inf_at_fifth_call), \
+                np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InputError, match="non-finite grid values"):
+            step_grid_rk4(g, 1e-2, AREA, 3)
+        assert ts == [0.0] * 4 + [0.01] * 4 + [0.01 + 0.01] * 4
+
+    def test_run_steps_once_per_record_interval(self):
+        # no call for the row at step 0, then one per record interval
+        config = FlowConfig(AREA, P_FIG_A, t_final=1.0, dt=1e-2,
+                            scheme=Scheme.GRID_RK4, record_every=30)
+        with mock.patch.object(flows, "step_grid_rk4",
+                               wraps=step_grid_rk4) as spy:
+            trace = run(config)
+        assert [c.args[3] for c in spy.call_args_list] == [30, 30, 30, 10]
+        assert [r.t for r in trace.rows] == [0.0, 0.3, 0.6, 0.9, 1.0]
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_stage_parseval_matches_quadrature(self, n):
@@ -575,8 +651,8 @@ def per_row_states(config: FlowConfig):
         config.initial, default_grid_size(config.initial.K)), k_cut)
     done = 0
     for step in steps:
-        for _ in range(step - done):
-            g = step_grid_rk4(g, dt, config.flow_type)
+        if step > done:
+            g = step_grid_rk4(g, dt, config.flow_type, step - done)
         done = step
         yield FlowState(step * dt, analyze(g.grid, k_cut))
 

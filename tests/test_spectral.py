@@ -220,12 +220,15 @@ class TestMoments:
             p = SupportFourier(zero_a0, p.modes)
         m = moments(p)
         # column i of the moments of Columns is the moments of row i, and
-        # int_d2b2 has the bits of the int (beta')^2 of derivative(beta)
+        # the row kernel's E2 has the bits of the int (beta')^2 of
+        # derivative(beta)
         rows = data.draw(rows_on_modes(p, 2.0))
         cols = moments(columns_of(rows))
+        e2 = [r.E2 for r in flows._rows(np.zeros(len(rows)), columns_of(rows),
+                                        FlowType.LENGTH_PRESERVING, 64)]
         for i, row in enumerate(rows):
             mi = moments(row)
-            assert mi.int_d2b2.hex() == l2_quantities(
+            assert e2[i].hex() == l2_quantities(
                 derivative(mi.beta))["int_dp2"].hex()
             for name in Moments._fields[2:]:
                 col = getattr(cols, name)
@@ -266,17 +269,15 @@ class TestMoments:
 
     @pytest.mark.parametrize("a0", [-2.0, -0.0, 0.0, 3.0])
     def test_mode1_only_columns_give_zero_columns(self, a0):
-        # no mode k >= 2: the derivative integrals are +0.0 columns, so that
-        # a row's E1 and E2 never print as -0 for a negative a0
+        # no mode k >= 2: int (beta')^2 is a +0.0 column, so that a row's
+        # E1 and E2 never print as -0 for a negative a0
         rows = [SupportFourier(a0, ((1, 0.5, -0.25),)),
                 SupportFourier(-1.0, ((1, -0.0, 2.0),))]
         cols = moments(columns_of(rows))
-        for name in ("int_db2", "int_d2b2"):
-            col = getattr(cols, name)
-            assert isinstance(col, np.ndarray) and col.shape == (2,)
-            assert [x.hex() for x in col.tolist()] == [(0.0).hex()] * 2
-            assert [getattr(moments(r), name).hex() for r in rows] \
-                == [(0.0).hex()] * 2
+        col = cols.int_db2
+        assert isinstance(col, np.ndarray) and col.shape == (2,)
+        assert [x.hex() for x in col.tolist()] == [(0.0).hex()] * 2
+        assert [moments(r).int_db2.hex() for r in rows] == [(0.0).hex()] * 2
         for flow_type in FlowType:
             if flow_type is FlowType.AREA_PRESERVING and a0 == 0.0:
                 continue
