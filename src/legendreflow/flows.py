@@ -14,9 +14,9 @@ k >= 2 decay as exp((1 - k^2) t), a0 is constant under the length-preserving
 flow, and under the area-preserving flow freezing A gives a0(t)^2 in closed
 form (the support-function form of Gage's area-preserving flow).  It needs no
 time stepper, so dt only sets the record spacing.  A method-of-lines GridRK4
-scheme on default_grid_size(K) points is the independent oracle: its RK4
-stages act on the rfft modes k <= k_cut of the samples, one rfft/irfft pair
-per record interval (see step_grid_rk4).  Every run takes sup_dev there.
+scheme on default_grid_size(K) points is the independent oracle: in rfft modes
+it advances modes k >= 1 by RK4's amplification factor, a0 stepped with the
+Parseval lambda (step_grid_rk4).  Every run takes sup_dev there.
 
 run computes its record rows a chunk of record times at a time: the closed
 form at those times as Columns, every field from their moments, and sup_dev
@@ -228,44 +228,59 @@ def _check_stability(dt: float, k_cut: int) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _rk4_modes(n: int, k_cut: int) -> np.ndarray:
-    """Read-only 1 - k^2, w_k (1 at 0, n/2, else 2), k <= min(k_cut, n/2)."""
-    k = np.arange(min(k_cut, n // 2) + 1)
-    out = np.stack([1.0 - k * k, np.where(2 * k % n == 0, 1.0, 2.0)])
+def _rk4_modes(n: int, k_cut: int, dt: float) -> np.ndarray:
+    """Read-only rows over the modes 1 <= k <= min(k_cut, n/2), z = (1 - k^2)
+    dt: RK4's factor R on y' = (1 - k^2) y, then w_k (1 - k^2)^2 g_s^2 for
+    its stage inputs g_s y (w_k 1 at n/2, else 2): g_0 = 1, g_s = 1 + c_s z
+    g_{s-1} (c = 1/2, 1/2, 1), R = 1 + z/6 (g_0 + 2 g_1 + 2 g_2 + g_3)."""
+    k = np.arange(1, min(k_cut, n // 2) + 1)
+    z, g = (1.0 - k * k) * dt, np.ones((4, k.size))
+    for s, c in ((1, 0.5), (2, 0.5), (3, 1.0)):
+        g[s] += c * z * g[s - 1]
+    w = np.where(2 * k % n == 0, 1.0, 2.0) * (1.0 - k * k) ** 2
+    out = np.vstack([1.0 + z / 6.0 * (np.array([1.0, 2.0, 2.0, 1.0]) @ g),
+                     w * g * g])
     out.flags.writeable = False
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step_grid_rk4(state: GridFlowState, dt: float, flow_type: FlowType,
                   steps: int = 1) -> GridFlowState:
     """`steps` classical RK4 steps of p_t = beta - lambda(t), beta = p + p''
-    with modes k <= min(k_cut, n/2): one rfft/irfft pair per record interval.
-    The DFT is linear, so each stage acts on the modes U = V + D + c dt F of
-    V = rfft(v)[:k_cut + 1] plus the steps so far, D: B = (1 - k^2) U, L =
-    2 pi/n Re U_0, int beta^2 = 2 pi/n^2 sum w_k |B_k|^2, F = B - n lambda
-    e_0 (t + dt per step); then v + irfft(D).  Oracle of step_exact_modal."""
+    with modes k <= min(k_cut, n/2) of V = rfft(v): modes k >= 1 by RK4's
+    amplification factor, a0 stepped with the Parseval lambda.  A mode
+    k >= 1 has right-hand side (1 - k^2) U_k, so stage s of step j takes
+    g_s R^j V_k (_rk4_modes).  The float u = Re U_0 alone runs the stages:
+    L = 2 pi/n u, int beta^2 = 2 pi/n^2 (u^2 + E[j, s]), E[j, s] = sum_k
+    w_k (1 - k^2)^2 g_s^2 R^2j |V_k|^2 in one product per CHUNK_ENTRIES
+    powers, f = u - n lambda (t + dt per step).  Then v + irfft([sum of u's
+    increments, (R^steps - 1) V_k]).  Oracle of step_exact_modal."""
     if not isinstance(steps, int) or steps < 1:
         raise InputError(f"steps must be an int >= 1, got {steps!r}")
     _check_stability(dt, state.k_cut)
     v, t, n = state.grid.values, state.t, state.grid.n
-    mult, w = _rk4_modes(n, state.k_cut)
+    table = _rk4_modes(n, state.k_cut, dt)
+    V = np.fft.rfft(v)[:table.shape[1] + 1]
+    R, cg = table[0], (table[1:] * (V[1:].real ** 2 + V[1:].imag ** 2)).T
 
-    def rhs(u):
-        b, L = mult * u, TWO_PI / n * float(u[0].real)
+    def f(x, e):
+        L = TWO_PI / n * x
         lam = L / TWO_PI if flow_type is FlowType.LENGTH_PRESERVING else \
-            lambda_area(L, TWO_PI / (n * n) * float(np.dot(
-                w, b.real * b.real + b.imag * b.imag)), t)
-        b[0] -= n * lam
-        return b
-    V = U = np.fft.rfft(v)[:mult.size]
-    for i in range(steps):
-        f1 = rhs(U)
-        f2 = rhs(U + 0.5 * dt * f1)
-        f3 = rhs(U + 0.5 * dt * f2)
-        f4 = rhs(U + dt * f3)
-        inc = dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        D = D + inc if i else inc
-        U, t = V + D, t + dt
+            lambda_area(L, TWO_PI / (n * n) * (x * x + e), t)
+        return x - n * lam
+    u = u0 = float(V[0].real)
+    d0, block = 0.0, max(1, CHUNK_ENTRIES // max(R.size, 1))
+    for j0 in range(0, steps, block):
+        j = np.arange(j0, min(j0 + block, steps), dtype=float)
+        for e1, e2, e3, e4 in (R ** (2.0 * j[:, None]) @ cg).tolist():
+            f1 = f(u, e1)
+            f2 = f(u + 0.5 * dt * f1, e2)
+            f3 = f(u + 0.5 * dt * f2, e3)
+            f4 = f(u + dt * f3, e4)
+            d0 += dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            u, t = u0 + d0, t + dt
+    D = np.concatenate(([d0], (R ** steps - 1.0) * V[1:]))
     return GridFlowState(t, GridFunction(v + np.fft.irfft(D, n)), state.k_cut)
 
 

@@ -311,7 +311,9 @@ class TestStepGridRK4:
     @settings(max_examples=100, deadline=None)
     def test_steps_match_single_steps(self, log_n, data, ft):
         # steps = m carries the increments in the modes, m single steps put
-        # them on the samples after each step.  Only smooth curves, with
+        # them on the samples after each step, and m steps of the three-FFT
+        # reference run every stage on the grid; blocks of 64 power entries
+        # split a call into up to 200 blocks.  Only smooth curves, with
         # A > 0 under the area flow: for A <= 0, L heads to 0 there and the
         # rounding of either path grows without bound
         n = 2 ** log_n
@@ -324,13 +326,18 @@ class TestStepGridRK4:
         steps = data.draw(st.integers(1, 200), label="steps")
         dt = grid_stability_bound(k_cut) * data.draw(
             st.sampled_from([1.0, 0.5, 1e-2]), label="dt / bound")
-        start = want = GridFlowState(0.5, synthesize(p, n), k_cut)
+        entries = data.draw(st.sampled_from([flows.CHUNK_ENTRIES, 64]),
+                            label="CHUNK_ENTRIES")
+        start = want = ref = GridFlowState(0.5, synthesize(p, n), k_cut)
         for _ in range(steps):
             want = step_grid_rk4(want, dt, ft)
-        got = step_grid_rk4(start, dt, ft, steps)
-        assert got.t == want.t and got.k_cut == k_cut
-        assert np.max(np.abs(got.grid.values - want.grid.values)) \
-            <= 1e-12 * np.max(np.abs(start.grid.values))
+            ref = reference_grid_step(ref, dt, ft)
+        with mock.patch.object(flows, "CHUNK_ENTRIES", entries):
+            got = step_grid_rk4(start, dt, ft, steps)
+        assert got.t == want.t == ref.t and got.k_cut == k_cut
+        for other in (want, ref):
+            assert np.max(np.abs(got.grid.values - other.grid.values)) \
+                <= 1e-12 * np.max(np.abs(start.grid.values))
 
     @pytest.mark.parametrize("steps", [0, -3, 2.0, "2", None])
     def test_steps_must_be_an_int_of_at_least_one(self, steps):
@@ -354,8 +361,9 @@ class TestStepGridRK4:
 
     def test_non_finite_stage_raises_at_the_end_of_the_interval(self):
         # lambda is inf at the first stage of the second of three steps; the
-        # stages after it run on inf and nan (numpy's warnings about that
-        # are silenced here), and the samples are checked once, at the end
+        # stages after it run on inf and nan without a numpy warning (the
+        # test settings make one an error), and the samples are checked once,
+        # at the end
         g = GridFlowState(0.0, synthesize(P_FIG_A, 64), 2)
         ts = []
 
@@ -363,7 +371,6 @@ class TestStepGridRK4:
             ts.append(t)
             return math.inf if len(ts) == 5 else lambda_area(L, int_b2, t)
         with mock.patch.object(flows, "lambda_area", inf_at_fifth_call), \
-                np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(InputError, match="non-finite grid values"):
             step_grid_rk4(g, 1e-2, AREA, 3)
         assert ts == [0.0] * 4 + [0.01] * 4 + [0.01 + 0.01] * 4
