@@ -1,5 +1,6 @@
 """Command-line front end: curve-file parsing, CSV trace export, SVG
 snapshots, and the simulate / inequalities / analyze / examples subcommands.
+The argparse parser is built once, at import, and every cli_main call reuses it.
 
 Curve text format (UTF-8, one item per line):
 
@@ -88,10 +89,8 @@ def parse_curve_file(path: str | Path) -> SupportFourier:
 
 
 def format_curve(p: SupportFourier) -> str:
-    lines = [f"a0 = {p.a0!r}"]
-    for k, a, b in p.modes:
-        lines.append(f"mode {k} = {a!r} {b!r}")
-    return "\n".join(lines) + "\n"
+    return "".join([f"a0 = {p.a0!r}\n"]
+                   + [f"mode {k} = {a!r} {b!r}\n" for k, a, b in p.modes])
 
 
 CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
@@ -307,6 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return root
 
 
+_PARSER = _build_parser()
+
 # InputError covers ParseError, StabilityError, AliasError and the other
 # argument checks; any other exception is a bug and keeps its traceback.
 _DOMAIN_ERRORS = (InputError, DegenerateLengthError, RejectionExhaustedError,
@@ -314,9 +315,8 @@ _DOMAIN_ERRORS = (InputError, DegenerateLengthError, RejectionExhaustedError,
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

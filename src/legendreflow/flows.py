@@ -221,6 +221,8 @@ def grid_stability_bound(k_cut: int) -> float:
 
 
 def _check_stability(dt: float, k_cut: int) -> None:
+    if not dt >= 0:
+        raise InputError("dt must be >= 0")
     if dt > grid_stability_bound(k_cut):
         raise StabilityError(
             f"dt = {dt} exceeds stability bound "
@@ -273,7 +275,10 @@ def step_grid_rk4(state: GridFlowState, dt: float, flow_type: FlowType,
     d0, block = 0.0, max(1, CHUNK_ENTRIES // max(R.size, 1))
     for j0 in range(0, steps, block):
         j = np.arange(j0, min(j0 + block, steps), dtype=float)
-        for e1, e2, e3, e4 in (R ** (2.0 * j[:, None]) @ cg).tolist():
+        # two rows at least: numpy sends a one-row product to gemv, which
+        # sums in another order than gemm, so E would depend on the block
+        P = R ** (2.0 * np.resize(j, max(j.size, 2))[:, None])
+        for e1, e2, e3, e4 in (P @ cg)[:j.size].tolist():
             f1 = f(u, e1)
             f2 = f(u + 0.5 * dt * f1, e2)
             f3 = f(u + 0.5 * dt * f2, e3)

@@ -2,7 +2,8 @@
 
 The numerical substrate for oracles, diagnostics and the `moments` of a curve.
 All integrals over the circle use the uniform trapezoid rule, exact for
-trigonometric polynomials of degree < N; the DFT is direct, in O(N*K).
+trigonometric polynomials of degree < N; the DFT is one O(N*K) product of
+the samples with the K x N cos (sin) rows, each row summed pairwise.
 """
 
 from __future__ import annotations
@@ -13,17 +14,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import (TWO_PI, Columns, InputError, SupportFourier,
-                     _grid_table, algebraic_area, algebraic_length, beta_of,
-                     uniform_grid)
+from .curves import (TABLE_MAX_ENTRIES, TWO_PI, Columns, InputError,
+                     SupportFourier, _grid_table, algebraic_area,
+                     algebraic_length, beta_of, uniform_grid)
 
 
 class AliasError(InputError):
     """Grid too coarse to represent (or recover) the requested modes."""
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 def default_grid_size(K: int) -> int:
@@ -40,7 +37,7 @@ class GridFunction:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or not _is_pow2(v.shape[0]) or v.shape[0] < 8:
+        if v.ndim != 1 or v.shape[0] < 8 or v.shape[0] & (v.shape[0] - 1):
             raise InputError("values must be 1-D with N a power of two >= 8")
         if not np.all(np.isfinite(v)):
             raise InputError("non-finite grid values")
@@ -65,26 +62,26 @@ def analyze(g: GridFunction, K: int) -> SupportFourier:
     """Discrete Fourier coefficients up to mode K.
 
     a_k = (2/N) sum g_j cos(k theta_j), b_k likewise, a0 = mean(g); the exact
-    inverse of synthesize for trig polynomials of degree <= K.  cos(k theta_j)
-    and sin(k theta_j) come from evaluate's cached table where it has one.
+    inverse of synthesize for trig polynomials of degree <= K.  Each half is
+    one product g * cos(k theta_j) (K x N; rows from evaluate's cached table,
+    else in blocks of TABLE_MAX_ENTRIES) with its rows summed pairwise.
     """
     if 2 * K + 2 > g.n:
         raise AliasError(f"cannot recover K={K} modes from {g.n} samples")
     v = g.values
     theta = uniform_grid(g.n)
     table = _grid_table(theta, K)
-    a0 = float(np.mean(v))
-    modes = []
-    for k in range(1, K + 1):
-        if table is None:
-            cos_k, sin_k = np.cos(k * theta), np.sin(k * theta)
-        else:
-            cos_k, sin_k = table[0][k - 1], table[1][k - 1]
-        a = 2.0 / g.n * float(np.sum(v * cos_k))
-        b = 2.0 / g.n * float(np.sum(v * sin_k))
-        if a != 0.0 or b != 0.0:
-            modes.append((k, a, b))
-    return SupportFourier(a0, tuple(modes))
+    block = max(1, TABLE_MAX_ENTRIES // g.n)    # the whole table is one block
+    ab = np.empty((2, K))
+    for k0 in range(0, K, block):
+        k1 = min(k0 + block, K)
+        for half, trig in enumerate((np.cos, np.sin)):
+            rows = table[half][k0:k1] if table is not None else np.array(
+                [trig(k * theta) for k in range(k0 + 1, k1 + 1)])
+            ab[half, k0:k1] = 2.0 / g.n * np.sum(v * rows, axis=1)
+    return SupportFourier(float(np.mean(v)), tuple(
+        (k, a, b) for k, (a, b) in enumerate(ab.T.tolist(), 1)
+        if a != 0.0 or b != 0.0))
 
 
 def derivative(p: SupportFourier, order: int = 1) -> SupportFourier:

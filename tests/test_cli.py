@@ -476,3 +476,62 @@ class TestCliMain:
             assert algebraic_area(p) == pytest.approx(area, abs=1e-12)
         astroid = parse_curve_file(outdir / "figure1d.curve")
         assert algebraic_length(astroid) == 0.0
+
+
+class TestSharedParser:
+    """cli_main reuses one parser, built at import: no call may leave state
+    in it that changes the files or stdout of a later call."""
+
+    COMMANDS = [
+        ["simulate", "--flow", "area", "--curve", "../c.curve", "--t-final",
+         "0.5", "--dt", "0.01", "--record-every", "10", "--out", "modal.csv",
+         "--svg-dir", "snaps", "--svg-every", "2"],
+        ["simulate", "--flow", "length", "--curve", "../c.curve",
+         "--t-final", "0.1", "--dt", "1e-3", "--record-every", "50",
+         "--scheme", "grid", "--out", "grid.csv"],
+        ["inequalities", "--count", "30", "--seed", "5", "--json",
+         "default.json"],
+        ["inequalities", "--count", "30", "--seed", "5", "--tau", "2", "6",
+         "--xi", "--json", "tau_xi.json"],
+    ]
+    BEFORE = {
+        "first": [],
+        "after_other_subcommands": [
+            (["examples", "--outdir", "ex", "--svg"], 0),
+            (["analyze", "--curve", "../c.curve"], 0),
+            (["simulate", "--flow", "length", "--curve", "../c.curve",
+              "--t-final", "0.2", "--dt", "0.1", "--stop-sup-dev", "0.5",
+              "--out", "other.csv"], 0),
+            (["inequalities", "--count", "7", "--constraint", "convex",
+              "--tau", "9", "--xi", "3", "4"], 0)],
+        "after_a_usage_error": [
+            (["simulate", "--flow", "nope", "--curve", "../c.curve"], 2),
+            (["inequalities", "--tau", "x"], 2)],
+        "after_help": [(["--help"], 0), (["inequalities", "--help"], 0)],
+    }
+
+    def test_outputs_do_not_depend_on_earlier_calls(self, tmp_path,
+                                                    monkeypatch, capsys):
+        (tmp_path / "c.curve").write_text("a0 = 2\nmode 2 = 0 1\n")
+        outputs = {}
+        for position, before in self.BEFORE.items():
+            for d in (tmp_path / f"{position}_before", tmp_path / position):
+                d.mkdir()
+            monkeypatch.chdir(tmp_path / f"{position}_before")
+            for argv, code in before:
+                assert cli_main(argv) == code, argv
+            capsys.readouterr()
+            monkeypatch.chdir(tmp_path / position)
+            for argv in self.COMMANDS:
+                assert cli_main(argv) == 0, argv
+            files = {p.relative_to(tmp_path / position).as_posix():
+                     p.read_bytes()
+                     for p in sorted((tmp_path / position).rglob("*.*"))}
+            outputs[position] = (files, capsys.readouterr().out)
+        first = outputs.pop("first")
+        assert len(first[0]) > 4 and first[1].count("\n") > 4
+        for position, got in outputs.items():
+            assert got == first, position
+        defaults = cli._PARSER.parse_args(["inequalities"])
+        assert (defaults.tau, defaults.xi) == ([0.0, 4.0, 8.0],
+                                               [0.0, 12.0, 24.0])

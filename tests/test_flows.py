@@ -235,6 +235,22 @@ class TestStepGridRK4:
         with pytest.raises(StabilityError):
             step_grid_rk4(g, 0.1, FlowType.LENGTH_PRESERVING)
 
+    @pytest.mark.parametrize("dt", [-1.0, -5e-324, math.nan])
+    def test_negative_or_nan_dt_raises(self, dt):
+        # a negative dt runs the backward heat equation, whose samples reach
+        # 1.6e24 by t = -10 here; nan must fail before it reaches the grid
+        p = SupportFourier(1.0, ((3, 0.1, 0.0),))
+        g = GridFlowState(0.0, synthesize(p, 64), 3)
+        with pytest.raises(InputError, match="dt must be >= 0"):
+            step_grid_rk4(g, dt, AREA, 10)
+
+    def test_negative_zero_dt_is_accepted(self):
+        p = SupportFourier(1.0, ((3, 0.1, 0.0),))
+        g = GridFlowState(0.0, synthesize(p, 64), 3)
+        s = step_grid_rk4(g, -0.0, AREA, 10)
+        assert s.t == 0.0
+        assert s.grid.values.tobytes() == g.grid.values.tobytes()
+
     def test_cross_scheme_agreement(self):
         theta = np.linspace(0, TWO_PI, 256, endpoint=False)
         for ft in FlowType:
@@ -730,6 +746,9 @@ class TestChunkedRows:
     @example(FlowConfig(AREA, OVER_TABLE, t_final=0.1, dt=1e-2), None)
     @example(FlowConfig(FlowType.LENGTH_PRESERVING, P_ZERO_L, t_final=1.0,
                         dt=0.05, record_every=7), 1024)
+    @example(FlowConfig(AREA, SupportFourier(1.9364916731037085, (
+        (1, 0.0, 0.0), (2, 0.0, 1.0), (3, 0.0, 0.75), (4, 0.0, 0.0))),
+        t_final=0.002, dt=0.001, scheme=Scheme.GRID_RK4, record_every=2), 1)
     @settings(max_examples=150, deadline=None)
     def test_rows_match_per_row_path_bit_for_bit(self, config, chunk):
         with mock.patch.object(flows, "CHUNK_ENTRIES",

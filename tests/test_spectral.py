@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -16,7 +17,7 @@ from legendreflow import (AliasError, DegenerateLengthError, FlowState,
                           isoperimetric_deficit, l2_quantities, lambda_area,
                           moments, periodic_quadrature, synthesize,
                           uniform_grid)
-from legendreflow import curves, flows
+from legendreflow import curves, flows, spectral
 from legendreflow.flows import LAMBDA_FLOOR
 from conftest import columns_of, rand_support, rows_on_modes, supports
 
@@ -87,16 +88,48 @@ class TestAnalyze:
         assert (curves._grid_table(uniform_grid(n), K) is not None) \
             == on_table
         v = rng.standard_normal(n)
-        theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        want = [float(np.mean(v))]
-        for k in range(1, K + 1):
-            a = 2.0 / n * float(np.sum(v * np.cos(k * theta)))
-            b = 2.0 / n * float(np.sum(v * np.sin(k * theta)))
-            if a != 0.0 or b != 0.0:
-                want += [k, a, b]
-        p = analyze(GridFunction(v), K)
-        got = [p.a0] + [x for m in p.modes for x in m]
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert _analyzed_bytes(v, K) == _per_mode_bytes(v, K)
+
+    @settings(max_examples=80, deadline=None)
+    @given(log_n=st.integers(3, 12), data=st.data())
+    def test_matches_per_mode_formula_bit_for_bit_drawn(self, log_n, data):
+        # samples with +-0.0 at scales 1e-12 to 1e6, on the cached table, off
+        # it in one block, or off it in blocks of 1 to 3 modes
+        n = 1 << log_n
+        K = data.draw(st.integers(0, n // 2 - 1), label="K")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        v = 10.0 ** data.draw(st.floats(-12, 6)) * rng.standard_normal(n)
+        zeros = rng.random(n) < data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        v[zeros] = np.where(rng.random(n) < 0.5, 0.0, -0.0)[zeros]
+        path = data.draw(st.sampled_from(["table", "one block", "blocks"]))
+        table_cap = curves.TABLE_MAX_ENTRIES if path == "table" else 0
+        block_cap = n * data.draw(st.integers(1, 3)) if path == "blocks" \
+            else spectral.TABLE_MAX_ENTRIES
+        with mock.patch.object(curves, "TABLE_MAX_ENTRIES", table_cap), \
+                mock.patch.object(spectral, "TABLE_MAX_ENTRIES", block_cap):
+            on_table = curves._grid_table(uniform_grid(n), K) is not None
+            got = _analyzed_bytes(v, K)
+        assert on_table == (path == "table" and K > 0
+                            and n << (K - 1).bit_length() <= table_cap)
+        assert got == _per_mode_bytes(v, K)
+
+
+def _per_mode_bytes(v: np.ndarray, K: int) -> bytes:
+    """a0 and each nonzero (k, a_k, b_k) by one np.sum per mode and half."""
+    n = v.size
+    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    want = [float(np.mean(v))]
+    for k in range(1, K + 1):
+        a = 2.0 / n * float(np.sum(v * np.cos(k * theta)))
+        b = 2.0 / n * float(np.sum(v * np.sin(k * theta)))
+        if a != 0.0 or b != 0.0:
+            want += [k, a, b]
+    return np.array(want).tobytes()
+
+
+def _analyzed_bytes(v: np.ndarray, K: int) -> bytes:
+    p = analyze(GridFunction(v), K)
+    return np.array([p.a0] + [x for m in p.modes for x in m]).tobytes()
 
 
 class TestDerivative:
