@@ -263,6 +263,9 @@ def singular_angles(p: SupportFourier) -> list[float]:
     # near 0 and infinity, and they spoil the companion matrix.
     mag = np.abs(c)
     lo = np.flatnonzero(mag > np.finfo(float).eps * mag.max())[0]
+    # np.roots divides by the leading coefficient, and 1/subnormal overflows:
+    # an exact power-of-two scale brings the largest into [1/2, 1)
+    c = np.ldexp(c.view(float), -np.frexp(mag.max())[1]).view(complex)
     z = np.roots(c[lo:c.size - lo][::-1])
     theta = np.angle(z[np.abs(np.abs(z) - 1.0) < UNIT_CIRCLE_TOL])
     with np.errstate(divide="ignore", invalid="ignore"):

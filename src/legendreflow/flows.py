@@ -19,11 +19,11 @@ it advances modes k >= 1 by RK4's amplification factor, a0 stepped with the
 Parseval lambda (step_grid_rk4).  Every run takes sup_dev there.
 
 run computes its record rows a chunk of record times at a time: the closed
-form at those times as Columns, every field from their moments, and sup_dev
-from _sup_dev's BLAS-screened rows x grid_n block.  The grid scheme's
-analyzed states go through the same kernel.  diagnostics computes the final
-row again (E2 through derivative, sup_dev on the whole grid) from the final
-state; a field that differs in any bit raises RuntimeError.
+form, or the analyzed grid states, at those times as Columns, every field
+from their moments, and sup_dev from _sup_dev's BLAS-screened rows x grid_n
+block.  A field that is not finite raises InputError.  diagnostics computes
+the final row again (E2 through derivative, sup_dev on the whole grid) from
+the final state; a field that differs in any bit raises RuntimeError.
 
 lambda_area raises DegenerateLengthError when |L| < LAMBDA_FLOOR; runs start
 from A > 0 and keep |L| >= 2*sqrt(pi*A), so only direct calls reach the floor.
@@ -31,6 +31,7 @@ from A > 0 and keep |L| >= 2*sqrt(pi*A), so only direct calls reach the floor.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
 import math
@@ -190,6 +191,9 @@ def _closed_form(p: SupportFourier, ts: list[float], flow_type: FlowType,
                                 .ravel().tolist()))).reshape(w.size, t.size)
         a0_sq = p.a0 * p.a0 + 0.5 * np.array(
             [sum(terms) for terms in (w * -em1).T.tolist()])
+        if not np.all(np.isfinite(a0_sq)):
+            raise InputError(f"the closed form's a0^2 overflows at t = "
+                             f"{t0 + ts[np.argmin(np.isfinite(a0_sq))]}")
         low = np.flatnonzero(~(a0_sq >= (LAMBDA_FLOOR / TWO_PI) ** 2))
         if low.size:
             raise DegenerateLengthError(
@@ -265,12 +269,8 @@ def step_grid_rk4(state: GridFlowState, dt: float, flow_type: FlowType,
     table = _rk4_modes(n, state.k_cut, dt)
     V = np.fft.rfft(v)[:table.shape[1] + 1]
     R, cg = table[0], (table[1:] * (V[1:].real ** 2 + V[1:].imag ** 2)).T
-
-    def f(x, e):
-        L = TWO_PI / n * x
-        lam = L / TWO_PI if flow_type is FlowType.LENGTH_PRESERVING else \
-            lambda_area(L, TWO_PI / (n * n) * (x * x + e), t)
-        return x - n * lam
+    h, w, half, sixth = TWO_PI / n, TWO_PI / (n * n), 0.5 * dt, dt / 6.0
+    area, lam = flow_type is FlowType.AREA_PRESERVING, lambda_area
     u = u0 = float(V[0].real)
     d0, block = 0.0, max(1, CHUNK_ENTRIES // max(R.size, 1))
     for j0 in range(0, steps, block):
@@ -279,11 +279,18 @@ def step_grid_rk4(state: GridFlowState, dt: float, flow_type: FlowType,
         # sums in another order than gemm, so E would depend on the block
         P = R ** (2.0 * np.resize(j, max(j.size, 2))[:, None])
         for e1, e2, e3, e4 in (P @ cg)[:j.size].tolist():
-            f1 = f(u, e1)
-            f2 = f(u + 0.5 * dt * f1, e2)
-            f3 = f(u + 0.5 * dt * f2, e3)
-            f4 = f(u + dt * f3, e4)
-            d0 += dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            # f = x - n lambda: L = h x, int beta^2 = w (x^2 + e) at input x
+            if area:
+                f1 = u - n * lam(h * u, w * (u * u + e1), t)
+                f2 = (x := u + half * f1) - n * lam(h * x, w * (x * x + e2), t)
+                f3 = (x := u + half * f2) - n * lam(h * x, w * (x * x + e3), t)
+                f4 = (x := u + dt * f3) - n * lam(h * x, w * (x * x + e4), t)
+            else:
+                f1 = u - n * (h * u / TWO_PI)
+                f2 = (x := u + half * f1) - n * (h * x / TWO_PI)
+                f3 = (x := u + half * f2) - n * (h * x / TWO_PI)
+                f4 = (x := u + dt * f3) - n * (h * x / TWO_PI)
+            d0 += sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
             u, t = u0 + d0, t + dt
     D = np.concatenate(([d0], (R ** steps - 1.0) * V[1:]))
     return GridFlowState(t, GridFunction(v + np.fft.irfft(D, n)), state.k_cut)
@@ -367,43 +374,77 @@ def _rows(t, c, flow_type: FlowType, grid_n: int) -> list[DiagnosticsRow]:
     out = np.empty((len(fields), np.size(t)))
     for j, field in enumerate(fields):
         out[j] = field
+    if not np.all(np.isfinite(out)):
+        i, j = np.argwhere(~np.isfinite(out.T))[0]
+        name = dataclasses.fields(DiagnosticsRow)[j].name
+        raise InputError(f"non-finite {name} = {float(out[j, i])!r} "
+                         f"at t = {float(out[0, i])!r}")
     return [DiagnosticsRow(*r) for r in out.T.tolist()]
+
+
+def _columns(config: FlowConfig, chunks, grid_n: int):
+    """For each chunk of step counts: its record times, their series as
+    Columns and the functions that build their FlowStates.  The modal scheme
+    evaluates its closed form at the chunk's times, or at one time after
+    another in a chunk where the flow degenerates.  The grid scheme advances
+    RK4 one record interval per call and analyzes the grid at each record:
+    Columns over modes 1..k_cut, 0.0 where analyze drops a mode, and each
+    FlowState keeps the analyzed series.  An error met while stepping a chunk
+    is raised after the records it already stepped."""
+    flow_type, dt = config.flow_type, config.dt
+    if config.scheme is Scheme.EXACT_MODAL:
+        for ts in ([step * dt for step in steps] for steps in chunks):
+            try:
+                parts = [(ts, _closed_form(config.initial, ts, flow_type))]
+            except DegenerateLengthError:
+                parts = (([t], _closed_form(config.initial, [t], flow_type))
+                         for t in ts)
+            for times, c in parts:
+                yield times, c, [functools.partial(_state, t, c, i)
+                                 for i, t in enumerate(times)]
+        return
+    k_cut = max(config.initial.K, 1)
+    _check_stability(dt, k_cut)
+    gstate = GridFlowState(0.0, synthesize(config.initial, grid_n), k_cut)
+    done = 0
+    for steps in chunks:
+        ps, error = [], None
+        try:
+            for step in steps:
+                if step > done:
+                    gstate = step_grid_rk4(gstate, dt, flow_type, step - done)
+                ps.append(analyze(gstate.grid, k_cut))
+                done = step
+        except Exception as exc:    # raised below, after the rows stepped
+            error = exc
+        if ps:
+            ab = np.zeros((k_cut, 2, len(ps)))
+            for i, p in enumerate(ps):
+                for k, a, b in p.modes:
+                    ab[k - 1, :, i] = a, b
+            ts = [step * dt for step in steps[:len(ps)]]
+            yield ts, Columns(np.array([p.a0 for p in ps]), tuple(
+                (k, a, b) for k, (a, b) in enumerate(ab, 1))), [
+                functools.partial(FlowState, t, p) for t, p in zip(ts, ps)]
+        if error is not None:
+            raise error
 
 
 def _records(config: FlowConfig, steps: list[int], grid_n: int):
     """Yield (row, state) for each of the increasing step counts `steps`:
-    its DiagnosticsRow, and a function that builds its FlowState.
-
-    The modal scheme evaluates its closed form at a chunk of record times at
-    once; a chunk in which the flow degenerates is done again row by row, so
-    the rows before the failing one come first.  The grid scheme advances
-    RK4 one record interval per call and analyzes the grid_n-point grid."""
-    flow_type, dt = config.flow_type, config.dt
-    if config.scheme is Scheme.GRID_RK4:
-        k_cut = max(config.initial.K, 1)
-        _check_stability(dt, k_cut)
-        gstate = GridFlowState(0.0, synthesize(config.initial, grid_n), k_cut)
-        for done, step in zip([0] + steps, steps):
-            if step > done:
-                gstate = step_grid_rk4(gstate, dt, flow_type, step - done)
-            p = analyze(gstate.grid, k_cut)
-            yield (_rows(step * dt, p, flow_type, grid_n)[0],
-                   functools.partial(FlowState, step * dt, p))
-        return
-
-    def chunk(ts):
-        c = _closed_form(config.initial, ts, flow_type)
-        return [(row, functools.partial(_state, ts[i], c, i))
-                for i, row in enumerate(_rows(ts, c, flow_type, grid_n))]
-
+    its DiagnosticsRow, and a function that builds its FlowState.  _rows
+    computes the rows of CHUNK_ENTRIES // grid_n record times at once from
+    their _columns; a chunk whose rows meet the length floor is done again
+    row by row, so the rows before the failing one come first."""
     size = max(1, CHUNK_ENTRIES // grid_n)
-    for lo in range(0, len(steps), size):
-        ts = [step * dt for step in steps[lo:lo + size]]
+    chunks = (steps[lo:lo + size] for lo in range(0, len(steps), size))
+    for ts, c, states in _columns(config, chunks, grid_n):
         try:
-            records = chunk(ts)
+            rows = _rows(ts, c, config.flow_type, grid_n)
         except DegenerateLengthError:
-            records = (r for t in ts for r in chunk([t]))
-        yield from records
+            rows = (_rows(s.t, s.p, config.flow_type, grid_n)[0]
+                    for s in (state() for state in states))
+        yield from zip(rows, states)
 
 
 def run(config: FlowConfig, on_record=None) -> FlowTrace:

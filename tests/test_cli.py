@@ -319,6 +319,47 @@ class TestCliMain:
         line = capsys.readouterr().out.splitlines()[-1]
         assert line.count(",") + 1 == 512
 
+    @pytest.mark.parametrize("text", ["a0 = 0\nmode 2 = 0 1e-310\n",
+                                      "a0 = 1e-320\nmode 2 = 0 1e-320\n"])
+    def test_analyze_subnormal_beta_finds_four_cusps(self, tmp_path, capsys,
+                                                     text):
+        f = tmp_path / "tiny.curve"
+        f.write_text(text)
+        assert cli_main(["analyze", "--curve", str(f)]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("singular_angles = [")
+        assert line.count(",") + 1 == 4
+
+    def test_svg_of_a_late_state_with_subnormal_beta(self, tmp_path,
+                                                     monkeypatch):
+        # figure1d's mode 2 of beta, 6 e^{-3t}, is subnormal by t = 240
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["examples", "--outdir", "ex"]) == 0
+        assert cli_main(["simulate", "--flow", "length", "--curve",
+                         "ex/figure1d.curve", "--t-final", "240", "--dt", "1",
+                         "--svg-dir", "s", "--svg-every", "240"]) == 0
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+            "snapshot_00000.svg", "snapshot_00240.svg"]
+
+    @pytest.mark.parametrize("flow, scheme, message", [
+        ("area", "modal", r"the closed form's a0\^2 overflows at t = 0\.0"),
+        ("length", "modal", r"non-finite A = inf at t = 0\.0"),
+        ("area", "grid", r"non-finite A = (nan|-?inf) at t = 0\.0"),
+        ("length", "grid", r"non-finite A = (nan|-?inf) at t = 0\.0"),
+    ])
+    def test_overflowing_curve_fails_with_a_named_error(
+            self, tmp_path, capsys, flow, scheme, message):
+        # every coefficient in the file is finite, but pi a0^2 is not
+        f = tmp_path / "big.curve"
+        f.write_text("a0 = 1e300\nmode 2 = 0 1\n")
+        out = tmp_path / "t.csv"
+        assert cli_main(["simulate", "--flow", flow, "--scheme", scheme,
+                         "--curve", str(f), "--t-final", "1", "--dt", "0.01",
+                         "--out", str(out)]) == 1
+        assert re.fullmatch(f"error: InputError: {message}\n",
+                            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_simulate_length_flow(self, tmp_path):
         f = tmp_path / "c.curve"
         f.write_text("a0 = 2\nmode 2 = 0 1\n")

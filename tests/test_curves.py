@@ -327,6 +327,16 @@ class TestSingularAngles:
         assert singular_angles(p) == pytest.approx(
             [0.0, math.pi / 2, math.pi, 3 * math.pi / 2], abs=1e-12)
 
+    @pytest.mark.parametrize("a0, b2", [(0.0, 1e-310), (1e-320, 1e-320)])
+    def test_subnormal_beta(self, a0, b2):
+        # beta = a0 - 3 b2 sin 2theta with subnormal coefficients: np.roots
+        # divides by the leading one, so they are scaled by 2^e first
+        phi = math.asin(a0 / (3 * b2))
+        expected = sorted([phi / 2, (math.pi - phi) / 2,
+                           phi / 2 + math.pi, (math.pi - phi) / 2 + math.pi])
+        roots = singular_angles(SupportFourier(a0, ((2, 0.0, b2),)))
+        assert roots == pytest.approx(expected, abs=1e-9)
+
     def test_constant_beta_has_no_roots(self):
         assert singular_angles(SupportFourier(-2.0, ((1, 1.0, 3.0),))) == []
         # beta = 0: the curve is one point, and no angle is singled out

@@ -749,6 +749,11 @@ class TestChunkedRows:
     @example(FlowConfig(AREA, SupportFourier(1.9364916731037085, (
         (1, 0.0, 0.0), (2, 0.0, 1.0), (3, 0.0, 0.75), (4, 0.0, 0.0))),
         t_final=0.002, dt=0.001, scheme=Scheme.GRID_RK4, record_every=2), 1)
+    # A = 1.6e-27: the grid run fails stepping to its record 299, in the
+    # middle of the chunk of records 240-359
+    @example(FlowConfig(AREA, SupportFourier(1.2247448713915892e-06, (
+        (2, 0.0, 1e-6),)), t_final=3.5, dt=1e-2, scheme=Scheme.GRID_RK4),
+        120 * 256)
     @settings(max_examples=150, deadline=None)
     def test_rows_match_per_row_path_bit_for_bit(self, config, chunk):
         with mock.patch.object(flows, "CHUNK_ENTRIES",
@@ -779,6 +784,22 @@ class TestChunkedRows:
         assert trace.rows[-1].sup_dev < 1e-9 <= trace.rows[-2].sup_dev
         assert outcome(replace(config, stop_sup_dev=1e-9), per_row=True) \
             == outcome(replace(config, stop_sup_dev=1e-9), per_row=False)
+
+    def test_grid_error_mid_chunk_comes_after_the_rows_stepped(self):
+        # the fifth call, to record 5, fails: records 0-4 reach on_record
+        config = FlowConfig(AREA, P_FIG_A, t_final=0.1, dt=1e-2,
+                            scheme=Scheme.GRID_RK4)
+        calls, hooked = [], []
+
+        def fail_fifth(*args):
+            calls.append(args)
+            if len(calls) == 5:
+                raise InputError("injected")
+            return step_grid_rk4(*args)
+        with mock.patch.object(flows, "step_grid_rk4", fail_fifth), \
+                pytest.raises(InputError, match="^injected$"):
+            run(config, lambda i, s: hooked.append(i))
+        assert hooked == [0, 1, 2, 3, 4]
 
     def test_final_row_check(self):
         config = FlowConfig(AREA, P_FIG_A, t_final=0.1, dt=1e-2)
