@@ -246,8 +246,8 @@ def _cmd_inequalities(args) -> int:
             "n_checked": r.n_checked, "n_violations": r.n_violations,
             "witness": {"a0": r.witness.a0, "modes": list(r.witness.modes)},
         } for r in reports]
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n",
-                                   encoding="utf-8")
+        text = json.dumps(payload, indent=2, check_circular=False)
+        Path(args.json).write_text(text + "\n", encoding="utf-8")
     return 1 if failed else 0
 
 

@@ -285,16 +285,14 @@ def classify(p: SupportFourier) -> CurveClass:
 
     The curve is convex exactly when beta has no real zero and beta(0) > 0,
     so the label is translation (mode-1) invariant.  min p and min beta are
-    only reported, sampled on max(4*(K+1), 64) points.  A pure mode-{1}
-    series with a0 = 0 is a single point.
+    only reported, sampled on max(4*(K+1), 64) points.  beta = 0 (a0 = 0,
+    no mode k >= 2), at any scale, is a single point.
     """
     theta = uniform_grid(max(4 * (p.K + 1), 64))
     beta = beta_of(p)
     min_p = float(np.min(p.evaluate(theta)))
     min_beta = float(np.min(beta.evaluate(theta)))
-
-    high = max((max(abs(a), abs(b)) for k, a, b in p.modes if k >= 2), default=0.0)
-    if high <= 1e-14 and abs(p.a0) <= 1e-14:
+    if p.a0 == 0.0 and not beta.modes:
         return CurveClass(CurveKind.DEGENERATE_POINT, min_beta, min_p)
     if beta.evaluate(0.0) > 0.0 and not singular_angles(p):
         return CurveClass(CurveKind.CONVEX, min_beta, min_p)

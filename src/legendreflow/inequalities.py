@@ -18,11 +18,11 @@ is an exact modal expression; slack >= 0 up to the sharp bound:
 The tau = 8 and xi = 24 cases are saturated exactly by support functions with
 modes {0, 1, 2} only (parallel curves of astroids).
 
-run_ensemble draws its curves a chunk of indices at a time, as arrays:
-splitmix64 over the key (seed, index, mode, slot, attempt) in numpy uint64,
-so random_curve(spec, i) draws curve i alone with the same bits.  Each slack
-above is one expression for floats and arrays alike, evaluated as a column
-and reduced by argmin; the lowest index wins ties.
+run_ensemble draws its curves a chunk of indices at a time, as arrays, up to
+10 000 attempts each: splitmix64 over the key (seed, index, mode, slot,
+attempt) in numpy uint64, so random_curve(spec, i) draws curve i alone with
+the same bits.  Each slack above is one expression for floats and arrays
+alike, evaluated as a column and reduced by argmin; the lowest index wins ties.
 """
 
 from __future__ import annotations
@@ -172,23 +172,21 @@ def wirtinger_gap(series: SupportFourier) -> tuple[float, float]:
 
 # --- deterministic ensembles -------------------------------------------------
 
-#: run_ensemble draws CHUNK_ENTRIES // n curves at a time, n = max(4(K+1), 256)
-#: being the convex lift's grid, so that its arrays stay at 2 MiB.
+#: run_ensemble draws CHUNK_ENTRIES // _entries_per_curve(spec) curves at a
+#: time, so that the arrays a chunk keeps alive stay near 2 MiB in all.
 CHUNK_ENTRIES = 1 << 18
-#: Positive-area rejection rounds run on arrays; the curves still rejected
-#: after them (a share 0.8^64 ~ 6e-7 where one draw in five passes) are drawn
-#: one by one by random_curve, which also raises RejectionExhaustedError.
-_ARRAY_ROUNDS = 64
 _GOLDEN, _MIX1, _MIX2, _S27, _S30, _S31 = map(np.uint64, (
     0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 27, 30, 31))
 
 
 def _fold(h: np.ndarray, part) -> np.ndarray:
-    """splitmix64(h ^ part) elementwise, in wrapping uint64 arithmetic."""
+    """splitmix64(h ^ part) elementwise, in wrapping uint64, in two buffers."""
     x = (h ^ part) + _GOLDEN
-    z = (x ^ (x >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+    for shift, mix in ((_S30, _MIX1), (_S27, _MIX2)):
+        x ^= x >> shift
+        x *= mix
+    x ^= x >> _S31
+    return x
 
 
 def _keys(spec: CurveEnsembleSpec, index: np.ndarray) -> np.ndarray:
@@ -205,10 +203,10 @@ def _draw(spec: CurveEnsembleSpec, keys: np.ndarray, attempt: int) -> np.ndarray
     key (seed, index, mode, slot, attempt) folded by splitmix64, over 2^64.
     Counter-based: an index draws alone what it draws in a chunk, with the
     same bits on every platform."""
-    h = _fold(keys, np.uint64(attempt))
-    bound = np.array([((j + 1) // 2 + 1.0) ** (-spec.amplitude_decay)
-                      for j in range(len(keys))])[:, None]
-    return (2.0 * (h.astype(np.float64) / 2.0 ** 64) - 1.0) * bound
+    u = _fold(keys, np.uint64(attempt)) * 2.0 ** -63 - 1.0   # 2 u / 2^64 - 1
+    u *= np.array([((j + 1) // 2 + 1.0) ** (-spec.amplitude_decay)
+                   for j in range(len(keys))])[:, None]
+    return u
 
 
 def random_curve(spec: CurveEnsembleSpec, index: int) -> SupportFourier:
@@ -235,12 +233,14 @@ def random_curve(spec: CurveEnsembleSpec, index: int) -> SupportFourier:
             min_b = float(np.min(beta_of(rest).evaluate(theta)))
             lift = max(0.1 - min_p, 0.1 - min_b, 0.0) + 1e-9
             return SupportFourier(max(c[0], 0.0) + lift, modes)
-        if spec.constraint is Constraint.POSITIVE_AREA:
-            if algebraic_area(p) > 0.01:
-                return p
-            continue
-        return p
-    raise RejectionExhaustedError(
+        if spec.constraint is not Constraint.POSITIVE_AREA \
+                or algebraic_area(p) > 0.01:
+            return p
+    raise _exhausted(spec, index)
+
+
+def _exhausted(spec: CurveEnsembleSpec, index: int) -> RejectionExhaustedError:
+    return RejectionExhaustedError(
         f"no curve satisfying {spec.constraint.value} after 10000 resamples "
         f"(seed {spec.seed}, index {index})")
 
@@ -249,12 +249,8 @@ def equality_family(a0: float, a1: float, b1: float,
                     a2: float, b2: float) -> SupportFourier:
     """The 5-parameter mode-{0,1,2} family saturating the tau = 8 and
     xi = 24 inequalities (parallel curves of astroids centered at (a1, b1))."""
-    modes = []
-    if a1 != 0.0 or b1 != 0.0:
-        modes.append((1, a1, b1))
-    if a2 != 0.0 or b2 != 0.0:
-        modes.append((2, a2, b2))
-    return SupportFourier(a0, tuple(modes))
+    return SupportFourier(a0, tuple((k, a, b) for k, a, b in (
+        (1, a1, b1), (2, a2, b2)) if a != 0.0 or b != 0.0))
 
 
 def _columns(c: np.ndarray) -> Columns:
@@ -263,25 +259,30 @@ def _columns(c: np.ndarray) -> Columns:
         range(1, len(c) // 2 + 1), c[1::2], c[2::2])))
 
 
+def _entries_per_curve(spec: CurveEnsembleSpec) -> int:
+    """The convex lift's grid, or the four (2K+1)-row arrays of a rejection
+    round: keys, coefficients, the draw and _fold's buffer."""
+    convex = spec.constraint is Constraint.CONVEX
+    return max(4 * (spec.K + 1), 256) if convex else 4 * (2 * spec.K + 1)
+
+
 def _chunk(spec: CurveEnsembleSpec, start: int, stop: int) -> np.ndarray:
-    """Coefficient rows of curves start..stop-1 as random_curve gives them:
-    drawn at once, positive-area's rejects redrawn with attempt + 1, and the
-    convex lift's p and beta evaluated on Columns."""
-    c, todo = np.empty((2 * spec.K + 1, stop - start)), np.arange(stop - start)
-    keys = _keys(spec, start + todo)
-    for attempt in range(_ARRAY_ROUNDS):
-        c[:, todo] = _draw(spec, keys[:, todo], attempt)
-        todo = todo[~(algebraic_area(_columns(c[:, todo])) > 0.01)] \
-            if spec.constraint is Constraint.POSITIVE_AREA else todo[:0]
-        if not todo.size:
-            break
-    for i in todo:      # in index order, so the first to exhaust raises
-        curve = random_curve(spec, start + int(i))
-        c[:, i] = [curve.a0] + [x for _, a, b in curve.modes for x in (a, b)]
+    """Coefficient rows of curves start..stop-1 as random_curve gives them."""
+    keys = _keys(spec, np.arange(start, stop))
+    c = _draw(spec, keys, 0)
+    if spec.constraint is Constraint.POSITIVE_AREA:
+        todo, attempt = np.flatnonzero(~(algebraic_area(_columns(c)) > 0.01)), 0
+        while todo.size:
+            if (attempt := attempt + 1) == 10_000:
+                raise _exhausted(spec, start + int(todo[0]))
+            d = _draw(spec, keys[:, todo], attempt)
+            ok = algebraic_area(_columns(d)) > 0.01
+            c[:, todo[ok]] = d[:, ok]
+            todo = todo[~ok]
     if spec.constraint is Constraint.ZERO_LENGTH:
         c[0] = 0.0
     elif spec.constraint is Constraint.CONVEX:
-        theta = uniform_grid(max(4 * (spec.K + 1), 256))
+        theta = uniform_grid(_entries_per_curve(spec))
         rest = _columns(c)._replace(a0=np.zeros(c.shape[1]))
         p, beta = (SupportFourier.evaluate(x, theta)
                    for x in (rest, beta_of(rest)))
@@ -298,7 +299,7 @@ def run_ensemble(spec: CurveEnsembleSpec,
     go to the lowest index.  The witness is rebuilt by random_curve, and its
     own slack must equal the column minimum bit for bit."""
     low, best, violations = [0.0] * len(rows), [0] * len(rows), [0] * len(rows)
-    size = max(1, CHUNK_ENTRIES // max(4 * (spec.K + 1), 256))
+    size = max(1, CHUNK_ENTRIES // _entries_per_curve(spec))
     for start in range(0, spec.count, size):
         m = moments(_columns(_chunk(spec, start,
                                     min(start + size, spec.count))))
@@ -308,6 +309,7 @@ def run_ensemble(spec: CurveEnsembleSpec,
             violations[j] += int(np.count_nonzero(~(col >= -SLACK_TOL)))
             if start == 0 or col[i] < low[j]:
                 low[j], best[j] = float(col[i]), start + i
+        del m   # this chunk's arrays go before the next chunk is drawn
     witness = {i: moments(random_curve(spec, i)) for i in sorted(set(best))}
     for row, slack, i in zip(rows, low, best):
         if row(witness[i]).hex() != slack.hex():

@@ -330,6 +330,12 @@ class TestCliMain:
         assert line.startswith("singular_angles = [")
         assert line.count(",") + 1 == 4
 
+    def test_analyze_subnormal_curve_is_not_a_point(self, tmp_path, capsys):
+        f = tmp_path / "tiny.curve"
+        f.write_text("a0 = 1e-320\nmode 2 = 0 1e-320\n")
+        assert cli_main(["analyze", "--curve", str(f)]) == 0
+        assert "class = ell-convex-nonconvex" in capsys.readouterr().out
+
     def test_svg_of_a_late_state_with_subnormal_beta(self, tmp_path,
                                                      monkeypatch):
         # figure1d's mode 2 of beta, 6 e^{-3t}, is subnormal by t = 240

@@ -410,6 +410,17 @@ class TestClassify:
         cls = classify(SupportFourier(0.0, ((1, 1.0, 1.0),)))
         assert cls.kind is CurveKind.DEGENERATE_POINT
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e-15, 1e-300])
+    def test_scaled_figure1a_is_not_a_point(self, scale):
+        # beta = 0 is the point; any scale of figure1a keeps its four cusps
+        p = SupportFourier(2.0 * scale, ((2, 0.0, scale),))
+        assert classify(p).kind is CurveKind.ELL_CONVEX_NONCONVEX
+        assert len(singular_angles(p)) == 4
+
+    def test_mode_one_at_any_size_is_a_point(self):
+        cls = classify(SupportFourier(0.0, ((1, 1e300, -1e-300),)))
+        assert cls.kind is CurveKind.DEGENERATE_POINT
+
     def test_close_pairs_are_nonconvex(self):
         # beta > 0 at every point of the 64-point grid, yet it has four roots
         cls = classify(P_CLOSE_PAIRS)

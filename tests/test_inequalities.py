@@ -343,10 +343,13 @@ ALL_TAUS, ALL_XIS = [0.0, 4.0, 8.0, 9.0], [0.0, 12.0, 24.0, 25.0]
 
 
 @pytest.mark.parametrize("constraint", list(Constraint))
-def test_first_10k_indices_match_per_curve_oracle(constraint):
-    # 10^4 curves at K = 8 span several chunks of CHUNK_ENTRIES // 256
+def test_first_10k_indices_match_per_curve_oracle(constraint, monkeypatch):
+    # with 2^16 entries a chunk, 10^4 curves at K = 8 span several chunks
+    # under every constraint: 256 curves each for convex, 963 for the rest
+    monkeypatch.setattr(inequalities, "CHUNK_ENTRIES", 1 << 16)
     spec = CurveEnsembleSpec(42, 10_000, 8, constraint=constraint)
-    assert spec.count > 2 * inequalities.CHUNK_ENTRIES // 256
+    assert spec.count > 2 * (inequalities.CHUNK_ENTRIES
+                             // inequalities._entries_per_curve(spec))
     rows = inequality_table(ALL_TAUS, ALL_XIS,
                             constraint is Constraint.ZERO_LENGTH)
     assert ensemble_reports(spec, rows) == oracle_reports(spec, rows)
@@ -364,12 +367,10 @@ def ensemble_specs(draw, counts):
                              draw(st.floats(low, 3.0)), constraint)
 
 
-def chunked_reports(spec, rows, per_chunk, rounds=64):
-    """run_ensemble with chunks of per_chunk curves, and positive-area
-    rejects left to random_curve after `rounds` array rounds."""
-    entries = per_chunk * max(4 * (spec.K + 1), 256)
-    with mock.patch.object(inequalities, "CHUNK_ENTRIES", entries), \
-            mock.patch.object(inequalities, "_ARRAY_ROUNDS", rounds):
+def chunked_reports(spec, rows, per_chunk):
+    """run_ensemble with chunks of per_chunk curves."""
+    entries = per_chunk * inequalities._entries_per_curve(spec)
+    with mock.patch.object(inequalities, "CHUNK_ENTRIES", entries):
         return ensemble_reports(spec, rows)
 
 
@@ -377,11 +378,18 @@ def chunked_reports(spec, rows, per_chunk, rounds=64):
 @settings(max_examples=60, deadline=None)
 def test_chunked_ensemble_matches_per_curve_oracle(spec, data):
     per_chunk = data.draw(st.integers(1, spec.count - 1))   # >= 2 chunks
-    rounds = data.draw(st.sampled_from([1, 2, 64]))
     rows = inequality_table(ALL_TAUS, ALL_XIS,
                             spec.constraint is Constraint.ZERO_LENGTH)
-    assert chunked_reports(spec, rows, per_chunk, rounds) == \
+    assert chunked_reports(spec, rows, per_chunk) == \
         oracle_reports(spec, rows)
+
+
+def test_hundreds_of_rejection_rounds_match_per_curve_oracle():
+    # at K = 3 with no amplitude decay about one draw in a hundred has
+    # A > 0.01: the last of these 40 curves is accepted at attempt 430
+    spec = CurveEnsembleSpec(7, 40, 3, 0.0, Constraint.POSITIVE_AREA)
+    rows = inequality_table(ALL_TAUS, ALL_XIS, False)
+    assert chunked_reports(spec, rows, 16) == oracle_reports(spec, rows)
 
 
 def test_ties_go_to_the_first_index():
@@ -416,6 +424,15 @@ def test_rejection_exhausted_names_the_first_index():
     message = "after 10000 resamples (seed 1, index 0)"
     with pytest.raises(RejectionExhaustedError, match=re.escape(message)):
         run_ensemble(spec, inequality_table([], [], False))
+
+
+@pytest.mark.parametrize("start", [1, 2])
+def test_rejection_exhausted_names_the_global_index(start):
+    # the array rounds of a chunk starting at `start` name its first curve
+    spec = CurveEnsembleSpec(1, 3, 16, 0.0, Constraint.POSITIVE_AREA)
+    message = f"after 10000 resamples (seed 1, index {start})"
+    with pytest.raises(RejectionExhaustedError, match=re.escape(message)):
+        inequalities._chunk(spec, start, 3)
 
 
 class TestFlowMonotonicity:
