@@ -16,14 +16,16 @@ form (the support-function form of Gage's area-preserving flow).  It needs no
 time stepper, so dt only sets the record spacing.  A method-of-lines GridRK4
 scheme on default_grid_size(K) points is the independent oracle: in rfft modes
 it advances modes k >= 1 by RK4's amplification factor, a0 stepped with the
-Parseval lambda (step_grid_rk4).  Every run takes sup_dev there.
+Parseval lambda (step_grid_rk4), under the length flow only until a0 reaches
+its fixed point.  Every run takes sup_dev there.
 
 run computes its record rows a chunk of record times at a time: the closed
-form, or the analyzed grid states, at those times as Columns, every field
-from their moments, and sup_dev from _sup_dev's BLAS-screened rows x grid_n
-block.  A field that is not finite raises InputError.  diagnostics computes
-the final row again (E2 through derivative, sup_dev on the whole grid) from
-the final state; a field that differs in any bit raises RuntimeError.
+form, or the chunk's grid states analyzed in one stack, at those times as
+Columns, every field from their moments, and sup_dev from _sup_dev's
+BLAS-screened rows x grid_n block.  A field that is not finite raises
+InputError.  diagnostics computes the final row again (E2 through
+derivative, sup_dev on the whole grid) from the final state; a field that
+differs in any bit raises RuntimeError.
 
 lambda_area raises DegenerateLengthError when |L| < LAMBDA_FLOOR; runs start
 from A > 0 and keep |L| >= 2*sqrt(pi*A), so only direct calls reach the floor.
@@ -42,8 +44,8 @@ import numpy as np
 from .curves import (TABLE_MAX_ENTRIES, TWO_PI, Columns, InputError,
                      SupportFourier, _grid_table, algebraic_area,
                      isoperimetric_deficit, uniform_grid)
-from .spectral import (GridFunction, analyze, default_grid_size, derivative,
-                       l2_quantities, moments, synthesize)
+from .spectral import (GridFunction, analyze, column, default_grid_size,
+                       derivative, l2_quantities, moments, synthesize)
 
 #: |L| below this leaves lambda_area = (1/L) int beta^2 undefined.
 LAMBDA_FLOOR = 1e-9
@@ -257,41 +259,46 @@ def step_grid_rk4(state: GridFlowState, dt: float, flow_type: FlowType,
     with modes k <= min(k_cut, n/2) of V = rfft(v): modes k >= 1 by RK4's
     amplification factor, a0 stepped with the Parseval lambda.  A mode
     k >= 1 has right-hand side (1 - k^2) U_k, so stage s of step j takes
-    g_s R^j V_k (_rk4_modes).  The float u = Re U_0 alone runs the stages:
-    L = 2 pi/n u, int beta^2 = 2 pi/n^2 (u^2 + E[j, s]), E[j, s] = sum_k
-    w_k (1 - k^2)^2 g_s^2 R^2j |V_k|^2 in one product per CHUNK_ENTRIES
-    powers, f = u - n lambda (t + dt per step).  Then v + irfft([sum of u's
-    increments, (R^steps - 1) V_k]).  Oracle of step_exact_modal."""
+    g_s R^j V_k (_rk4_modes).  The float u = Re U_0 alone runs the stages,
+    f = u - n lambda (t + dt per step), with L = 2 pi/n u: lambda = L/2pi
+    (length flow; u is fixed from its first increment of 0.0 on), or int
+    beta^2 / L, int beta^2 = 2 pi/n^2 (u^2 + E[j, s]), E[j, s] = sum_k w_k
+    (1 - k^2)^2 g_s^2 R^2j |V_k|^2 in one product per CHUNK_ENTRIES powers.
+    Then v + irfft([sum of u's increments, (R^steps - 1) V_k])."""
     if not isinstance(steps, int) or steps < 1:
         raise InputError(f"steps must be an int >= 1, got {steps!r}")
     _check_stability(dt, state.k_cut)
     v, t, n = state.grid.values, state.t, state.grid.n
     table = _rk4_modes(n, state.k_cut, dt)
     V = np.fft.rfft(v)[:table.shape[1] + 1]
-    R, cg = table[0], (table[1:] * (V[1:].real ** 2 + V[1:].imag ** 2)).T
+    R, lam = table[0], lambda_area
     h, w, half, sixth = TWO_PI / n, TWO_PI / (n * n), 0.5 * dt, dt / 6.0
-    area, lam = flow_type is FlowType.AREA_PRESERVING, lambda_area
     u = u0 = float(V[0].real)
-    d0, block = 0.0, max(1, CHUNK_ENTRIES // max(R.size, 1))
-    for j0 in range(0, steps, block):
-        j = np.arange(j0, min(j0 + block, steps), dtype=float)
-        # two rows at least: numpy sends a one-row product to gemv, which
-        # sums in another order than gemm, so E would depend on the block
-        P = R ** (2.0 * np.resize(j, max(j.size, 2))[:, None])
-        for e1, e2, e3, e4 in (P @ cg)[:j.size].tolist():
-            # f = x - n lambda: L = h x, int beta^2 = w (x^2 + e) at input x
-            if area:
-                f1 = u - n * lam(h * u, w * (u * u + e1), t)
-                f2 = (x := u + half * f1) - n * lam(h * x, w * (x * x + e2), t)
-                f3 = (x := u + half * f2) - n * lam(h * x, w * (x * x + e3), t)
-                f4 = (x := u + dt * f3) - n * lam(h * x, w * (x * x + e4), t)
-            else:
+    d0, inc, block = 0.0, 1.0, max(1, CHUNK_ENTRIES // max(R.size, 1))
+    if flow_type is FlowType.LENGTH_PRESERVING:
+        for _ in range(steps):
+            if inc != 0.0:  # f = x - n L/2pi: u is fixed once inc is 0.0
                 f1 = u - n * (h * u / TWO_PI)
                 f2 = (x := u + half * f1) - n * (h * x / TWO_PI)
                 f3 = (x := u + half * f2) - n * (h * x / TWO_PI)
                 f4 = (x := u + dt * f3) - n * (h * x / TWO_PI)
-            d0 += sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+                d0 += (inc := sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4))
             u, t = u0 + d0, t + dt
+    else:
+        cg = (table[1:] * (V[1:].real ** 2 + V[1:].imag ** 2)).T
+        for j0 in range(0, steps, block):
+            j = np.arange(j0, min(j0 + block, steps), dtype=float)
+            # two rows at least: numpy sends a one-row product to gemv, which
+            # sums in another order than gemm, so E would depend on the block
+            P = R ** (2.0 * np.resize(j, max(j.size, 2))[:, None])
+            for e1, e2, e3, e4 in (P @ cg)[:j.size].tolist():
+                # f = x - n lambda: L = h x, int beta^2 = w (x^2 + e) at x
+                f1 = u - n * lam(h * u, w * (u * u + e1), t)
+                f2 = (x := u + half * f1) - n * lam(h * x, w * (x * x + e2), t)
+                f3 = (x := u + half * f2) - n * lam(h * x, w * (x * x + e3), t)
+                f4 = (x := u + dt * f3) - n * lam(h * x, w * (x * x + e4), t)
+                d0 += sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+                u, t = u0 + d0, t + dt
     D = np.concatenate(([d0], (R ** steps - 1.0) * V[1:]))
     return GridFlowState(t, GridFunction(v + np.fft.irfft(D, n)), state.k_cut)
 
@@ -387,10 +394,12 @@ def _columns(config: FlowConfig, chunks, grid_n: int):
     Columns and the functions that build their FlowStates.  The modal scheme
     evaluates its closed form at the chunk's times, or at one time after
     another in a chunk where the flow degenerates.  The grid scheme advances
-    RK4 one record interval per call and analyzes the grid at each record:
-    Columns over modes 1..k_cut, 0.0 where analyze drops a mode, and each
-    FlowState keeps the analyzed series.  An error met while stepping a chunk
-    is raised after the records it already stepped."""
+    RK4 one record interval per call, then analyzes the chunk's record grids
+    as one stack: Columns over modes 1..k_cut, +0.0 where analyze drops a
+    mode, and each FlowState keeps the series analyze gives its grid.  An
+    error met while stepping a chunk, or a record whose series is not finite
+    (the InputError analyze raises for its grid), is raised after the
+    records before it."""
     flow_type, dt = config.flow_type, config.dt
     if config.scheme is Scheme.EXACT_MODAL:
         for ts in ([step * dt for step in steps] for steps in chunks):
@@ -408,24 +417,25 @@ def _columns(config: FlowConfig, chunks, grid_n: int):
     gstate = GridFlowState(0.0, synthesize(config.initial, grid_n), k_cut)
     done = 0
     for steps in chunks:
-        ps, error = [], None
+        grids, error = [], None
         try:
             for step in steps:
                 if step > done:
                     gstate = step_grid_rk4(gstate, dt, flow_type, step - done)
-                ps.append(analyze(gstate.grid, k_cut))
+                grids.append(gstate.grid.values)
                 done = step
         except Exception as exc:    # raised below, after the rows stepped
             error = exc
-        if ps:
-            ab = np.zeros((k_cut, 2, len(ps)))
-            for i, p in enumerate(ps):
-                for k, a, b in p.modes:
-                    ab[k - 1, :, i] = a, b
-            ts = [step * dt for step in steps[:len(ps)]]
-            yield ts, Columns(np.array([p.a0 for p in ps]), tuple(
-                (k, a, b) for k, (a, b) in enumerate(ab, 1))), [
-                functools.partial(FlowState, t, p) for t, p in zip(ts, ps)]
+        c = analyze(np.reshape(grids, (-1, grid_n)), k_cut)
+        ok = np.isfinite([c.a0, *(x for m in c.modes for x in m[1:])]).all(0)
+        if not ok.all():    # a row's bits do not depend on the rows after it
+            j, error = np.argmin(ok), InputError("non-finite coefficient")
+            c = Columns(c.a0[:j], tuple((k, a[:j], b[:j])
+                                        for k, a, b in c.modes))
+        if len(c.a0):
+            ts = [step * dt for step in steps[:len(c.a0)]]
+            yield ts, c, [lambda t=t, c=c, i=i: FlowState(t, column(c, i))
+                          for i, t in enumerate(ts)]
         if error is not None:
             raise error
 

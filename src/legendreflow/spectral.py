@@ -2,8 +2,8 @@
 
 The numerical substrate for oracles, diagnostics and the `moments` of a curve.
 All integrals over the circle use the uniform trapezoid rule, exact for
-trigonometric polynomials of degree < N; the DFT is one O(N*K) product of
-the samples with the K x N cos (sin) rows, each row summed pairwise.
+trigonometric polynomials of degree < N; the DFT of one grid or a stack of
+sample rows is one product with the K x N cos (sin) rows, summed pairwise.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.shape[0] < 8 or v.shape[0] & (v.shape[0] - 1):
-            raise InputError("values must be 1-D with N a power of two >= 8")
-        if not np.all(np.isfinite(v)):
-            raise InputError("non-finite grid values")
-        v = v.copy()
+        v = _samples(self.values, 1).copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -58,30 +53,53 @@ def synthesize(p: SupportFourier, n: int) -> GridFunction:
     return GridFunction(p.evaluate(theta))
 
 
-def analyze(g: GridFunction, K: int) -> SupportFourier:
-    """Discrete Fourier coefficients up to mode K.
+def _samples(values, ndim: int) -> np.ndarray:
+    """values as floats, checked: ndim axes, the last of N samples with N a
+    power of two >= 8, and every sample finite."""
+    v = np.asarray(values, dtype=float)
+    n = v.shape[-1] if v.ndim else 0
+    if v.ndim != ndim or n < 8 or n & (n - 1):
+        raise InputError(f"values must be {ndim}-D with N a power of two >= 8")
+    if not np.all(np.isfinite(v)):
+        raise InputError("non-finite grid values")
+    return v
 
-    a_k = (2/N) sum g_j cos(k theta_j), b_k likewise, a0 = mean(g); the exact
-    inverse of synthesize for trig polynomials of degree <= K.  Each half is
-    one product g * cos(k theta_j) (K x N; rows from evaluate's cached table,
-    else in blocks of TABLE_MAX_ENTRIES) with its rows summed pairwise.
-    """
-    if 2 * K + 2 > g.n:
-        raise AliasError(f"cannot recover K={K} modes from {g.n} samples")
-    v = g.values
-    theta = uniform_grid(g.n)
-    table = _grid_table(theta, K)
-    block = max(1, TABLE_MAX_ENTRIES // g.n)    # the whole table is one block
-    ab = np.empty((2, K))
-    for k0 in range(0, K, block):
-        k1 = min(k0 + block, K)
+
+@np.errstate(over="ignore", invalid="ignore")
+def analyze(g: GridFunction | np.ndarray, K: int):
+    """Discrete Fourier coefficients up to mode K, the exact inverse of
+    synthesize for degree <= K: of the GridFunction g as a SupportFourier
+    without its modes where a_k = b_k = 0, or of each row v of the (rows, N)
+    samples g (checked as GridFunction checks its values) as Columns, +0.0
+    there.  a_k = (2/N) sum v_j cos(k theta_j), b_k likewise, a0 = mean(v);
+    each half is one product g * cos(k theta_j) (evaluate's cached table, else
+    per mode) summed pairwise along its last axis, in blocks of at most
+    TABLE_MAX_ENTRIES products, so a row's bits do not depend on the others.
+    Sums that overflow give non-finite Columns (InputError for a grid)."""
+    V = g.values[None] if isinstance(g, GridFunction) else _samples(g, 2)
+    rows, n = V.shape
+    if 2 * K + 2 > n:
+        raise AliasError(f"cannot recover K={K} modes from {n} samples")
+    theta = uniform_grid(n)
+    table, kb = _grid_table(theta, K), max(1, min(K, TABLE_MAX_ENTRIES // n))
+    rb, ab = max(1, TABLE_MAX_ENTRIES // (kb * n)), np.empty((2, K, rows))
+    for k0 in range(0, K, kb):
+        k1 = min(k0 + kb, K)
         for half, trig in enumerate((np.cos, np.sin)):
-            rows = table[half][k0:k1] if table is not None else np.array(
+            tr = table[half][k0:k1] if table is not None else np.array(
                 [trig(k * theta) for k in range(k0 + 1, k1 + 1)])
-            ab[half, k0:k1] = 2.0 / g.n * np.sum(v * rows, axis=1)
-    return SupportFourier(float(np.mean(v)), tuple(
-        (k, a, b) for k, (a, b) in enumerate(ab.T.tolist(), 1)
-        if a != 0.0 or b != 0.0))
+            for r0 in range(0, rows, rb):
+                ab[half, k0:k1, r0:r0 + rb] = 2.0 / n * np.sum(
+                    V[r0:r0 + rb, None, :] * tr, axis=2).T
+    ab[:, (ab[0] == 0.0) & (ab[1] == 0.0)] = 0.0
+    c = Columns(np.mean(V, axis=1), tuple(zip(range(1, K + 1), *ab)))
+    return column(c, 0) if isinstance(g, GridFunction) else c
+
+
+def column(c: Columns, i: int) -> SupportFourier:
+    """Column i of c, without the modes where a_k = b_k = 0."""
+    return SupportFourier(c.a0[i], tuple((k, a[i], b[i]) for k, a, b in
+                          c.modes if a[i] != 0.0 or b[i] != 0.0))
 
 
 def derivative(p: SupportFourier, order: int = 1) -> SupportFourier:

@@ -1,15 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import re
 import shlex
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from legendreflow import (FlowConfig, FlowState, FlowType, SupportFourier,
                           algebraic_area, algebraic_length, cli,
@@ -523,6 +526,69 @@ class TestCliMain:
             assert algebraic_area(p) == pytest.approx(area, abs=1e-12)
         astroid = parse_curve_file(outdir / "figure1d.curve")
         assert algebraic_length(astroid) == 0.0
+
+
+@st.composite
+def edge_simulations(draw):
+    """A curve file's text and simulate options: K <= 16, coefficients
+    m * 10^e written as text for e from -320 to 300 (so that subnormals
+    parse as such), both flows and schemes, the grid's dt within its
+    stability bound, at most 50 steps, 7 per record interval, and maybe SVG
+    snapshots."""
+    coef = st.builds("{}e{}".format, st.sampled_from(
+        ["0", "-0", "1", "-1", "2.5", "-9.75"]), st.integers(-320, 300))
+    ks = sorted(draw(st.sets(st.integers(1, 16), max_size=5)))
+    text = "".join([f"a0 = {draw(coef)}\n"] + [
+        f"mode {k} = {draw(coef)} {draw(coef)}\n" for k in ks])
+    scheme = draw(st.sampled_from(["modal", "grid"]))
+    bound = 1.0 / (max(ks, default=1) ** 2 + 1.0)
+    dt = draw(st.sampled_from([bound, 0.5 * bound] if scheme == "grid"
+                              else [1e-3, 0.01, 0.25]))
+    options = ["--flow", draw(st.sampled_from(["length", "area"])),
+               "--scheme", scheme, "--dt", repr(dt),
+               "--t-final", repr(draw(st.integers(0, 50)) * dt),
+               "--record-every", str(draw(st.integers(1, 7)))]
+    if draw(st.booleans()):
+        options += ["--svg-every", str(draw(st.integers(1, 3)))]
+    return text, options
+
+
+class TestEdgeInputs:
+    # exit 0 with every CSV value finite, or exit 1 with one error line;
+    # never an exception or a RuntimeWarning
+    @given(edge_simulations())
+    # analyze's sums of 256 samples of 1e306 overflow: "non-finite
+    # coefficient", where numpy used to warn first
+    @example(("a0 = 1e306\nmode 2 = 0.3 -0.1\n", [
+        "--flow", "length", "--scheme", "grid", "--dt", "1e-3",
+        "--t-final", "0.01", "--record-every", "1", "--svg-every", "1"]))
+    @example(("a0 = 3\nmode 2 = 0 1e200\n", [
+        "--flow", "length", "--scheme", "grid", "--dt", "0.2",
+        "--t-final", "1.0", "--record-every", "2"]))
+    @example(("a0 = 1e-320\nmode 2 = 0 1e-320\n", [
+        "--flow", "area", "--scheme", "modal", "--dt", "0.25",
+        "--t-final", "2.5", "--record-every", "3", "--svg-every", "1"]))
+    @settings(max_examples=40, deadline=None)
+    def test_simulate_exits_cleanly(self, tmp_path_factory, sim):
+        text, options = sim
+        d = tmp_path_factory.mktemp("edge")
+        (d / "c.curve").write_text(text)
+        argv = ["simulate", "--curve", str(d / "c.curve"),
+                "--out", str(d / "t.csv"), *options]
+        if "--svg-every" in options:
+            argv += ["--svg-dir", str(d / "svg")]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli_main(argv)
+        if rc == 0:
+            rows = read_trace_csv(d / "t.csv")
+            assert rows and all(math.isfinite(x) for row in rows
+                                for x in row.values())
+        else:
+            assert rc == 1 and re.fullmatch(r"error: \w+: [^\n]+\n",
+                                            err.getvalue()), err.getvalue()
 
 
 class TestSharedParser:

@@ -206,7 +206,71 @@ def smooth_support(seed: int, K: int, decay: float = 2.0) -> SupportFourier:
         for k in range(1, K + 1)))
 
 
+# The benchmark generator's seed-7 sparse_k16 curve: under the length flow
+# on 256 points at dt = 1e-3, the increment of u = Re U_0 stays nonzero for
+# 500 steps and is exactly 0.0 from step 500 on
+P_SPARSE_SEED7 = SupportFourier(13.04890429751273, (
+    (1, -0.2678884751489557, 0.21098734965948024),
+    (2, 0.13470178663731164, -0.12235336233832458),
+    (3, 0.07402855915032813, -0.08551653531123837),
+    (4, 0.03174226591277602, -0.0387699713819492),
+    (5, -0.023378562307542507, -0.004772465131428738),
+    (6, -0.016264904649054564, 0.04033836910436753),
+    (7, 0.013347973174288786, 0.0006163334095158993),
+    (8, 0.0006601730807045896, -0.017904473281670507),
+    (9, 0.0227949006947046, -0.00026504827393366263),
+    (10, -0.02663298453887167, -0.003018818592844921),
+    (11, -0.0024660019270997128, 0.012810981719654065),
+    (12, -0.013768988945554414, 0.010428365505866434),
+    (13, -0.015112907059884514, -0.002779791526176556),
+    (14, 0.005015752088180467, 0.014967654577506423),
+    (15, -0.008432514257591003, -0.014985660927006351),
+    (16, -0.014183221740149196, -0.013091908740109562)))
+
+
+def length_stages_without_exit(state: GridFlowState, dt: float, steps: int):
+    """step_grid_rk4's length flow as a plain stage loop that runs every
+    step: (d0, t, samples, the first step whose increment is 0.0)."""
+    v, t, n = state.grid.values, state.t, state.grid.n
+    table = flows._rk4_modes(n, state.k_cut, dt)
+    V = np.fft.rfft(v)[:table.shape[1] + 1]
+    h, half, sixth = TWO_PI / n, 0.5 * dt, dt / 6.0
+    u = u0 = float(V[0].real)
+    d0, first_zero = 0.0, None
+    for j in range(steps):
+        f1 = u - n * (h * u / TWO_PI)
+        f2 = (x := u + half * f1) - n * (h * x / TWO_PI)
+        f3 = (x := u + half * f2) - n * (h * x / TWO_PI)
+        f4 = (x := u + dt * f3) - n * (h * x / TWO_PI)
+        inc = sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        if inc == 0.0 and first_zero is None:
+            first_zero = j
+        d0 += inc
+        u, t = u0 + d0, t + dt
+    D = np.concatenate(([d0], (table[0] ** steps - 1.0) * V[1:]))
+    return d0, t, v + np.fft.irfft(D, n), first_zero
+
+
 class TestStepGridRK4:
+    @pytest.mark.parametrize("grid, k_cut, first_zero", [
+        (synthesize(P_SPARSE_SEED7, 256), 16, 500),
+        (synthesize(P_FIG_A, 256), 2, 0),
+        # u0 = -0.0 turns +0.0 at step 0, then stays
+        (GridFunction(np.full(64, -0.0)), 2, 0)])
+    @pytest.mark.parametrize("steps", [1, 499, 500, 501, 1200])
+    def test_length_flow_stops_at_its_fixed_point_bit_for_bit(
+            self, grid, k_cut, first_zero, steps):
+        state = GridFlowState(0.25, grid, k_cut)
+        d0, t, samples, zero_at = length_stages_without_exit(state, 1e-3,
+                                                             steps)
+        assert zero_at == (first_zero if first_zero < steps else None)
+        with mock.patch.object(np.fft, "irfft", wraps=np.fft.irfft) as spy:
+            got = step_grid_rk4(state, 1e-3, FlowType.LENGTH_PRESERVING,
+                                steps)
+        assert spy.call_args.args[0][0].real.hex() == d0.hex()
+        assert got.t.hex() == t.hex()
+        assert got.grid.values.tobytes() == samples.tobytes()
+
     def test_circle_fixed_point(self):
         g = GridFlowState(0.0, synthesize(SupportFourier(1.5), 64), 1)
         for ft in FlowType:
@@ -800,6 +864,28 @@ class TestChunkedRows:
                 pytest.raises(InputError, match="^injected$"):
             run(config, lambda i, s: hooked.append(i))
         assert hooked == [0, 1, 2, 3, 4]
+
+    def test_non_finite_series_mid_chunk_comes_after_the_records_before_it(
+            self):
+        # the third call returns samples of 1e307, whose sum overflows:
+        # analyze rejects record 3's series, so records 0-2 reach on_record,
+        # though the chunk steps on and fails again at its next call
+        config = FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, t_final=0.1,
+                            dt=1e-2, scheme=Scheme.GRID_RK4)
+        calls, hooked = [], []
+
+        def huge_third(state, *args):
+            calls.append(args)
+            if len(calls) == 3:
+                return GridFlowState(state.t, GridFunction(
+                    np.full(state.grid.n, 1e307)), state.k_cut)
+            return step_grid_rk4(state, *args)
+        with mock.patch.object(flows, "step_grid_rk4", huge_third), \
+                pytest.raises(InputError, match="^non-finite coefficient$"):
+            run(config, lambda i, s: hooked.append(i))
+        assert hooked == [0, 1, 2] and len(calls) == 4
+        with pytest.raises(InputError, match="^non-finite coefficient$"):
+            analyze(GridFunction(np.full(256, 1e307)), 2)
 
     def test_final_row_check(self):
         config = FlowConfig(AREA, P_FIG_A, t_final=0.1, dt=1e-2)

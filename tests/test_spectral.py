@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 
 from legendreflow import (AliasError, DegenerateLengthError, FlowState,
-                          FlowType, GridFunction, Moments, NotZeroLengthError,
-                          SupportFourier, algebraic_area, algebraic_length,
+                          FlowType, GridFunction, InputError, Moments,
+                          NotZeroLengthError, SupportFourier,
+                          algebraic_area, algebraic_length,
                           analyze, beta_of, check_beta2_family,
                           check_beta2_zero_length, check_grad_family,
                           check_grad_zero_length, check_isoperimetric,
@@ -114,6 +115,88 @@ class TestAnalyze:
         assert got == _per_mode_bytes(v, K)
 
 
+class TestAnalyzeStack:
+    @settings(max_examples=60, deadline=None)
+    @given(log_n=st.integers(3, 10), data=st.data())
+    def test_rows_match_per_grid_analyze_bit_for_bit(self, log_n, data):
+        # rows on the cached table or off it, in blocks of at most rb kb n
+        # products (spectral.TABLE_MAX_ENTRIES patched): one row, or rows
+        # across block bounds.
+        # Samples from 1e-300 to 1e300 with +-0.0 among them, and maybe an
+        # all-zero row (every mode exactly zero) or a row whose one nonzero
+        # sample, -5e-324 at theta = 0, makes every a_k = (2/n) (-5e-324) =
+        # -0.0 with b_k = +0.0: analyze drops those modes and the columns
+        # hold +0.0 for them
+        n = 1 << log_n
+        K = data.draw(st.integers(0, n // 2 - 1), label="K")
+        kb = data.draw(st.integers(1, max(K, 1)), label="modes per block")
+        rb = data.draw(st.integers(1, 4), label="rows per block")
+        rows = data.draw(st.sampled_from([1, rb + 1, 3 * rb + 2]),
+                         label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        V = 10.0 ** rng.uniform(-300, 300, (rows, 1)) \
+            * rng.standard_normal((rows, n))
+        zeros = rng.random((rows, n)) < data.draw(st.sampled_from([0, 0.5]))
+        V[zeros] = np.where(rng.random((rows, n)) < 0.5, 0.0, -0.0)[zeros]
+        special = data.draw(st.sampled_from(["", "zero", "-0.0"]))
+        i0 = data.draw(st.integers(0, rows - 1), label="special row")
+        if special:
+            V[i0] = 0.0
+            V[i0, 0] = -5e-324 if special == "-0.0" else 0.0
+        if special == "-0.0":
+            assert all(math.copysign(1.0, 2.0 / n * np.sum(V[i0] * np.cos(
+                k * uniform_grid(n)))) == -1.0 for k in range(1, K + 1))
+        table_cap = data.draw(st.sampled_from([curves.TABLE_MAX_ENTRIES, 0]))
+        with mock.patch.object(curves, "TABLE_MAX_ENTRIES", table_cap), \
+                mock.patch.object(spectral, "TABLE_MAX_ENTRIES", rb * kb * n):
+            c = analyze(V, K)
+            assert [k for k, _, _ in c.modes] == list(range(1, K + 1))
+            for i, v in enumerate(V):
+                want = _analyzed_bytes(v, K)
+                assert _series_bytes(spectral.column(c, i)) == want \
+                    == _per_mode_bytes(v, K)
+                kept = {k for k, _, _ in analyze(GridFunction(v), K).modes}
+                assert all(a[i].tobytes() == b[i].tobytes() == bytes(8)
+                           for k, a, b in c.modes if k not in kept)
+        if special:
+            assert spectral.column(c, i0).modes == ()
+
+    def test_alias_error(self):
+        with pytest.raises(AliasError):
+            analyze(np.zeros((3, 8)), 4)
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 3, 8), ()])
+    def test_rejects_samples_that_are_not_2d(self, shape):
+        with pytest.raises(InputError, match="2-D"):
+            analyze(np.zeros(shape), 1)
+
+    @pytest.mark.parametrize("n", [0, 4, 12, 24])
+    def test_rejects_widths_that_are_not_a_power_of_two_of_8_or_more(self, n):
+        with pytest.raises(InputError, match="power of two >= 8"):
+            analyze(np.zeros((2, n)), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        V = np.zeros((3, 8))
+        V[1, 5] = bad
+        with pytest.raises(InputError, match="non-finite grid values"):
+            analyze(V, 1)
+
+    def test_overflowing_sums_give_non_finite_columns(self):
+        # finite samples whose sums overflow: Columns keep inf in that row
+        # only, where the GridFunction form raises
+        V = np.ones((3, 8))
+        V[1] = 1.5e308
+        c = analyze(V, 1)
+        assert np.isinf(c.a0[1]) and np.isfinite(c.a0[[0, 2]]).all()
+        with pytest.raises(InputError, match="non-finite coefficient"):
+            analyze(GridFunction(V[1]), 1)
+
+
+def _series_bytes(p: SupportFourier) -> bytes:
+    return np.array([p.a0] + [x for m in p.modes for x in m]).tobytes()
+
+
 def _per_mode_bytes(v: np.ndarray, K: int) -> bytes:
     """a0 and each nonzero (k, a_k, b_k) by one np.sum per mode and half."""
     n = v.size
@@ -128,8 +211,7 @@ def _per_mode_bytes(v: np.ndarray, K: int) -> bytes:
 
 
 def _analyzed_bytes(v: np.ndarray, K: int) -> bytes:
-    p = analyze(GridFunction(v), K)
-    return np.array([p.a0] + [x for m in p.modes for x in m]).tobytes()
+    return _series_bytes(analyze(GridFunction(v), K))
 
 
 class TestDerivative:
