@@ -23,9 +23,9 @@ run computes its record rows a chunk of record times at a time: the closed
 form, or the chunk's grid states analyzed in one stack, at those times as
 Columns, every field from their moments, and sup_dev from _sup_dev's
 BLAS-screened rows x grid_n block.  A field that is not finite raises
-InputError.  diagnostics computes the final row again (E2 through
-derivative, sup_dev on the whole grid) from the final state; a field that
-differs in any bit raises RuntimeError.
+InputError.  diagnostics is the same kernel's one-row case, on floats with
+sup_dev from the whole grid; it computes the final row again from the final
+state, and a field that differs in any bit raises RuntimeError.
 
 lambda_area raises DegenerateLengthError when |L| < LAMBDA_FLOOR; runs start
 from A > 0 and keep |L| >= 2*sqrt(pi*A), so only direct calls reach the floor.
@@ -42,8 +42,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .curves import (TABLE_MAX_ENTRIES, TWO_PI, Columns, InputError,
-                     SupportFourier, _grid_table, algebraic_area,
-                     isoperimetric_deficit, uniform_grid)
+                     SupportFourier, _grid_table, algebraic_area, uniform_grid)
 from .spectral import (GridFunction, analyze, column, default_grid_size,
                        derivative, l2_quantities, moments, synthesize)
 
@@ -305,21 +304,9 @@ def step_grid_rk4(state: GridFlowState, dt: float, flow_type: FlowType,
 
 def diagnostics(state: FlowState, flow_type: FlowType,
                 grid_n: int) -> DiagnosticsRow:
-    """All monitored quantities for one trace row, from modal formulas
-    except sup_dev, which is taken on the grid_n-point diagnostic grid."""
-    p = state.p
-    m = moments(p)
-    e2 = l2_quantities(derivative(m.beta))["int_dp2"]
-    theta = uniform_grid(grid_n)
-    sup_dev = float(np.max(np.abs(m.beta.evaluate(theta) - m.L / TWO_PI)))
-    lam = p.a0 if flow_type is FlowType.LENGTH_PRESERVING \
-        else lambda_area(m.L, m.int_b2, state.t)
-    max_abs = max((max(abs(a), abs(b)) for k, a, b in p.modes if k >= 2),
-                  default=0.0)
-    return DiagnosticsRow(
-        t=state.t, L=m.L, A=m.A, deficit=isoperimetric_deficit(p),
-        sup_dev=sup_dev, Q=m.L * m.L / TWO_PI - m.int_b2, lam=lam,
-        E1=m.int_db2, E2=e2, a0=p.a0, max_abs_mode=max_abs)
+    """The trace row of one state: _rows' one-row case, every field a float
+    and sup_dev from evaluate on the whole grid_n-point diagnostic grid."""
+    return _rows(state.t, state.p, flow_type, grid_n)[0]
 
 
 def _sup_dev(beta, center, grid_n: int):
@@ -364,20 +351,19 @@ def _sup_dev(beta, center, grid_n: int):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _rows(t, c, flow_type: FlowType, grid_n: int) -> list[DiagnosticsRow]:
-    """diagnostics of the state c at time t, or of each column i of the
-    Columns c at time t[i]: the moments of c, and sup_dev from _sup_dev's
-    screened block, each field with diagnostics' bits."""
+    """The trace row of the state c at time t, or of each column i of the
+    Columns c at time t[i]: every field from the moments of c, E2 as
+    l2_quantities(derivative(beta)) sums it, and sup_dev from _sup_dev's
+    screened block; a row's bits do not depend on the other rows."""
     m = moments(c)
     lam = c.a0 if flow_type is FlowType.LENGTH_PRESERVING \
         else lambda_area(m.L, m.int_b2, t)
     max_abs = np.max(np.abs([x for k, a, b in c.modes if k >= 2
                              for x in (a, b)]), axis=0, initial=0.0)
-    e2 = 0.0    # int (beta'')^2, as l2_quantities(derivative(beta)) sums it
-    for k, ka, kb in ((k, k * a, k * b) for k, a, b in m.beta.modes):
-        e2 += math.pi * k * k * (kb * kb + ka * ka)
     fields = (t, m.L, m.A, m.L * m.L - 4.0 * math.pi * m.A,
               _sup_dev(m.beta, m.L / TWO_PI, grid_n),
-              m.L * m.L / TWO_PI - m.int_b2, lam, m.int_db2, e2, c.a0, max_abs)
+              m.L * m.L / TWO_PI - m.int_b2, lam, m.int_db2,
+              l2_quantities(derivative(m.beta))["int_dp2"], c.a0, max_abs)
     out = np.empty((len(fields), np.size(t)))
     for j, field in enumerate(fields):
         out[j] = field
@@ -445,15 +431,16 @@ def _records(config: FlowConfig, steps: list[int], grid_n: int):
     its DiagnosticsRow, and a function that builds its FlowState.  _rows
     computes the rows of CHUNK_ENTRIES // grid_n record times at once from
     their _columns; a chunk whose rows meet the length floor is done again
-    row by row, so the rows before the failing one come first."""
+    by diagnostics row by row, so the rows before the failing one come
+    first."""
     size = max(1, CHUNK_ENTRIES // grid_n)
     chunks = (steps[lo:lo + size] for lo in range(0, len(steps), size))
     for ts, c, states in _columns(config, chunks, grid_n):
         try:
             rows = _rows(ts, c, config.flow_type, grid_n)
         except DegenerateLengthError:
-            rows = (_rows(s.t, s.p, config.flow_type, grid_n)[0]
-                    for s in (state() for state in states))
+            rows = (diagnostics(state(), config.flow_type, grid_n)
+                    for state in states)
         yield from zip(rows, states)
 
 

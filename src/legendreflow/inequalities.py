@@ -20,9 +20,10 @@ modes {0, 1, 2} only (parallel curves of astroids).
 
 run_ensemble draws its curves a chunk of indices at a time, as arrays, up to
 10 000 attempts each: splitmix64 over the key (seed, index, mode, slot,
-attempt) in numpy uint64, so random_curve(spec, i) draws curve i alone with
-the same bits.  Each slack above is one expression for floats and arrays
-alike, evaluated as a column and reduced by argmin; the lowest index wins ties.
+attempt) in numpy uint64, so a curve has the same bits in any chunk, and
+random_curve(spec, i) is the one-index chunk of curve i.  Each slack above is
+one expression for floats and arrays alike, evaluated as a column and reduced
+by argmin; the lowest index wins ties.
 """
 
 from __future__ import annotations
@@ -210,39 +211,13 @@ def _draw(spec: CurveEnsembleSpec, keys: np.ndarray, attempt: int) -> np.ndarray
 
 
 def random_curve(spec: CurveEnsembleSpec, index: int) -> SupportFourier:
-    """Deterministic curve number `index` of the ensemble.
-
-    Coefficients are uniform in [-(k+1)^-s, (k+1)^-s]; the constraint is then
-    enforced (rejection resampling for PositiveArea, a0 = 0 for ZeroLength,
-    a0 lifted until min p and min beta exceed 0.1 for Convex).
-    """
+    """Deterministic curve number `index` of the ensemble: curve 0 of the
+    one-index chunk _chunk(spec, index, index + 1), with every mode 1..K."""
     if not 0 <= index < spec.count:
         raise InputError(f"index {index} outside [0, {spec.count})")
-    keys = _keys(spec, np.array([index]))
-    for attempt in range(10_000):
-        c = _draw(spec, keys, attempt)[:, 0].tolist()
-        modes = tuple((k, c[2 * k - 1], c[2 * k]) for k in range(1, spec.K + 1))
-        p = SupportFourier(c[0], modes)
-
-        if spec.constraint is Constraint.ZERO_LENGTH:
-            return SupportFourier(0.0, modes)
-        if spec.constraint is Constraint.CONVEX:
-            rest = SupportFourier(0.0, modes)
-            theta = uniform_grid(max(4 * (spec.K + 1), 256))
-            min_p = float(np.min(rest.evaluate(theta)))
-            min_b = float(np.min(beta_of(rest).evaluate(theta)))
-            lift = max(0.1 - min_p, 0.1 - min_b, 0.0) + 1e-9
-            return SupportFourier(max(c[0], 0.0) + lift, modes)
-        if spec.constraint is not Constraint.POSITIVE_AREA \
-                or algebraic_area(p) > 0.01:
-            return p
-    raise _exhausted(spec, index)
-
-
-def _exhausted(spec: CurveEnsembleSpec, index: int) -> RejectionExhaustedError:
-    return RejectionExhaustedError(
-        f"no curve satisfying {spec.constraint.value} after 10000 resamples "
-        f"(seed {spec.seed}, index {index})")
+    c = _chunk(spec, index, index + 1)[:, 0].tolist()
+    return SupportFourier(c[0], tuple(
+        (k, c[2 * k - 1], c[2 * k]) for k in range(1, spec.K + 1)))
 
 
 def equality_family(a0: float, a1: float, b1: float,
@@ -267,14 +242,21 @@ def _entries_per_curve(spec: CurveEnsembleSpec) -> int:
 
 
 def _chunk(spec: CurveEnsembleSpec, start: int, stop: int) -> np.ndarray:
-    """Coefficient rows of curves start..stop-1 as random_curve gives them."""
+    """Coefficient rows (_keys' layout) of curves start..stop-1: uniform in
+    [-(k+1)^-s, (k+1)^-s], then constrained.  PositiveArea redraws curves
+    with A <= 0.01 at the next attempt, up to 10 000 attempts, then raises
+    for the lowest index still rejected; ZeroLength sets a0 = 0; Convex
+    lifts a0 until min p and min beta on the lift's grid exceed 0.1."""
     keys = _keys(spec, np.arange(start, stop))
     c = _draw(spec, keys, 0)
     if spec.constraint is Constraint.POSITIVE_AREA:
         todo, attempt = np.flatnonzero(~(algebraic_area(_columns(c)) > 0.01)), 0
         while todo.size:
             if (attempt := attempt + 1) == 10_000:
-                raise _exhausted(spec, start + int(todo[0]))
+                raise RejectionExhaustedError(
+                    f"no curve satisfying {spec.constraint.value} after "
+                    f"10000 resamples (seed {spec.seed}, index "
+                    f"{start + int(todo[0])})")
             d = _draw(spec, keys[:, todo], attempt)
             ok = algebraic_area(_columns(d)) > 0.01
             c[:, todo[ok]] = d[:, ok]
@@ -297,7 +279,9 @@ def run_ensemble(spec: CurveEnsembleSpec,
     of the ensemble, its witness, and the number of curves whose slack is
     not >= -SLACK_TOL.  Each slack is a column over a chunk of curves; ties
     go to the lowest index.  The witness is rebuilt by random_curve, and its
-    own slack must equal the column minimum bit for bit."""
+    own slack, in float arithmetic, must equal the column minimum bit for
+    bit: the draw of a curve does not depend on where it sits in a chunk, and
+    column arithmetic matches float arithmetic."""
     low, best, violations = [0.0] * len(rows), [0] * len(rows), [0] * len(rows)
     size = max(1, CHUNK_ENTRIES // _entries_per_curve(spec))
     for start in range(0, spec.count, size):

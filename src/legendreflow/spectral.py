@@ -102,16 +102,22 @@ def column(c: Columns, i: int) -> SupportFourier:
                           c.modes if a[i] != 0.0 or b[i] != 0.0))
 
 
-def derivative(p: SupportFourier, order: int = 1) -> SupportFourier:
-    """Modal differentiation: d/dtheta maps (a_k, b_k) -> (k b_k, -k a_k)."""
+def derivative(p: SupportFourier | Columns,
+               order: int = 1) -> SupportFourier | Columns:
+    """Modal differentiation: d/dtheta maps (a_k, b_k) -> (k b_k, -k a_k).
+    Modes that vanish are dropped from a SupportFourier; Columns keep every
+    mode, with a zero a0 column."""
     if order < 1:
         raise InputError("order must be >= 1")
+    columns = isinstance(p, Columns)
     modes = []
     for k, a, b in p.modes:
         for _ in range(order):
             a, b = k * b, -k * a
-        if a != 0.0 or b != 0.0:
+        if columns or a != 0.0 or b != 0.0:
             modes.append((k, a, b))
+    if columns:
+        return Columns(np.zeros(p.a0.size), tuple(modes))
     return SupportFourier(0.0, tuple(modes))
 
 

@@ -888,16 +888,29 @@ class TestChunkedRows:
             analyze(GridFunction(np.full(256, 1e307)), 2)
 
     def test_final_row_check(self):
+        # diagnostics is _rows' one-row case on a float t: only the chunk's
+        # column calls flip E2's last bit
         config = FlowConfig(AREA, P_FIG_A, t_final=0.1, dt=1e-2)
         real = flows._rows
 
         def off_by_one_bit(t, c, flow_type, grid_n):
             rows = real(t, c, flow_type, grid_n)
-            return rows[:-1] + [replace(rows[-1], E2=math.nextafter(
-                rows[-1].E2, math.inf))]
+            if np.ndim(t) == 1:
+                rows[-1] = replace(rows[-1], E2=math.nextafter(
+                    rows[-1].E2, math.inf))
+            return rows
         with mock.patch.object(flows, "_rows", off_by_one_bit), \
                 pytest.raises(RuntimeError, match="final row"):
             run(config)
+
+    @pytest.mark.parametrize("flow_type", list(FlowType))
+    def test_diagnostics_names_a_non_finite_field(self, flow_type):
+        # every coefficient is finite, but pi a0^2 is not: the one-row case
+        # raises the InputError of the row kernel
+        state = FlowState(0.0, SupportFourier(1e300, ((2, 0.0, 1.0),)))
+        with pytest.raises(InputError,
+                           match=r"^non-finite A = inf at t = 0\.0$"):
+            diagnostics(state, flow_type, 256)
 
 
 # --- _sup_dev's screen against the full-grid evaluate -----------------------

@@ -229,7 +229,8 @@ class TestRunEnsemble:
 
 def reference_reduction(spec, taus, xis):
     """(id, parameter, expected_violable, min slack, witness, violations)
-    per inequality, from a plain loop over the curves and the checkers."""
+    per inequality, from a plain loop over the checkers and the curves
+    drawn one at a time by oracle_curve."""
     zero = spec.constraint is Constraint.ZERO_LENGTH
     checks = ([("isoperimetric", None, False, check_isoperimetric),
                ("green_osher_quadratic", None, False, green_osher_quadratic)]
@@ -242,7 +243,7 @@ def reference_reduction(spec, taus, xis):
                     lambda m: check_beta2_zero_length(m, 6.0)),
                    ("grad_zero_length(xi=24)", 24.0, False,
                     lambda m: check_grad_zero_length(m, 24.0))]
-    curves = [random_curve(spec, i) for i in range(spec.count)]
+    curves = [oracle_curve(spec, i) for i in range(spec.count)]
     out = []
     for ineq_id, parameter, violable, check in checks:
         slacks = [check(moments(p)) for p in curves]

@@ -295,6 +295,10 @@ def reference_slacks(p: SupportFourier, tau: float, xi: float) -> dict:
     }
 
 
+def series_bits(p: SupportFourier) -> tuple:
+    return (p.a0.hex(), tuple((k, a.hex(), b.hex()) for k, a, b in p.modes))
+
+
 def reference_row_fields(p: SupportFourier, flow_type: FlowType,
                       grid_n: int) -> dict:
     """The diagnostics fields that read the moments, written straight from p,
@@ -334,11 +338,13 @@ class TestMoments:
         if zero_a0 is not None:
             p = SupportFourier(zero_a0, p.modes)
         m = moments(p)
-        # column i of the moments of Columns is the moments of row i, and
-        # the row kernel's E2 has the bits of the int (beta')^2 of
-        # derivative(beta)
+        # column i of the moments of Columns is the moments of row i,
+        # column i of derivative(beta) without its exact-zero modes is the
+        # derivative of row i's beta, and the row kernel's E2 has the bits
+        # of the int (beta')^2 of derivative(beta)
         rows = data.draw(rows_on_modes(p, 2.0))
         cols = moments(columns_of(rows))
+        dcols = derivative(cols.beta)
         e2 = [r.E2 for r in flows._rows(np.zeros(len(rows)), columns_of(rows),
                                         FlowType.LENGTH_PRESERVING, 64)]
         for i, row in enumerate(rows):
@@ -351,6 +357,8 @@ class TestMoments:
             assert SupportFourier(cols.beta.a0[i], tuple(
                 (k, a[i], b[i]) for k, a, b in cols.beta.modes
                 if a[i] != 0.0 or b[i] != 0.0)) == mi.beta
+            assert series_bits(spectral.column(dcols, i)) \
+                == series_bits(derivative(mi.beta))
         ref = reference_slacks(p, tau, xi)
         slacks = {"isoperimetric": check_isoperimetric(m),
                   "beta2_family": check_beta2_family(m, tau),
@@ -399,6 +407,12 @@ class TestMoments:
             for row in flows._rows([0.0, 1.0], columns_of(rows), flow_type,
                                    64):
                 assert (row.E1.hex(), row.E2.hex()) == ((0.0).hex(),) * 2
+        # derivative keeps a Columns without modes, and its zero a0 column
+        # gives a +0.0 int (beta')^2 column
+        dcols = derivative(cols.beta)
+        assert dcols.modes == () and dcols.a0.tolist() == [0.0, 0.0]
+        assert [x.hex() for x in l2_quantities(dcols)["int_dp2"].tolist()] \
+            == [(0.0).hex()] * 2
 
     @staticmethod
     def check_against_quadrature(p: SupportFourier, n: int = 64) -> None:
