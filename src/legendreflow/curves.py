@@ -93,13 +93,6 @@ class SupportFourier:
                 return (a, b)
         return (0.0, 0.0)
 
-    def with_mode(self, k: int, a: float, b: float) -> "SupportFourier":
-        """Copy with mode k replaced (dropped when a = b = 0)."""
-        rest = tuple(m for m in self.modes if m[0] != k)
-        if a == 0.0 and b == 0.0:
-            return SupportFourier(self.a0, rest)
-        return SupportFourier(self.a0, rest + ((k, a, b),))
-
     def evaluate(self, theta, order: int = 0):
         """Evaluate the order-th derivative of p at theta (scalar or array).
 
@@ -132,9 +125,16 @@ class SupportFourier:
 class Columns(NamedTuple):
     """Coefficient columns: a0 and each a_k, b_k of the (k, a_k, b_k) modes,
     in SupportFourier's order, are 1-D arrays over rows (record times or
-    curves); the modal formulas take them in place of a SupportFourier."""
+    curves); the modal formulas take them in place of a SupportFourier.
+    Both list the modes they were built with, exact zeros included."""
     a0: np.ndarray
     modes: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+
+
+def column(c: Columns, i: int) -> SupportFourier:
+    """Column i of c as a SupportFourier, with every mode c lists."""
+    return SupportFourier(c.a0[i], tuple((k, a[i], b[i])
+                                         for k, a, b in c.modes))
 
 
 @functools.lru_cache(maxsize=8)
@@ -197,16 +197,11 @@ def beta_of(p: SupportFourier | Columns) -> SupportFourier | Columns:
     """beta = p + p'': coefficientwise (a_k, b_k) -> (1 - k^2)(a_k, b_k).
 
     Mode 1 is annihilated, which is exactly the condition that beta stays
-    orthogonal to cos/sin and the curve remains l-convex.  Modes that vanish
-    are dropped from a SupportFourier; Columns keep every mode k >= 2.
+    orthogonal to cos/sin and the curve remains l-convex, so beta lists
+    every mode k >= 2 of p, zero or not, in p's type.
     """
-    columns = isinstance(p, Columns)
-    modes = []
-    for k, a, b in p.modes:
-        f = 1.0 - k * k
-        if k >= 2 and (columns or f * a != 0.0 or f * b != 0.0):
-            modes.append((k, f * a, f * b))
-    return (Columns if columns else SupportFourier)(p.a0, tuple(modes))
+    return type(p)(p.a0, tuple((k, (1.0 - k * k) * a, (1.0 - k * k) * b)
+                               for k, a, b in p.modes if k >= 2))
 
 
 def algebraic_length(p: SupportFourier) -> float:
@@ -246,10 +241,11 @@ def singular_angles(p: SupportFourier) -> list[float]:
     tangency counts once, and a minimum of beta within round-off of 0 counts
     as a zero.  A constant beta has no zero to locate, so the result is []
     -- including beta = 0, the single-point curve that classify reports as
-    degenerate.  Modes of beta above MAX_ROOT_MODE raise InputError.
+    degenerate.  K is beta's highest mode with a nonzero coefficient, and
+    one above MAX_ROOT_MODE raises InputError.
     """
     beta = beta_of(p)
-    K = beta.K
+    K = max((k for k, a, b in beta.modes if a or b), default=0)
     if K == 0:
         return []
     if K > MAX_ROOT_MODE:
@@ -257,8 +253,9 @@ def singular_angles(p: SupportFourier) -> list[float]:
     c = np.zeros(2 * K + 1, dtype=complex)
     c[K] = beta.a0
     for k, a, b in beta.modes:
-        c[K + k] = complex(a, -b) / 2
-        c[K - k] = complex(a, b) / 2
+        if a or b:      # zero modes above K have no place in c
+            c[K + k] = complex(a, -b) / 2
+            c[K - k] = complex(a, b) / 2
     # Outer coefficients below round-off of the largest would only add roots
     # near 0 and infinity, and they spoil the companion matrix.
     mag = np.abs(c)
@@ -286,31 +283,15 @@ def classify(p: SupportFourier) -> CurveClass:
     The curve is convex exactly when beta has no real zero and beta(0) > 0,
     so the label is translation (mode-1) invariant.  min p and min beta are
     only reported, sampled on max(4*(K+1), 64) points.  beta = 0 (a0 = 0,
-    no mode k >= 2), at any scale, is a single point.
+    no nonzero coefficient of a mode k >= 2), at any scale, is a single point.
     """
     theta = uniform_grid(max(4 * (p.K + 1), 64))
     beta = beta_of(p)
     min_p = float(np.min(p.evaluate(theta)))
     min_beta = float(np.min(beta.evaluate(theta)))
-    if p.a0 == 0.0 and not beta.modes:
+    if p.a0 == 0.0 and not any(a or b for _, a, b in beta.modes):
         return CurveClass(CurveKind.DEGENERATE_POINT, min_beta, min_p)
     if beta.evaluate(0.0) > 0.0 and not singular_angles(p):
         return CurveClass(CurveKind.CONVEX, min_beta, min_p)
     return CurveClass(CurveKind.ELL_CONVEX_NONCONVEX, min_beta, min_p)
 
-
-def ell_convex_residuals(beta_values: np.ndarray) -> tuple[float, float]:
-    """(integral of beta*cos, integral of beta*sin) by periodic quadrature.
-
-    Both vanish for the beta of any Legendre-consistent support function
-    (mode 1 is annihilated by p -> p + p''); a nonzero value flags grid data
-    that is not the beta of any such curve.
-    """
-    v = np.asarray(getattr(beta_values, "values", beta_values), dtype=float)
-    n = v.shape[0]
-    if n < 8:
-        raise InputError("grid size must be >= 8")
-    theta = uniform_grid(n)
-    w = TWO_PI / n
-    return (float(w * np.sum(v * np.cos(theta))),
-            float(w * np.sum(v * np.sin(theta))))

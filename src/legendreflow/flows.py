@@ -42,9 +42,10 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .curves import (TABLE_MAX_ENTRIES, TWO_PI, Columns, InputError,
-                     SupportFourier, _grid_table, algebraic_area, uniform_grid)
-from .spectral import (GridFunction, analyze, column, default_grid_size,
-                       derivative, l2_quantities, moments, synthesize)
+                     SupportFourier, _grid_table, algebraic_area, column,
+                     uniform_grid)
+from .spectral import (GridFunction, analyze, default_grid_size, derivative,
+                       l2_quantities, moments, synthesize)
 
 #: |L| below this leaves lambda_area = (1/L) int beta^2 undefined.
 LAMBDA_FLOOR = 1e-9
@@ -60,10 +61,6 @@ class DegenerateLengthError(ArithmeticError):
 
 class StabilityError(InputError):
     """Explicit grid step size exceeds the stiff stability bound."""
-
-
-class WindowTooNoisyError(RuntimeError):
-    """Log-linear decay fit rejected (r^2 < 0.99)."""
 
 
 class FlowType(enum.Enum):
@@ -169,8 +166,8 @@ def step_exact_modal(state: FlowState, dt: float,
     """
     if dt < 0:
         raise InputError("dt must be >= 0")
-    c = _closed_form(state.p, [dt], flow_type, state.t)
-    return _state(state.t + dt, c, 0)
+    return FlowState(state.t + dt, column(
+        _closed_form(state.p, [dt], flow_type, state.t), 0))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -203,12 +200,6 @@ def _closed_form(p: SupportFourier, ts: list[float], flow_type: FlowType,
         a0 = np.copysign(np.sqrt(a0_sq), p.a0)
     return Columns(a0, tuple(
         zip([k for k, _, _ in p.modes], ab[:, 0], ab[:, 1])))
-
-
-def _state(t: float, c: Columns, i: int) -> FlowState:
-    """Column i of the coefficient columns c, as the state at time t."""
-    return FlowState(t, SupportFourier(
-        c.a0[i], tuple((k, a[i], b[i]) for k, a, b in c.modes)))
 
 
 @dataclass(frozen=True)
@@ -376,16 +367,14 @@ def _rows(t, c, flow_type: FlowType, grid_n: int) -> list[DiagnosticsRow]:
 
 
 def _columns(config: FlowConfig, chunks, grid_n: int):
-    """For each chunk of step counts: its record times, their series as
-    Columns and the functions that build their FlowStates.  The modal scheme
-    evaluates its closed form at the chunk's times, or at one time after
-    another in a chunk where the flow degenerates.  The grid scheme advances
-    RK4 one record interval per call, then analyzes the chunk's record grids
-    as one stack: Columns over modes 1..k_cut, +0.0 where analyze drops a
-    mode, and each FlowState keeps the series analyze gives its grid.  An
-    error met while stepping a chunk, or a record whose series is not finite
-    (the InputError analyze raises for its grid), is raised after the
-    records before it."""
+    """For each chunk of step counts: its record times and their series as
+    Columns.  The modal scheme evaluates its closed form at the chunk's
+    times, or at one time after another in a chunk where the flow
+    degenerates.  The grid scheme advances RK4 one record interval per call,
+    then analyzes the chunk's record grids as one stack: Columns over modes
+    1..k_cut, +0.0 where a_k = b_k = 0.  An error met while stepping a
+    chunk, or a record whose series is not finite (InputError "non-finite
+    coefficient"), is raised after the records before it."""
     flow_type, dt = config.flow_type, config.dt
     if config.scheme is Scheme.EXACT_MODAL:
         for ts in ([step * dt for step in steps] for steps in chunks):
@@ -394,9 +383,7 @@ def _columns(config: FlowConfig, chunks, grid_n: int):
             except DegenerateLengthError:
                 parts = (([t], _closed_form(config.initial, [t], flow_type))
                          for t in ts)
-            for times, c in parts:
-                yield times, c, [functools.partial(_state, t, c, i)
-                                 for i, t in enumerate(times)]
+            yield from parts
         return
     k_cut = max(config.initial.K, 1)
     _check_stability(dt, k_cut)
@@ -419,23 +406,23 @@ def _columns(config: FlowConfig, chunks, grid_n: int):
             c = Columns(c.a0[:j], tuple((k, a[:j], b[:j])
                                         for k, a, b in c.modes))
         if len(c.a0):
-            ts = [step * dt for step in steps[:len(c.a0)]]
-            yield ts, c, [lambda t=t, c=c, i=i: FlowState(t, column(c, i))
-                          for i, t in enumerate(ts)]
+            yield [step * dt for step in steps[:len(c.a0)]], c
         if error is not None:
             raise error
 
 
 def _records(config: FlowConfig, steps: list[int], grid_n: int):
     """Yield (row, state) for each of the increasing step counts `steps`:
-    its DiagnosticsRow, and a function that builds its FlowState.  _rows
-    computes the rows of CHUNK_ENTRIES // grid_n record times at once from
-    their _columns; a chunk whose rows meet the length floor is done again
-    by diagnostics row by row, so the rows before the failing one come
-    first."""
+    its DiagnosticsRow, and a function that builds its FlowState from its
+    column of the chunk's Columns.  _rows computes the rows of
+    CHUNK_ENTRIES // grid_n record times at once from their _columns; a
+    chunk whose rows meet the length floor is done again by diagnostics row
+    by row, so the rows before the failing one come first."""
     size = max(1, CHUNK_ENTRIES // grid_n)
     chunks = (steps[lo:lo + size] for lo in range(0, len(steps), size))
-    for ts, c, states in _columns(config, chunks, grid_n):
+    for ts, c in _columns(config, chunks, grid_n):
+        states = [lambda t=t, c=c, i=i: FlowState(t, column(c, i))
+                  for i, t in enumerate(ts)]
         try:
             rows = _rows(ts, c, config.flow_type, grid_n)
         except DegenerateLengthError:
@@ -476,35 +463,3 @@ def run(config: FlowConfig, on_record=None) -> FlowTrace:
     return FlowTrace(config=config, rows=tuple(rows), final_state=final,
                      converged=converged)
 
-
-_FIT_FIELDS = ("sup_dev", "absQ")
-
-
-def fit_decay_rate(trace: FlowTrace, fit_field: str,
-                   window: tuple[float, float]) -> dict[str, float]:
-    """Least-squares slope of log(field) vs t over the window.
-
-    Returns {"alpha": -slope, "r2": ...}; raises WindowTooNoisyError when
-    r^2 < 0.99.  Field values must stay above 1e-13 in the window so the log
-    never probes the round-off floor.
-    """
-    if fit_field not in _FIT_FIELDS:
-        raise InputError(f"unknown field {fit_field!r}, expected one of {_FIT_FIELDS}")
-    t_lo, t_hi = window
-    rows = [r for r in trace.rows if t_lo <= r.t <= t_hi]
-    if len(rows) < 3:
-        raise InputError("window contains fewer than 3 rows")
-    vals = np.array([r.sup_dev if fit_field == "sup_dev" else abs(r.Q)
-                     for r in rows])
-    if np.any(vals <= 1e-13):
-        raise InputError("field values reach the 1e-13 noise floor in window")
-    ts = np.array([r.t for r in rows])
-    logv = np.log(vals)
-    slope, intercept = np.polyfit(ts, logv, 1)
-    fitted = slope * ts + intercept
-    ss_res = float(np.sum((logv - fitted) ** 2))
-    ss_tot = float(np.sum((logv - np.mean(logv)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    if r2 < 0.99:
-        raise WindowTooNoisyError(f"r^2 = {r2:.4f} < 0.99")
-    return {"alpha": -float(slope), "r2": r2}

@@ -36,18 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (TWO_PI, Columns, InputError, SupportFourier,
-                     algebraic_area, beta_of, uniform_grid)
-from .spectral import Moments, l2_quantities, moments
+                     algebraic_area, beta_of, column, uniform_grid)
+from .spectral import Moments, moments
 
 SLACK_TOL = 1e-9
 
 
 class NotZeroLengthError(InputError):
     """A zero-length-only inequality was applied to a curve with L != 0."""
-
-
-class ModeNotExcludedError(InputError):
-    """Series carries mass on a mode the Wirtinger comparison excludes."""
 
 
 class RejectionExhaustedError(RuntimeError):
@@ -161,16 +157,6 @@ def inequality_table(taus: Sequence[float], xis: Sequence[float],
     return rows
 
 
-def wirtinger_gap(series: SupportFourier) -> tuple[float, float]:
-    """(int (series')^2, 4 * int series^2) for a series with no mass on
-    modes 0 and 1; lhs >= rhs, with equality exactly on pure mode 2."""
-    for m, mass in ((0, abs(series.a0)), (1, max(map(abs, series.coeff(1))))):
-        if mass > 1e-12:
-            raise ModeNotExcludedError(f"mode {m} carries mass {mass:.3e}")
-    q = l2_quantities(series)
-    return q["int_dp2"], 4.0 * q["int_p2"]
-
-
 # --- deterministic ensembles -------------------------------------------------
 
 #: run_ensemble draws CHUNK_ENTRIES // _entries_per_curve(spec) curves at a
@@ -215,17 +201,7 @@ def random_curve(spec: CurveEnsembleSpec, index: int) -> SupportFourier:
     one-index chunk _chunk(spec, index, index + 1), with every mode 1..K."""
     if not 0 <= index < spec.count:
         raise InputError(f"index {index} outside [0, {spec.count})")
-    c = _chunk(spec, index, index + 1)[:, 0].tolist()
-    return SupportFourier(c[0], tuple(
-        (k, c[2 * k - 1], c[2 * k]) for k in range(1, spec.K + 1)))
-
-
-def equality_family(a0: float, a1: float, b1: float,
-                    a2: float, b2: float) -> SupportFourier:
-    """The 5-parameter mode-{0,1,2} family saturating the tau = 8 and
-    xi = 24 inequalities (parallel curves of astroids centered at (a1, b1))."""
-    return SupportFourier(a0, tuple((k, a, b) for k, a, b in (
-        (1, a1, b1), (2, a2, b2)) if a != 0.0 or b != 0.0))
+    return column(_columns(_chunk(spec, index, index + 1)), 0)
 
 
 def _columns(c: np.ndarray) -> Columns:

@@ -1,9 +1,9 @@
-"""Modal <-> grid conversions, spectral differentiation, periodic quadrature.
+"""Modal <-> grid conversions, spectral differentiation, Parseval integrals.
 
 The numerical substrate for oracles, diagnostics and the `moments` of a curve.
-All integrals over the circle use the uniform trapezoid rule, exact for
-trigonometric polynomials of degree < N; the DFT of one grid or a stack of
-sample rows is one product with the K x N cos (sin) rows, summed pairwise.
+Integrals over the circle are Parseval sums of the coefficients; the DFT of a
+stack of sample rows is one product with the K x N cos (sin) rows, summed
+pairwise.
 """
 
 from __future__ import annotations
@@ -66,17 +66,16 @@ def _samples(values, ndim: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def analyze(g: GridFunction | np.ndarray, K: int):
-    """Discrete Fourier coefficients up to mode K, the exact inverse of
-    synthesize for degree <= K: of the GridFunction g as a SupportFourier
-    without its modes where a_k = b_k = 0, or of each row v of the (rows, N)
-    samples g (checked as GridFunction checks its values) as Columns, +0.0
-    there.  a_k = (2/N) sum v_j cos(k theta_j), b_k likewise, a0 = mean(v);
-    each half is one product g * cos(k theta_j) (evaluate's cached table, else
-    per mode) summed pairwise along its last axis, in blocks of at most
-    TABLE_MAX_ENTRIES products, so a row's bits do not depend on the others.
-    Sums that overflow give non-finite Columns (InputError for a grid)."""
-    V = g.values[None] if isinstance(g, GridFunction) else _samples(g, 2)
+def analyze(V: np.ndarray, K: int) -> Columns:
+    """Discrete Fourier coefficients up to mode K of each row v of the
+    (rows, N) samples V (checked as GridFunction checks its values), the
+    exact inverse of synthesize for degree <= K: Columns over modes 1..K,
+    +0.0 where a_k = b_k = 0.  a_k = (2/N) sum v_j cos(k theta_j), b_k
+    likewise, a0 = mean(v); each half is one product V * cos(k theta_j)
+    (evaluate's cached table, else per mode) summed pairwise along its last
+    axis, in blocks of at most TABLE_MAX_ENTRIES products, so a row's bits do
+    not depend on the others.  Sums that overflow give non-finite Columns."""
+    V = _samples(V, 2)
     rows, n = V.shape
     if 2 * K + 2 > n:
         raise AliasError(f"cannot recover K={K} modes from {n} samples")
@@ -92,38 +91,22 @@ def analyze(g: GridFunction | np.ndarray, K: int):
                 ab[half, k0:k1, r0:r0 + rb] = 2.0 / n * np.sum(
                     V[r0:r0 + rb, None, :] * tr, axis=2).T
     ab[:, (ab[0] == 0.0) & (ab[1] == 0.0)] = 0.0
-    c = Columns(np.mean(V, axis=1), tuple(zip(range(1, K + 1), *ab)))
-    return column(c, 0) if isinstance(g, GridFunction) else c
-
-
-def column(c: Columns, i: int) -> SupportFourier:
-    """Column i of c, without the modes where a_k = b_k = 0."""
-    return SupportFourier(c.a0[i], tuple((k, a[i], b[i]) for k, a, b in
-                          c.modes if a[i] != 0.0 or b[i] != 0.0))
+    return Columns(np.mean(V, axis=1), tuple(zip(range(1, K + 1), *ab)))
 
 
 def derivative(p: SupportFourier | Columns,
                order: int = 1) -> SupportFourier | Columns:
-    """Modal differentiation: d/dtheta maps (a_k, b_k) -> (k b_k, -k a_k).
-    Modes that vanish are dropped from a SupportFourier; Columns keep every
-    mode, with a zero a0 column."""
+    """Modal differentiation: d/dtheta maps (a_k, b_k) -> (k b_k, -k a_k),
+    in p's type with every mode p lists and a zero a0 (a column for
+    Columns)."""
     if order < 1:
         raise InputError("order must be >= 1")
-    columns = isinstance(p, Columns)
     modes = []
     for k, a, b in p.modes:
         for _ in range(order):
             a, b = k * b, -k * a
-        if columns or a != 0.0 or b != 0.0:
-            modes.append((k, a, b))
-    if columns:
-        return Columns(np.zeros(p.a0.size), tuple(modes))
-    return SupportFourier(0.0, tuple(modes))
-
-
-def periodic_quadrature(g: GridFunction) -> float:
-    """(2*pi/N) * sum of samples: trapezoid rule on the periodic grid."""
-    return float(TWO_PI / g.n * np.sum(g.values))
+        modes.append((k, a, b))
+    return type(p)(np.zeros_like(p.a0), tuple(modes))
 
 
 def l2_quantities(p: SupportFourier | Columns) -> dict:

@@ -2,8 +2,9 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from legendreflow import SupportFourier, beta_of, periodic_quadrature, synthesize
+from legendreflow import GridFunction, SupportFourier, beta_of, synthesize
 from legendreflow.curves import Columns
+from helpers import periodic_quadrature
 
 
 def rand_support(rng: np.random.Generator, K: int = 6,
@@ -53,7 +54,6 @@ def length_quadrature(p: SupportFourier, n: int = 256) -> float:
 
 def area_quadrature(p: SupportFourier, n: int = 256) -> float:
     """Independent oracle: A = (1/2) int p * (p + p'') dtheta."""
-    from legendreflow import GridFunction
     pg = synthesize(p, n).values
     bg = synthesize(beta_of(p), n).values
     return 0.5 * periodic_quadrature(GridFunction(pg * bg))

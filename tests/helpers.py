@@ -1,0 +1,98 @@
+"""Oracles and measurements that only the tests use: trapezoid-rule
+integrals independent of the package's Parseval sums, the Wirtinger gap, the
+equality family, a decay-rate fit, and a series with one mode replaced."""
+
+import numpy as np
+
+from legendreflow import FlowTrace, InputError, SupportFourier, l2_quantities
+from legendreflow.curves import TWO_PI, uniform_grid
+
+
+def periodic_quadrature(g) -> float:
+    """(2*pi/N) * sum of the samples of the GridFunction g (trapezoid rule)."""
+    return float(TWO_PI / g.n * np.sum(g.values))
+
+
+def ell_convex_residuals(beta_values) -> tuple[float, float]:
+    """(integral of beta*cos, integral of beta*sin) by periodic quadrature.
+
+    Both vanish for the beta of any Legendre-consistent support function
+    (mode 1 is annihilated by p -> p + p''); a nonzero value flags grid data
+    that is not the beta of any such curve.
+    """
+    v = np.asarray(getattr(beta_values, "values", beta_values), dtype=float)
+    n = v.shape[0]
+    if n < 8:
+        raise InputError("grid size must be >= 8")
+    theta = uniform_grid(n)
+    w = TWO_PI / n
+    return (float(w * np.sum(v * np.cos(theta))),
+            float(w * np.sum(v * np.sin(theta))))
+
+
+def with_mode(p: SupportFourier, k: int, a: float,
+              b: float) -> SupportFourier:
+    """Copy of p with mode k replaced (dropped when a = b = 0)."""
+    rest = tuple(m for m in p.modes if m[0] != k)
+    if a == 0.0 and b == 0.0:
+        return SupportFourier(p.a0, rest)
+    return SupportFourier(p.a0, rest + ((k, a, b),))
+
+
+class ModeNotExcludedError(InputError):
+    """Series carries mass on a mode the Wirtinger comparison excludes."""
+
+
+def wirtinger_gap(series: SupportFourier) -> tuple[float, float]:
+    """(int (series')^2, 4 * int series^2) for a series with no mass on
+    modes 0 and 1; lhs >= rhs, with equality exactly on pure mode 2."""
+    for m, mass in ((0, abs(series.a0)), (1, max(map(abs, series.coeff(1))))):
+        if mass > 1e-12:
+            raise ModeNotExcludedError(f"mode {m} carries mass {mass:.3e}")
+    q = l2_quantities(series)
+    return q["int_dp2"], 4.0 * q["int_p2"]
+
+
+def equality_family(a0: float, a1: float, b1: float,
+                    a2: float, b2: float) -> SupportFourier:
+    """The 5-parameter mode-{0,1,2} family saturating the tau = 8 and
+    xi = 24 inequalities (parallel curves of astroids centered at (a1, b1))."""
+    return SupportFourier(a0, tuple((k, a, b) for k, a, b in (
+        (1, a1, b1), (2, a2, b2)) if a != 0.0 or b != 0.0))
+
+
+class WindowTooNoisyError(RuntimeError):
+    """Log-linear decay fit rejected (r^2 < 0.99)."""
+
+
+_FIT_FIELDS = ("sup_dev", "absQ")
+
+
+def fit_decay_rate(trace: FlowTrace, fit_field: str,
+                   window: tuple[float, float]) -> dict[str, float]:
+    """Least-squares slope of log(field) vs t over the window.
+
+    Returns {"alpha": -slope, "r2": ...}; raises WindowTooNoisyError when
+    r^2 < 0.99.  Field values must stay above 1e-13 in the window so the log
+    never probes the round-off floor.
+    """
+    if fit_field not in _FIT_FIELDS:
+        raise InputError(f"unknown field {fit_field!r}, expected one of {_FIT_FIELDS}")
+    t_lo, t_hi = window
+    rows = [r for r in trace.rows if t_lo <= r.t <= t_hi]
+    if len(rows) < 3:
+        raise InputError("window contains fewer than 3 rows")
+    vals = np.array([r.sup_dev if fit_field == "sup_dev" else abs(r.Q)
+                     for r in rows])
+    if np.any(vals <= 1e-13):
+        raise InputError("field values reach the 1e-13 noise floor in window")
+    ts = np.array([r.t for r in rows])
+    logv = np.log(vals)
+    slope, intercept = np.polyfit(ts, logv, 1)
+    fitted = slope * ts + intercept
+    ss_res = float(np.sum((logv - fitted) ** 2))
+    ss_tot = float(np.sum((logv - np.mean(logv)) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    if r2 < 0.99:
+        raise WindowTooNoisyError(f"r^2 = {r2:.4f} < 0.99")
+    return {"alpha": -float(slope), "r2": r2}

@@ -9,12 +9,13 @@ import hypothesis.strategies as st
 from legendreflow import (CurveKind, FlowState, FlowType, InputError,
                           SupportFourier,
                           algebraic_area, algebraic_length, beta_of, classify,
-                          ell_convex_residuals, sample_points,
-                          singular_angles, step_exact_modal, steiner_point,
-                          analyze, synthesize, uniform_grid)
+                          derivative, sample_points, singular_angles,
+                          step_exact_modal, steiner_point, analyze,
+                          synthesize, uniform_grid)
 from legendreflow import curves
 from conftest import (area_quadrature, coeff, columns_of, length_quadrature,
                       rand_support, rows_on_modes, supports)
+from helpers import ell_convex_residuals, with_mode
 
 TWO_PI = 2.0 * math.pi
 
@@ -261,7 +262,7 @@ class TestSteiner:
 
     def test_dft_round_trip(self, rng):
         p = rand_support(rng, K=8)
-        q = analyze(synthesize(p, 64), 8)
+        q = curves.column(analyze(synthesize(p, 64).values[None], 8), 0)
         assert steiner_point(q) == pytest.approx(steiner_point(p), abs=1e-12)
 
 
@@ -273,9 +274,17 @@ class TestSingularAngles:
         top = curves.MAX_ROOT_MODE + 1
         with pytest.raises(InputError, match=f"beta has mode {top} > "):
             singular_angles(SupportFourier(2.0, ((top, 1e-3, 0.0),)))
-        # beta drops mode 1 and zero modes, so these locate no roots at all
+        # beta drops mode 1, and K counts only modes with a nonzero
+        # coefficient, so these locate no roots at all
         assert singular_angles(SupportFourier(2.0, ((1, 0.5, 0.0),
                                                     (top, 0.0, 0.0)))) == []
+        # nor does a listed zero mode above the bound, which beta_of and
+        # derivative keep, change figure1a's roots or class (min p and min
+        # beta are sampled on a finer grid)
+        listed = SupportFourier(2.0, ((2, 0.0, 1.0), (600, 0.0, 0.0)))
+        assert beta_of(listed).K == derivative(listed).K == 600 > top
+        assert singular_angles(listed) == singular_angles(P_FIG_A)
+        assert classify(listed).kind is classify(P_FIG_A).kind
 
     def test_sin2theta(self):
         roots = singular_angles(SupportFourier(0.0, ((2, 0.0, 1.0),)))
@@ -455,7 +464,7 @@ class TestModeOneInvisibility:
     @settings(max_examples=60, deadline=None)
     def test_invariants_blind_to_mode_one(self, p, da, db):
         a1, b1 = p.coeff(1)
-        q = p.with_mode(1, a1 + da, b1 + db)
+        q = with_mode(p, 1, a1 + da, b1 + db)
         assert algebraic_length(q) == algebraic_length(p)
         assert algebraic_area(q) == algebraic_area(p)
         assert beta_of(q) == beta_of(p)
@@ -466,7 +475,7 @@ class TestModeOneInvisibility:
     @settings(max_examples=60, deadline=None)
     def test_eval_point_translates(self, p, da, db, th):
         a1, b1 = p.coeff(1)
-        q = p.with_mode(1, a1 + da, b1 + db)
+        q = with_mode(p, 1, a1 + da, b1 + db)
         dx, dy = sample_points(q, th) - sample_points(p, th)
         assert dx == pytest.approx(da, abs=1e-9)
         assert dy == pytest.approx(db, abs=1e-9)

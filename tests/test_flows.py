@@ -13,15 +13,15 @@ from legendreflow import (Constraint, CurveEnsembleSpec, DegenerateLengthError,
                           InputError, Scheme, StabilityError, SupportFourier,
                           algebraic_area, algebraic_length, analyze, beta_of,
                           default_grid_size, derivative, diagnostics,
-                          ell_convex_residuals, fit_decay_rate,
                           grid_stability_bound, lambda_area, moments,
-                          periodic_quadrature, random_curve, run,
-                          sample_points, step_exact_modal, step_grid_rk4,
-                          steiner_point, synthesize, uniform_grid)
+                          random_curve, run, sample_points, step_exact_modal,
+                          step_grid_rk4, steiner_point, synthesize,
+                          uniform_grid)
 from legendreflow import flows
-from legendreflow.curves import Columns
+from legendreflow.curves import Columns, column
 from legendreflow.flows import LAMBDA_FLOOR, GridFlowState
 from conftest import columns_of
+from helpers import ell_convex_residuals, fit_decay_rate, periodic_quadrature
 
 TWO_PI = 2.0 * math.pi
 AREA = FlowType.AREA_PRESERVING
@@ -741,7 +741,8 @@ def per_row_states(config: FlowConfig):
         if step > done:
             g = step_grid_rk4(g, dt, config.flow_type, step - done)
         done = step
-        yield FlowState(step * dt, analyze(g.grid, k_cut))
+        yield FlowState(step * dt,
+                        column(analyze(g.grid.values[None], k_cut), 0))
 
 
 def outcome(config: FlowConfig, per_row: bool) -> tuple:
@@ -868,7 +869,7 @@ class TestChunkedRows:
     def test_non_finite_series_mid_chunk_comes_after_the_records_before_it(
             self):
         # the third call returns samples of 1e307, whose sum overflows:
-        # analyze rejects record 3's series, so records 0-2 reach on_record,
+        # record 3's series is not finite, so records 0-2 reach on_record,
         # though the chunk steps on and fails again at its next call
         config = FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, t_final=0.1,
                             dt=1e-2, scheme=Scheme.GRID_RK4)
@@ -885,7 +886,7 @@ class TestChunkedRows:
             run(config, lambda i, s: hooked.append(i))
         assert hooked == [0, 1, 2] and len(calls) == 4
         with pytest.raises(InputError, match="^non-finite coefficient$"):
-            analyze(GridFunction(np.full(256, 1e307)), 2)
+            column(analyze(np.full((1, 256), 1e307), 2), 0)
 
     def test_final_row_check(self):
         # diagnostics is _rows' one-row case on a float t: only the chunk's
@@ -994,7 +995,7 @@ class TestScreenedSupDev:
         # a screen has nothing to share on one row, as a SupportFourier (a
         # grid-scheme row) or as one-row Columns (a modal chunk of one time)
         c = flows._closed_form(P_FIG_A, [0.1], AREA)
-        for p in (c, flows._state(0.1, c, 0).p):
+        for p in (c, column(c, 0)):
             m = moments(p)
             with mock.patch.object(SupportFourier, "evaluate",
                                    wraps=SupportFourier.evaluate) as spy:

@@ -16,11 +16,12 @@ from legendreflow import (AliasError, DegenerateLengthError, FlowState,
                           default_grid_size, derivative,
                           diagnostics, green_osher_quadratic,
                           isoperimetric_deficit, l2_quantities, lambda_area,
-                          moments, periodic_quadrature, synthesize,
-                          uniform_grid)
+                          moments, synthesize, uniform_grid)
 from legendreflow import curves, flows, spectral
+from legendreflow.curves import column
 from legendreflow.flows import LAMBDA_FLOOR
 from conftest import columns_of, rand_support, rows_on_modes, supports
+from helpers import periodic_quadrature
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,13 +57,13 @@ class TestSynthesize:
 
 class TestAnalyze:
     def test_constant(self):
-        p = analyze(GridFunction(np.full(16, 3.5)), 4)
+        p = column(analyze(np.full((1, 16), 3.5), 4), 0)
         assert p.a0 == pytest.approx(3.5)
         assert all(abs(a) < 1e-14 and abs(b) < 1e-14 for _, a, b in p.modes)
 
     def test_cos3_orthogonality(self):
         theta = np.linspace(0, TWO_PI, 16, endpoint=False)
-        p = analyze(GridFunction(np.cos(3 * theta)), 4)
+        p = column(analyze(np.cos(3 * theta)[None], 4), 0)
         assert p.coeff(3) == pytest.approx((1.0, 0.0), abs=1e-14)
         assert abs(p.a0) < 1e-14
         for k in (1, 2, 4):
@@ -71,14 +72,14 @@ class TestAnalyze:
     def test_round_trip(self, rng):
         for _ in range(10):
             p = rand_support(rng, K=int(rng.integers(1, 17)))
-            q = analyze(synthesize(p, 64), p.K)
+            q = column(analyze(synthesize(p, 64).values[None], p.K), 0)
             assert q.a0 == pytest.approx(p.a0, abs=1e-13)
             for k in range(1, p.K + 1):
                 assert q.coeff(k) == pytest.approx(p.coeff(k), abs=1e-13)
 
     def test_alias_error(self):
         with pytest.raises(AliasError):
-            analyze(GridFunction(np.zeros(8)), 4)
+            analyze(np.zeros((1, 8)), 4)
 
     @pytest.mark.parametrize("n, K, on_table", [
         (8, 3, True), (256, 16, True), (256, 100, True), (4096, 64, True),
@@ -125,8 +126,7 @@ class TestAnalyzeStack:
         # Samples from 1e-300 to 1e300 with +-0.0 among them, and maybe an
         # all-zero row (every mode exactly zero) or a row whose one nonzero
         # sample, -5e-324 at theta = 0, makes every a_k = (2/n) (-5e-324) =
-        # -0.0 with b_k = +0.0: analyze drops those modes and the columns
-        # hold +0.0 for them
+        # -0.0 with b_k = +0.0: the columns hold +0.0 for those modes
         n = 1 << log_n
         K = data.draw(st.integers(0, n // 2 - 1), label="K")
         kb = data.draw(st.integers(1, max(K, 1)), label="modes per block")
@@ -152,14 +152,10 @@ class TestAnalyzeStack:
             c = analyze(V, K)
             assert [k for k, _, _ in c.modes] == list(range(1, K + 1))
             for i, v in enumerate(V):
-                want = _analyzed_bytes(v, K)
-                assert _series_bytes(spectral.column(c, i)) == want \
-                    == _per_mode_bytes(v, K)
-                kept = {k for k, _, _ in analyze(GridFunction(v), K).modes}
-                assert all(a[i].tobytes() == b[i].tobytes() == bytes(8)
-                           for k, a, b in c.modes if k not in kept)
+                assert _series_bytes(column(c, i)) == _per_mode_bytes(v, K)
         if special:
-            assert spectral.column(c, i0).modes == ()
+            assert all(a[i0].tobytes() == b[i0].tobytes() == bytes(8)
+                       for _, a, b in c.modes)
 
     def test_alias_error(self):
         with pytest.raises(AliasError):
@@ -184,13 +180,13 @@ class TestAnalyzeStack:
 
     def test_overflowing_sums_give_non_finite_columns(self):
         # finite samples whose sums overflow: Columns keep inf in that row
-        # only, where the GridFunction form raises
+        # only, and its column is not a SupportFourier
         V = np.ones((3, 8))
         V[1] = 1.5e308
         c = analyze(V, 1)
         assert np.isinf(c.a0[1]) and np.isfinite(c.a0[[0, 2]]).all()
         with pytest.raises(InputError, match="non-finite coefficient"):
-            analyze(GridFunction(V[1]), 1)
+            column(c, 1)
 
 
 def _series_bytes(p: SupportFourier) -> bytes:
@@ -198,20 +194,20 @@ def _series_bytes(p: SupportFourier) -> bytes:
 
 
 def _per_mode_bytes(v: np.ndarray, K: int) -> bytes:
-    """a0 and each nonzero (k, a_k, b_k) by one np.sum per mode and half."""
+    """a0 and each (k, a_k, b_k) by one np.sum per mode and half, with the
+    pair a_k = b_k = 0 as +0.0 (a sum may give -0.0)."""
     n = v.size
     theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
     want = [float(np.mean(v))]
     for k in range(1, K + 1):
         a = 2.0 / n * float(np.sum(v * np.cos(k * theta)))
         b = 2.0 / n * float(np.sum(v * np.sin(k * theta)))
-        if a != 0.0 or b != 0.0:
-            want += [k, a, b]
+        want += [k, a, b] if a != 0.0 or b != 0.0 else [k, 0.0, 0.0]
     return np.array(want).tobytes()
 
 
 def _analyzed_bytes(v: np.ndarray, K: int) -> bytes:
-    return _series_bytes(analyze(GridFunction(v), K))
+    return _series_bytes(column(analyze(v[None], K), 0))
 
 
 class TestDerivative:
@@ -339,9 +335,9 @@ class TestMoments:
             p = SupportFourier(zero_a0, p.modes)
         m = moments(p)
         # column i of the moments of Columns is the moments of row i,
-        # column i of derivative(beta) without its exact-zero modes is the
-        # derivative of row i's beta, and the row kernel's E2 has the bits
-        # of the int (beta')^2 of derivative(beta)
+        # column i of beta and of derivative(beta) is row i's beta and its
+        # derivative, zero modes and all, and the row kernel's E2 has the
+        # bits of the int (beta')^2 of derivative(beta)
         rows = data.draw(rows_on_modes(p, 2.0))
         cols = moments(columns_of(rows))
         dcols = derivative(cols.beta)
@@ -354,10 +350,8 @@ class TestMoments:
             for name in Moments._fields[2:]:
                 col = getattr(cols, name)
                 assert col[i].hex() == getattr(mi, name).hex(), name
-            assert SupportFourier(cols.beta.a0[i], tuple(
-                (k, a[i], b[i]) for k, a, b in cols.beta.modes
-                if a[i] != 0.0 or b[i] != 0.0)) == mi.beta
-            assert series_bits(spectral.column(dcols, i)) \
+            assert series_bits(column(cols.beta, i)) == series_bits(mi.beta)
+            assert series_bits(column(dcols, i)) \
                 == series_bits(derivative(mi.beta))
         ref = reference_slacks(p, tau, xi)
         slacks = {"isoperimetric": check_isoperimetric(m),
