@@ -18,7 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-from .curves import (InputError, SupportFourier, algebraic_area,
+from .curves import (InputError, SupportFourier, _degree, algebraic_area,
                      algebraic_length, classify, isoperimetric_deficit,
                      sample_points, singular_angles, steiner_point,
                      uniform_grid)
@@ -105,7 +105,7 @@ def write_trace_csv(trace: FlowTrace, path: str | Path) -> None:
         f"# scheme = {cfg.scheme.value}",
         "# t_final = %.17g" % cfg.t_final,
         "# dt = %.17g" % cfg.dt,
-        f"# grid_n = {default_grid_size(cfg.initial.K)}",
+        f"# grid_n = {default_grid_size(_degree(cfg.initial))}",
         f"# record_every = {cfg.record_every}",
         f"# K = {cfg.initial.K}",
         "# stop_sup_dev = %.17g" % cfg.stop_sup_dev,

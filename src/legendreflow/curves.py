@@ -131,6 +131,11 @@ class Columns(NamedTuple):
     modes: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
 
+def _degree(p: SupportFourier) -> int:
+    """Highest mode of p with a nonzero coefficient (0 if none)."""
+    return max((k for k, a, b in p.modes if a or b), default=0)
+
+
 def column(c: Columns, i: int) -> SupportFourier:
     """Column i of c as a SupportFourier, with every mode c lists."""
     return SupportFourier(c.a0[i], tuple((k, a[i], b[i])
@@ -241,11 +246,11 @@ def singular_angles(p: SupportFourier) -> list[float]:
     tangency counts once, and a minimum of beta within round-off of 0 counts
     as a zero.  A constant beta has no zero to locate, so the result is []
     -- including beta = 0, the single-point curve that classify reports as
-    degenerate.  K is beta's highest mode with a nonzero coefficient, and
-    one above MAX_ROOT_MODE raises InputError.
+    degenerate.  K is beta's _degree, and one above MAX_ROOT_MODE raises
+    InputError.
     """
     beta = beta_of(p)
-    K = max((k for k, a, b in beta.modes if a or b), default=0)
+    K = _degree(beta)
     if K == 0:
         return []
     if K > MAX_ROOT_MODE:
@@ -282,10 +287,10 @@ def classify(p: SupportFourier) -> CurveClass:
 
     The curve is convex exactly when beta has no real zero and beta(0) > 0,
     so the label is translation (mode-1) invariant.  min p and min beta are
-    only reported, sampled on max(4*(K+1), 64) points.  beta = 0 (a0 = 0,
-    no nonzero coefficient of a mode k >= 2), at any scale, is a single point.
+    only reported, sampled on max(4*(_degree(p)+1), 64) points.  beta = 0
+    (a0 = 0, no nonzero mode k >= 2), at any scale, is a single point.
     """
-    theta = uniform_grid(max(4 * (p.K + 1), 64))
+    theta = uniform_grid(max(4 * (_degree(p) + 1), 64))
     beta = beta_of(p)
     min_p = float(np.min(p.evaluate(theta)))
     min_beta = float(np.min(beta.evaluate(theta)))

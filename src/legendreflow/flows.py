@@ -14,21 +14,22 @@ k >= 2 decay as exp((1 - k^2) t), a0 is constant under the length-preserving
 flow, and under the area-preserving flow freezing A gives a0(t)^2 in closed
 form (the support-function form of Gage's area-preserving flow).  It needs no
 time stepper, so dt only sets the record spacing.  A method-of-lines GridRK4
-scheme on default_grid_size(K) points is the independent oracle: in rfft modes
-it advances modes k >= 1 by RK4's amplification factor, a0 stepped with the
-Parseval lambda (step_grid_rk4), under the length flow only until a0 reaches
-its fixed point.  Every run takes sup_dev there.
+scheme on default_grid_size(_degree(p)) points is the independent oracle: in
+rfft modes it advances modes k >= 1 by RK4's amplification factor, a0 stepped
+with the Parseval lambda (step_grid_rk4), under the length flow only until a0
+reaches its fixed point.  Every run takes sup_dev on that grid.
 
 run computes its record rows a chunk of record times at a time: the closed
-form, or the chunk's grid states analyzed in one stack, at those times as
+form, or the chunk's grid states analyzed in one rfft, at those times as
 Columns, every field from their moments, and sup_dev from _sup_dev's
 BLAS-screened rows x grid_n block.  A field that is not finite raises
 InputError.  diagnostics is the same kernel's one-row case, on floats with
 sup_dev from the whole grid; it computes the final row again from the final
 state, and a field that differs in any bit raises RuntimeError.
 
-lambda_area raises DegenerateLengthError when |L| < LAMBDA_FLOOR; runs start
-from A > 0 and keep |L| >= 2*sqrt(pi*A), so only direct calls reach the floor.
+lambda_area, the one check of the length floor, raises DegenerateLengthError
+when |L| < LAMBDA_FLOOR; the closed form reads an a0^2 below 0 as L = 0.
+FlowConfig refuses a run of more than MAX_RECORDS records.
 """
 
 from __future__ import annotations
@@ -42,13 +43,17 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .curves import (TABLE_MAX_ENTRIES, TWO_PI, Columns, InputError,
-                     SupportFourier, _grid_table, algebraic_area, column,
-                     uniform_grid)
+                     SupportFourier, _degree, _grid_table, algebraic_area,
+                     algebraic_length, column, uniform_grid)
 from .spectral import (GridFunction, analyze, default_grid_size, derivative,
                        l2_quantities, moments, synthesize)
 
 #: |L| below this leaves lambda_area = (1/L) int beta^2 undefined.
 LAMBDA_FLOOR = 1e-9
+
+#: Most records a run keeps: a DiagnosticsRow in FlowTrace.rows holds about
+#: 440 bytes (tracemalloc, Python 3.11), so 0.45 GB of rows at the cap.
+MAX_RECORDS = 10 ** 6
 
 #: Entries of the rows x grid_n sup_dev block of one chunk of run's rows:
 #: 256 KiB, as fast as larger blocks, keeps memory flat at large K.
@@ -102,6 +107,10 @@ class FlowConfig:
                              f"number of steps dt = {self.dt!r}")
         if self.record_every < 1:
             raise InputError("record_every must be >= 1")
+        records = -(-round(steps) // self.record_every) + 1  # as in run
+        if records > MAX_RECORDS:
+            raise InputError(f"{records} records exceed MAX_RECORDS = "
+                             f"{MAX_RECORDS}; raise dt or record_every")
         if not 0 <= self.stop_sup_dev < math.inf:
             raise InputError("need 0 <= stop_sup_dev < inf")
         if self.flow_type is FlowType.AREA_PRESERVING:
@@ -161,13 +170,15 @@ def step_exact_modal(state: FlowState, dt: float,
 
     with the sign of a0 kept.  a0^2 decreases towards A/pi, so |L| can fall
     below LAMBDA_FLOOR only when A <= pi*(LAMBDA_FLOOR/2pi)^2; for A <= 0
-    the flow has no real solution past that time.  Either way
-    DegenerateLengthError is raised.
+    the flow has no real solution past that time.  Either way lambda_area
+    raises DegenerateLengthError on the result's L.
     """
     if dt < 0:
         raise InputError("dt must be >= 0")
-    return FlowState(state.t + dt, column(
-        _closed_form(state.p, [dt], flow_type, state.t), 0))
+    p = column(_closed_form(state.p, [dt], flow_type, state.t), 0)
+    if flow_type is FlowType.AREA_PRESERVING:
+        lambda_area(algebraic_length(p), 0.0, state.t + dt)
+    return FlowState(state.t + dt, p)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -175,7 +186,8 @@ def _closed_form(p: SupportFourier, ts: list[float], flow_type: FlowType,
                  t0: float = 0.0) -> Columns:
     """step_exact_modal from p after each duration in ts, as columns a0 and
     (k, a_k, b_k) over ts with its bits: math.exp and math.expm1 act element
-    by element, sum adds the a0^2 terms, and mode 1 is scaled by exp(0)."""
+    by element, sum adds the a0^2 terms, and mode 1 is scaled by exp(0).
+    An a0^2 that rounds below 0 reads as a0 = +-0.0, that is L = 0."""
     t = np.array(ts, dtype=float)
     f = np.array([1 - k * k for k, _, _ in p.modes], dtype=float)
     decay = np.array(list(map(math.exp, np.outer(f, t).ravel().tolist())))
@@ -192,12 +204,7 @@ def _closed_form(p: SupportFourier, ts: list[float], flow_type: FlowType,
         if not np.all(np.isfinite(a0_sq)):
             raise InputError(f"the closed form's a0^2 overflows at t = "
                              f"{t0 + ts[np.argmin(np.isfinite(a0_sq))]}")
-        low = np.flatnonzero(~(a0_sq >= (LAMBDA_FLOOR / TWO_PI) ** 2))
-        if low.size:
-            raise DegenerateLengthError(
-                f"|L| falls below floor {LAMBDA_FLOOR} before "
-                f"t = {t0 + ts[low[0]]}")
-        a0 = np.copysign(np.sqrt(a0_sq), p.a0)
+        a0 = np.copysign(np.sqrt(np.maximum(a0_sq, 0.0)), p.a0)
     return Columns(a0, tuple(
         zip([k for k, _, _ in p.modes], ab[:, 0], ab[:, 1])))
 
@@ -369,23 +376,18 @@ def _rows(t, c, flow_type: FlowType, grid_n: int) -> list[DiagnosticsRow]:
 def _columns(config: FlowConfig, chunks, grid_n: int):
     """For each chunk of step counts: its record times and their series as
     Columns.  The modal scheme evaluates its closed form at the chunk's
-    times, or at one time after another in a chunk where the flow
-    degenerates.  The grid scheme advances RK4 one record interval per call,
-    then analyzes the chunk's record grids as one stack: Columns over modes
-    1..k_cut, +0.0 where a_k = b_k = 0.  An error met while stepping a
-    chunk, or a record whose series is not finite (InputError "non-finite
-    coefficient"), is raised after the records before it."""
+    times.  The grid scheme, with k_cut the initial curve's _degree (at
+    least 1), advances RK4 one record interval per call, then analyzes the
+    chunk's record grids in one rfft: Columns over modes 1..k_cut, +0.0
+    where a_k = b_k = 0.  An error met while stepping a chunk, or a record
+    whose series is not finite (InputError "non-finite coefficient"), is
+    raised after the records before it."""
     flow_type, dt = config.flow_type, config.dt
     if config.scheme is Scheme.EXACT_MODAL:
         for ts in ([step * dt for step in steps] for steps in chunks):
-            try:
-                parts = [(ts, _closed_form(config.initial, ts, flow_type))]
-            except DegenerateLengthError:
-                parts = (([t], _closed_form(config.initial, [t], flow_type))
-                         for t in ts)
-            yield from parts
+            yield ts, _closed_form(config.initial, ts, flow_type)
         return
-    k_cut = max(config.initial.K, 1)
+    k_cut = max(_degree(config.initial), 1)
     _check_stability(dt, k_cut)
     gstate = GridFlowState(0.0, synthesize(config.initial, grid_n), k_cut)
     done = 0
@@ -416,8 +418,8 @@ def _records(config: FlowConfig, steps: list[int], grid_n: int):
     its DiagnosticsRow, and a function that builds its FlowState from its
     column of the chunk's Columns.  _rows computes the rows of
     CHUNK_ENTRIES // grid_n record times at once from their _columns; a
-    chunk whose rows meet the length floor is done again by diagnostics row
-    by row, so the rows before the failing one come first."""
+    chunk in which lambda_area meets the floor is done again by diagnostics
+    row by row, so the rows before the failing one come first."""
     size = max(1, CHUNK_ENTRIES // grid_n)
     chunks = (steps[lo:lo + size] for lo in range(0, len(steps), size))
     for ts, c in _columns(config, chunks, grid_n):
@@ -439,7 +441,7 @@ def run(config: FlowConfig, on_record=None) -> FlowTrace:
     recorded row (snapshot hook for the CLI), before the next chunk of rows
     is computed.
     """
-    grid_n = default_grid_size(config.initial.K)
+    grid_n = default_grid_size(_degree(config.initial))
     n_steps = round(config.t_final / config.dt)
     steps = list(range(0, n_steps + 1, config.record_every))
     if steps[-1] != n_steps:

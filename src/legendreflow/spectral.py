@@ -2,8 +2,8 @@
 
 The numerical substrate for oracles, diagnostics and the `moments` of a curve.
 Integrals over the circle are Parseval sums of the coefficients; the DFT of a
-stack of sample rows is one product with the K x N cos (sin) rows, summed
-pairwise.
+stack of sample rows is one rfft along its rows, the transform the grid oracle
+takes of its samples.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import (TABLE_MAX_ENTRIES, TWO_PI, Columns, InputError,
-                     SupportFourier, _grid_table, algebraic_area,
-                     algebraic_length, beta_of, uniform_grid)
+from .curves import (TWO_PI, Columns, InputError, SupportFourier, _degree,
+                     algebraic_area, algebraic_length, beta_of, uniform_grid)
 
 
 class AliasError(InputError):
@@ -46,9 +45,10 @@ class GridFunction:
 
 
 def synthesize(p: SupportFourier, n: int) -> GridFunction:
-    """Sample p on the N-point grid (exact: p is a finite trig sum)."""
-    if n < 2 * p.K + 2:
-        raise AliasError(f"grid size {n} < 2K+2 = {2 * p.K + 2}")
+    """Sample p on the N-point grid (exact: p is a finite trig sum of degree
+    K = _degree(p); a listed zero mode above N/2 adds only zero terms)."""
+    if n < 2 * (K := _degree(p)) + 2:
+        raise AliasError(f"grid size {n} < 2K+2 = {2 * K + 2}")
     theta = uniform_grid(n)
     return GridFunction(p.evaluate(theta))
 
@@ -70,28 +70,16 @@ def analyze(V: np.ndarray, K: int) -> Columns:
     """Discrete Fourier coefficients up to mode K of each row v of the
     (rows, N) samples V (checked as GridFunction checks its values), the
     exact inverse of synthesize for degree <= K: Columns over modes 1..K,
-    +0.0 where a_k = b_k = 0.  a_k = (2/N) sum v_j cos(k theta_j), b_k
-    likewise, a0 = mean(v); each half is one product V * cos(k theta_j)
-    (evaluate's cached table, else per mode) summed pairwise along its last
-    axis, in blocks of at most TABLE_MAX_ENTRIES products, so a row's bits do
-    not depend on the others.  Sums that overflow give non-finite Columns."""
+    +0.0 where a_k = b_k = 0.  With X = rfft(V) along its rows, a0 = Re X_0
+    / N, a_k = (2/N) Re X_k and b_k = -(2/N) Im X_k; a row's bits do not
+    depend on the others.  Sums that overflow give non-finite Columns."""
     V = _samples(V, 2)
-    rows, n = V.shape
-    if 2 * K + 2 > n:
+    if 2 * K + 2 > (n := V.shape[1]):
         raise AliasError(f"cannot recover K={K} modes from {n} samples")
-    theta = uniform_grid(n)
-    table, kb = _grid_table(theta, K), max(1, min(K, TABLE_MAX_ENTRIES // n))
-    rb, ab = max(1, TABLE_MAX_ENTRIES // (kb * n)), np.empty((2, K, rows))
-    for k0 in range(0, K, kb):
-        k1 = min(k0 + kb, K)
-        for half, trig in enumerate((np.cos, np.sin)):
-            tr = table[half][k0:k1] if table is not None else np.array(
-                [trig(k * theta) for k in range(k0 + 1, k1 + 1)])
-            for r0 in range(0, rows, rb):
-                ab[half, k0:k1, r0:r0 + rb] = 2.0 / n * np.sum(
-                    V[r0:r0 + rb, None, :] * tr, axis=2).T
+    X = np.fft.rfft(V)[:, :K + 1]
+    ab = np.stack([2.0 / n * X.real[:, 1:].T, -2.0 / n * X.imag[:, 1:].T])
     ab[:, (ab[0] == 0.0) & (ab[1] == 0.0)] = 0.0
-    return Columns(np.mean(V, axis=1), tuple(zip(range(1, K + 1), *ab)))
+    return Columns(X[:, 0].real / n, tuple(zip(range(1, K + 1), *ab)))
 
 
 def derivative(p: SupportFourier | Columns,

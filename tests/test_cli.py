@@ -396,6 +396,63 @@ class TestCliMain:
         assert rc == 1
         assert "DegenerateLength" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flow", ["length", "area"])
+    def test_grid_snapshots_of_a_listed_zero_mode_above_the_root_bound(
+            self, tmp_path, flow):
+        # the grid is sized from figure1a's degree 2, so its states list
+        # modes 1 and 2 only, and their snapshots locate cusps
+        f = tmp_path / "zero600.curve"
+        f.write_text("a0 = 2\nmode 2 = 0 1\nmode 600 = 0 0\n")
+        out, snaps = tmp_path / "t.csv", tmp_path / "s"
+        assert cli_main(["simulate", "--flow", flow, "--scheme", "grid",
+                         "--curve", str(f), "--t-final", "0.1", "--dt",
+                         "0.01", "--out", str(out), "--svg-dir", str(snaps),
+                         "--svg-every", "5"]) == 0
+        head = out.read_text().splitlines()
+        assert "# grid_n = 256" in head and "# K = 600" in head
+        assert len(list(snaps.iterdir())) == 3
+
+    def test_listed_zero_mode_far_above_the_grid_costs_nothing(
+            self, tmp_path, capsys):
+        f = tmp_path / "far.curve"
+        f.write_text("a0 = 2\nmode 2 = 0 1\nmode 1000000 = 0 0\n")
+        start = time.perf_counter()
+        assert cli_main(["analyze", "--curve", str(f)]) == 0
+        for scheme in ("modal", "grid"):
+            out = tmp_path / f"{scheme}.csv"
+            assert cli_main(["simulate", "--flow", "area", "--scheme", scheme,
+                             "--curve", str(f), "--t-final", "0.1", "--dt",
+                             "0.01", "--out", str(out)]) == 0
+            assert "# grid_n = 256" in out.read_text().splitlines()
+        assert time.perf_counter() - start < 5.0
+        assert "class = ell-convex-nonconvex" in capsys.readouterr().out
+
+    def test_simulate_too_many_records_fails_at_once(self, tmp_path, capsys):
+        f = tmp_path / "c.curve"
+        f.write_text("a0 = 2\nmode 2 = 0 1\n")
+        start = time.perf_counter()
+        assert cli_main(["simulate", "--flow", "length", "--curve", str(f),
+                         "--t-final", "1e15", "--dt", "1",
+                         "--out", str(tmp_path / "t.csv")]) == 1
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().err == (
+            "error: InputError: 1000000000000001 records exceed "
+            "MAX_RECORDS = 1000000; raise dt or record_every\n")
+
+    def test_simulate_length_floor(self, tmp_path, capsys):
+        # A = 1.6e-27: lambda_area meets the floor at t = 2.99, unless the
+        # run stops early
+        f = tmp_path / "tiny.curve"
+        f.write_text("a0 = 1.2247448713915892e-06\nmode 2 = 0 1e-6\n")
+        argv = ["simulate", "--flow", "area", "--curve", str(f),
+                "--t-final", "3", "--dt", "1e-2",
+                "--out", str(tmp_path / "t.csv")]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: DegenerateLengthError: |L| = 9.786e-10 below floor "
+            "1e-09 at t = 2.99\n")
+        assert cli_main(argv + ["--stop-sup-dev", "1e-9"]) == 0
+
     def test_simulate_partial_step_fails(self, tmp_path, capsys):
         f = tmp_path / "c.curve"
         f.write_text("a0 = 2\nmode 2 = 0 1\n")

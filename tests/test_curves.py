@@ -279,12 +279,19 @@ class TestSingularAngles:
         assert singular_angles(SupportFourier(2.0, ((1, 0.5, 0.0),
                                                     (top, 0.0, 0.0)))) == []
         # nor does a listed zero mode above the bound, which beta_of and
-        # derivative keep, change figure1a's roots or class (min p and min
-        # beta are sampled on a finer grid)
+        # derivative keep, change figure1a's roots or class: min p and min
+        # beta are sampled on the grid of figure1a's degree 2
         listed = SupportFourier(2.0, ((2, 0.0, 1.0), (600, 0.0, 0.0)))
         assert beta_of(listed).K == derivative(listed).K == 600 > top
         assert singular_angles(listed) == singular_angles(P_FIG_A)
-        assert classify(listed).kind is classify(P_FIG_A).kind
+        assert classify(listed) == classify(P_FIG_A)
+
+    def test_degree_is_the_highest_nonzero_mode(self):
+        assert curves._degree(SupportFourier(2.0)) == 0
+        assert curves._degree(SupportFourier(2.0, ((1, 0.0, -0.0),))) == 0
+        assert curves._degree(SupportFourier(0.0, (
+            (1, 0.5, 0.0), (3, 0.0, 5e-324), (5, -0.0, 0.0),
+            (10 ** 8, 0.0, 0.0)))) == 3
 
     def test_sin2theta(self):
         roots = singular_angles(SupportFourier(0.0, ((2, 0.0, 1.0),)))

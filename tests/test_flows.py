@@ -18,8 +18,8 @@ from legendreflow import (Constraint, CurveEnsembleSpec, DegenerateLengthError,
                           step_grid_rk4, steiner_point, synthesize,
                           uniform_grid)
 from legendreflow import flows
-from legendreflow.curves import Columns, column
-from legendreflow.flows import LAMBDA_FLOOR, GridFlowState
+from legendreflow.curves import Columns, _degree, column
+from legendreflow.flows import GridFlowState
 from conftest import columns_of
 from helpers import ell_convex_residuals, fit_decay_rate, periodic_quadrature
 
@@ -160,8 +160,20 @@ class TestStepExactModal:
         s = step_exact_modal(start, 0.03, AREA)
         assert s.p.a0 == pytest.approx(
             math.sqrt(0.25 - 1.5 * (1.0 - math.exp(-0.18))), rel=1e-12)
-        with pytest.raises(DegenerateLengthError):
+        with pytest.raises(DegenerateLengthError, match=(
+                r"^\|L\| = 0\.000e\+00 below floor 1e-09 at t = 0\.1$")):
             step_exact_modal(start, 0.1, AREA)
+
+    @pytest.mark.parametrize("dt", [0.0305, 0.1, 1.0, 30.0, 1e6])
+    def test_area_flow_past_collapse_reads_zero_length(self, dt):
+        # past T = ln(1.2)/6 figure1c's a0^2 is negative: the closed form
+        # reads it as a0 = +0.0, never NaN, so lambda_area names the floor
+        # rather than a non-finite field
+        c = flows._closed_form(P_FIG_C, [dt], AREA)
+        assert c.a0.tobytes() == bytes(8)
+        with pytest.raises(DegenerateLengthError, match=(
+                r"^\|L\| = 0\.000e\+00 below floor 1e-09 at t = ")):
+            step_exact_modal(FlowState(0.0, P_FIG_C), dt, AREA)
 
 
 def reference_grid_rhs(v: np.ndarray, flow_type: FlowType, k_cut: int,
@@ -536,6 +548,39 @@ class TestRun:
         with pytest.raises(DegenerateLengthError):
             FlowConfig(FlowType.AREA_PRESERVING, P_ZERO_L)
 
+    def test_record_count_cap(self):
+        # constructed only: a run at the cap would keep MAX_RECORDS rows
+        cap = flows.MAX_RECORDS
+        for t_final, every in ((cap - 1, 1), (2 * (cap - 1), 2),
+                               (2 * cap - 3, 2)):
+            FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A,
+                       t_final=float(t_final), dt=1.0, record_every=every)
+        for t_final, every, records in (
+                (cap, 1, cap + 1), (2 * cap - 1, 2, cap + 1),
+                (2 * cap, 2, cap + 1), (1e12, 1, 10 ** 12 + 1),
+                (1e15, 1, 10 ** 15 + 1), (1e16, 1, 10 ** 16 + 1),
+                (1e16, 10, 10 ** 15 + 1)):
+            with pytest.raises(InputError, match=(
+                    f"^{records} records exceed MAX_RECORDS = {cap}; "
+                    f"raise dt or record_every$")):
+                FlowConfig(FlowType.AREA_PRESERVING, P_FIG_A,
+                           t_final=float(t_final), dt=1.0, record_every=every)
+
+    @pytest.mark.parametrize("flow_type", list(FlowType))
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_listed_zero_modes_do_not_size_the_grid(self, flow_type, scheme):
+        # a listed zero mode 600 neither grows the grid nor tightens the
+        # grid oracle's stability bound (dt = 1e-2 > 1/(600^2 + 1)): the
+        # rows are those of figure1a, bit for bit
+        listed = SupportFourier(2.0, ((2, 0.0, 1.0), (600, 0.0, 0.0)))
+        traces = [run(FlowConfig(flow_type, p, t_final=0.1, dt=1e-2,
+                                 scheme=scheme, record_every=3))
+                  for p in (listed, P_FIG_A)]
+        assert [row_bits(r) for r in traces[0].rows] \
+            == [row_bits(r) for r in traces[1].rows]
+        assert traces[0].final_state.p.K == (
+            600 if scheme is Scheme.EXACT_MODAL else 2)
+
     def test_length_preserving_run(self):
         tr = run(FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A,
                             t_final=6.0, dt=1e-2))
@@ -692,7 +737,8 @@ class TestLimitCircle:
 
 def one_step_reference(p: SupportFourier, dt: float,
                        flow_type: FlowType) -> SupportFourier:
-    """The closed form from p after dt, one mode at a time in Python floats."""
+    """The closed form from p after dt, one mode at a time in Python floats,
+    with an a0^2 that rounds below 0 read as a0 = +-0.0."""
     modes = tuple(
         (k, a, b) if k == 1 else
         (k, a * math.exp((1 - k * k) * dt), b * math.exp((1 - k * k) * dt))
@@ -702,10 +748,7 @@ def one_step_reference(p: SupportFourier, dt: float,
         a0_sq = p.a0 * p.a0 + 0.5 * sum(
             (1 - k * k) * (a * a + b * b) * -math.expm1(2 * (1 - k * k) * dt)
             for k, a, b in p.modes if k >= 2)
-        if not a0_sq >= (LAMBDA_FLOOR / TWO_PI) ** 2:
-            raise DegenerateLengthError(
-                f"|L| falls below floor {LAMBDA_FLOOR} before t = {dt}")
-        a0 = math.copysign(math.sqrt(a0_sq), p.a0)
+        a0 = math.copysign(math.sqrt(max(a0_sq, 0.0)), p.a0)
     return SupportFourier(a0, modes)
 
 
@@ -733,9 +776,9 @@ def per_row_states(config: FlowConfig):
                                          config.flow_type)) == bits(state)
             yield state
         return
-    k_cut = max(config.initial.K, 1)
+    k_cut = max(_degree(config.initial), 1)
     g = GridFlowState(0.0, synthesize(
-        config.initial, default_grid_size(config.initial.K)), k_cut)
+        config.initial, default_grid_size(_degree(config.initial))), k_cut)
     done = 0
     for step in steps:
         if step > done:
@@ -755,7 +798,7 @@ def outcome(config: FlowConfig, per_row: bool) -> tuple:
             trace = run(config, lambda i, s: hooked.append((i, bits(s))))
             return ([row_bits(r) for r in trace.rows], hooked,
                     bits(trace.final_state), trace.converged)
-        grid_n = default_grid_size(config.initial.K)
+        grid_n = default_grid_size(_degree(config.initial))
         for i, state in enumerate(per_row_states(config)):
             rows.append(diagnostics(state, config.flow_type, grid_n))
             hooked.append((i, bits(state)))
@@ -829,7 +872,7 @@ class TestChunkedRows:
     @pytest.mark.parametrize("chunk_rows", [None, 1, 267, 268, 299, 300])
     def test_floor_and_early_stop(self, chunk_rows):
         # A = 1.6e-27 > 0, so |L| = 2 sqrt(pi A) at the limit is below the
-        # floor: the closed form fails before t = 2.99, after 299 rows; with
+        # floor: lambda_area fails at t = 2.99, after 299 rows; with
         # stop_sup_dev the run converges at its 268th row and never fails
         p = SupportFourier(1.2247448713915892e-06, ((2, 0.0, 1e-6),))
         assert 0.0 < algebraic_area(p) < 2e-27
@@ -839,7 +882,7 @@ class TestChunkedRows:
                                entries or flows.CHUNK_ENTRIES):
             hooked = []
             with pytest.raises(DegenerateLengthError, match=(
-                    r"^\|L\| falls below floor 1e-09 before t = 2.99$")):
+                    r"^\|L\| = 9\.786e-10 below floor 1e-09 at t = 2\.99$")):
                 run(config, lambda i, s: hooked.append(i))
             assert hooked == list(range(299))
             trace = run(replace(config, stop_sup_dev=1e-9),
