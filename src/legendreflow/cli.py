@@ -18,10 +18,12 @@ import math
 import sys
 from pathlib import Path
 
-from .curves import (InputError, SupportFourier, _degree, algebraic_area,
-                     algebraic_length, classify, isoperimetric_deficit,
-                     sample_points, singular_angles, steiner_point,
-                     uniform_grid)
+import numpy as np
+
+from .curves import (MAX_ROOT_MODE, Columns, InputError, SupportFourier,
+                     _degree, algebraic_area, algebraic_length, classify,
+                     isoperimetric_deficit, sample_points, singular_angles,
+                     stack, steiner_point, uniform_grid)
 from .flows import (LAMBDA_FLOOR, DegenerateLengthError, FlowConfig, FlowTrace,
                     FlowType, Scheme, run)
 from .inequalities import (Constraint, CurveEnsembleSpec,
@@ -130,36 +132,46 @@ def read_trace_csv(path: str | Path) -> list[dict[str, float]]:
     return rows
 
 
-def write_curve_svg(p: SupportFourier, path: str | Path) -> None:
-    """Closed polyline through 512 curve samples, y-up, 10% margin,
-    singular points marked with small circles."""
-    theta = uniform_grid(512)
-    pts = sample_points(p, theta)
-    cusps = sample_points(p, singular_angles(p))
+#: Snapshots _cmd_simulate queues before it writes them in one batch.
+SVG_BATCH = 64
 
-    # y-up: flip the y coordinate, including marker positions
-    pts = pts * [1.0, -1.0]
-    xs, ys = pts[:, 0], pts[:, 1]
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    span = max(x_hi - x_lo, y_hi - y_lo, 1e-6)
-    m = 0.1 * span
-    vb = (x_lo - m, y_lo - m, (x_hi - x_lo) + 2 * m, (y_hi - y_lo) + 2 * m)
-    sw = 0.004 * span
-    d = ("M " + " L ".join(["%.6f %.6f"] * len(pts)) + " Z") % tuple(
-        pts.ravel().tolist())
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{vb[0]:.6f} {vb[1]:.6f} {vb[2]:.6f} {vb[3]:.6f}">',
-        f'<path d="{d}" fill="none" stroke="black" stroke-width="{sw:.6f}"/>',
-    ]
-    for x, y in cusps:
-        parts.append(f'<circle cx="{x:.6f}" cy="{-y:.6f}" '
-                     f'r="{2.5 * sw:.6f}" fill="red"/>')
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8",
-                          newline="\n")
+def write_curve_svg(p: SupportFourier | Columns, paths) -> None:
+    """For each row of p, to the matching one of paths (a SupportFourier is
+    the one-row case, with one path): a closed polyline through 512 curve
+    samples, y-up, 10% margin, singular points marked with small circles.
+    The outlines of all rows come from one evaluate of p and p', and the
+    singular points of all rows from one more."""
+    if not np.ndim(p.a0):
+        p, paths = stack([p]), [paths]
+    outlines = sample_points(p, uniform_grid(512)) * [1.0, -1.0]  # y-up
+    angles = singular_angles(p)
+    counts = [len(a) for a in angles]
+    cusps = np.split(sample_points(p, [a for row in angles for a in row],
+                                   np.repeat(np.arange(len(counts)), counts)),
+                     np.cumsum(counts)[:-1])
+    d_template = "M " + " L ".join(["%.6f %.6f"] * outlines.shape[1]) + " Z"
+    for path, pts, marks in zip(paths, outlines, cusps):
+        xs, ys = pts[:, 0], pts[:, 1]
+        x_lo, x_hi = float(xs.min()), float(xs.max())
+        y_lo, y_hi = float(ys.min()), float(ys.max())
+        span = max(x_hi - x_lo, y_hi - y_lo, 1e-6)
+        m = 0.1 * span
+        vb = (x_lo - m, y_lo - m, (x_hi - x_lo) + 2 * m, (y_hi - y_lo) + 2 * m)
+        sw = 0.004 * span
+        d = d_template % tuple(pts.ravel().tolist())
+        parts = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" '
+            f'viewBox="{vb[0]:.6f} {vb[1]:.6f} {vb[2]:.6f} {vb[3]:.6f}">',
+            f'<path d="{d}" fill="none" stroke="black" '
+            f'stroke-width="{sw:.6f}"/>',
+        ]
+        for x, y in marks:
+            parts.append(f'<circle cx="{x:.6f}" cy="{-y:.6f}" '
+                         f'r="{2.5 * sw:.6f}" fill="red"/>')
+        parts.append("</svg>")
+        Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8",
+                              newline="\n")
 
 
 # --- subcommands --------------------------------------------------------------
@@ -178,9 +190,9 @@ FIGURE_CURVES = {
 
 def _cmd_analyze(args) -> int:
     p = parse_curve_file(args.curve)
-    cls = classify(p)
+    angles = singular_angles(p)     # refuses a degree above MAX_ROOT_MODE
+    cls = classify(p)               # before classify samples on 4(K+1) points
     st = steiner_point(p)
-    angles = singular_angles(p)
     print(f"L = {algebraic_length(p)!r}")
     print(f"A = {algebraic_area(p)!r}")
     print(f"deficit_U = {isoperimetric_deficit(p)!r}")
@@ -204,16 +216,30 @@ def _cmd_simulate(args) -> int:
         record_every=args.record_every,
         stop_sup_dev=args.stop_sup_dev,
     )
-    on_record = None
+    on_record, queue = None, []
     if args.svg_dir is not None:
         svg_dir = Path(args.svg_dir)
         svg_dir.mkdir(parents=True, exist_ok=True)
 
         def on_record(i, state):
             if i % args.svg_every == 0:
-                write_curve_svg(state.p, svg_dir / f"snapshot_{i:05d}.svg")
+                queue.append((svg_dir / f"snapshot_{i:05d}.svg", state.p))
+                # no later state has a higher degree than the first, so one
+                # whose cusps singular_angles refuses fails the run at once
+                if len(queue) == SVG_BATCH or i == 0 \
+                        and _degree(state.p) > MAX_ROOT_MODE:
+                    flush()
 
-    trace = run(config, on_record=on_record)
+    def flush():    # the states of a run list the same modes
+        if queue:
+            paths, ps = zip(*queue)
+            queue.clear()
+            write_curve_svg(stack(ps), paths)
+
+    try:
+        trace = run(config, on_record=on_record)
+    finally:    # every snapshot queued before an error is written too
+        flush()
     write_trace_csv(trace, args.out)
     final = trace.rows[-1]
     print(f"wrote {args.out}: {len(trace.rows)} rows, final t = {final.t!r}, "

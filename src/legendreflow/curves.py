@@ -40,6 +40,10 @@ NEWTON_STEPS = 3
 #: large-K run keeps the memory of the uncached loop.
 TABLE_MAX_ENTRIES = 1 << 18
 
+#: Most points of a uniform_grid (8 MiB of samples): a curve whose degree
+#: asks for more is refused before any grid is allocated.
+MAX_GRID_N = 1 << 20
+
 #: Highest mode of beta whose zeros `singular_angles` locates: np.roots on the
 #: 2K x 2K companion matrix took 5.8 s at K = 512, 15 s at K = 768 (2-core Xeon).
 MAX_ROOT_MODE = 512
@@ -108,18 +112,25 @@ class SupportFourier:
         if np.ndim(a0):     # Columns: rows first, then the axes of theta
             axes = (...,) + (None,) * th.ndim
             a0, modes = a0[axes], [(k, a[axes], b[axes]) for k, a, b in modes]
-        out = np.full(np.broadcast(a0, th).shape, a0 if order == 0 else 0.0)
-        table = _grid_table(th, modes[-1][0] if modes else 0)
-        for k, a, b in modes:
-            for _ in range(order):
-                a, b = k * b, -k * a
-            if table is None:
-                cos_k, sin_k = np.cos(k * th), np.sin(k * th)
-            else:
-                cos_k, sin_k = table[0][k - 1], table[1][k - 1]
-            out += a * cos_k
-            out += b * sin_k
+        out = _trig_sum(a0, modes, th, order)
         return out if out.ndim else float(out)
+
+
+def _trig_sum(a0, modes, th: np.ndarray, order: int) -> np.ndarray:
+    """evaluate's sum of the order-th derivative, the coefficients
+    broadcast against th, term by term in mode order."""
+    out = np.full(np.broadcast(a0, th).shape, a0 if order == 0 else 0.0)
+    table = _grid_table(th, modes[-1][0] if modes else 0)
+    for k, a, b in modes:
+        for _ in range(order):
+            a, b = k * b, -k * a
+        if table is None:
+            cos_k, sin_k = np.cos(k * th), np.sin(k * th)
+        else:
+            cos_k, sin_k = table[0][k - 1], table[1][k - 1]
+        out += a * cos_k
+        out += b * sin_k
+    return out
 
 
 class Columns(NamedTuple):
@@ -142,9 +153,23 @@ def column(c: Columns, i: int) -> SupportFourier:
                                          for k, a, b in c.modes))
 
 
+def stack(ps) -> Columns:
+    """The SupportFourier series ps, which list the same modes, as the
+    Columns whose column i is ps[i]."""
+    ks = [k for k, _, _ in ps[0].modes]
+    if any([k for k, _, _ in p.modes] != ks for p in ps):
+        raise InputError("stacked series must list the same modes")
+    ab = np.array([[m[1:] for m in p.modes] for p in ps]).reshape(
+        len(ps), len(ks), 2).transpose(2, 1, 0)
+    return Columns(np.array([p.a0 for p in ps]), tuple(zip(ks, *ab)))
+
+
 @functools.lru_cache(maxsize=8)
 def uniform_grid(n: int) -> np.ndarray:
-    """The n-point grid theta_j = 2*pi*j/n, j < n, as a shared read-only array."""
+    """The n-point grid theta_j = 2*pi*j/n, j < n, as a shared read-only
+    array; n above MAX_GRID_N raises InputError."""
+    if n > MAX_GRID_N:
+        raise InputError(f"a {n}-point grid exceeds MAX_GRID_N = {MAX_GRID_N}")
     theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
     theta.flags.writeable = False
     return theta
@@ -188,14 +213,17 @@ class CurveClass:
     min_p: float
 
 
-def sample_points(p: SupportFourier, thetas: np.ndarray) -> np.ndarray:
+def sample_points(p: SupportFourier | Columns, thetas: np.ndarray,
+                  row: np.ndarray | None = None) -> np.ndarray:
     """Curve points gamma = p*(cos, sin) + p'*(-sin, cos) at each theta,
-    as a (len(thetas), 2) array; 2*pi-periodic."""
+    as a (len(thetas), 2) array, or (rows, len(thetas), 2) for Columns;
+    2*pi-periodic.  With row, point j is row row[j] of the Columns p at
+    thetas[j] alone, with the bits of that row's own points."""
     th = np.asarray(thetas, dtype=float)
-    pv = p.evaluate(th)
-    dv = p.evaluate(th, order=1)
-    return np.stack([pv * np.cos(th) - dv * np.sin(th),
-                     pv * np.sin(th) + dv * np.cos(th)], axis=-1)
+    pv, dv = (SupportFourier.evaluate(p, th, order) if row is None
+              else _trig_sum(*_at_rows(p, row), th, order) for order in (0, 1))
+    cos, sin = np.cos(th), np.sin(th)
+    return np.stack([pv * cos - dv * sin, pv * sin + dv * cos], axis=-1)
 
 
 def beta_of(p: SupportFourier | Columns) -> SupportFourier | Columns:
@@ -235,8 +263,10 @@ def steiner_point(p: SupportFourier) -> Point2:
     return Point2(a1, b1)
 
 
-def singular_angles(p: SupportFourier) -> list[float]:
-    """Sorted angles in [0, 2*pi) where beta vanishes (cusps of the curve).
+def singular_angles(p: SupportFourier | Columns) -> list:
+    """Sorted angles in [0, 2*pi) where beta vanishes (cusps of the curve):
+    a list for a SupportFourier, the one-row case, and one per row for
+    Columns.
 
     With z = exp(i*theta), z^K beta(theta) is a polynomial of degree 2K in z
     with coefficients c_K = a0 and c_{K+-k} = (a_k -+ i*b_k)/2 from the modes
@@ -246,40 +276,78 @@ def singular_angles(p: SupportFourier) -> list[float]:
     tangency counts once, and a minimum of beta within round-off of 0 counts
     as a zero.  A constant beta has no zero to locate, so the result is []
     -- including beta = 0, the single-point curve that classify reports as
-    degenerate.  K is beta's _degree, and one above MAX_ROOT_MODE raises
-    InputError.
+    degenerate.  K is the largest _degree of beta over the rows, and one
+    above MAX_ROOT_MODE raises InputError.
+
+    Rows of lower degree get zero outer coefficients, which the trim drops;
+    companion matrices of one size go to np.linalg.eigvals in stacks of at
+    most TABLE_MAX_ENTRIES entries, and Newton polishes all roots at once
+    in evaluate's order, so each row keeps the bits of its one-row call.
     """
-    beta = beta_of(p)
-    K = _degree(beta)
-    if K == 0:
-        return []
+    c = p if np.ndim(p.a0) else stack([p])
+    beta, rows = beta_of(c), c.a0.size
+    deg = np.zeros(rows, dtype=int)
+    for k, a, b in beta.modes:
+        deg[(a != 0) | (b != 0)] = k
+    K = int(deg.max(initial=0))
     if K > MAX_ROOT_MODE:
         raise InputError(f"beta has mode {K} > MAX_ROOT_MODE = {MAX_ROOT_MODE}")
-    c = np.zeros(2 * K + 1, dtype=complex)
-    c[K] = beta.a0
+    C = np.zeros((rows, 2 * K + 1), dtype=complex)
+    C[:, K] = beta.a0
     for k, a, b in beta.modes:
-        if a or b:      # zero modes above K have no place in c
-            c[K + k] = complex(a, -b) / 2
-            c[K - k] = complex(a, b) / 2
+        if k > K:
+            break
+        nz = (a != 0) | (b != 0)    # a zero coefficient pair stays 0j
+        z = a[nz].astype(complex)
+        z.imag = -b[nz]
+        C[nz, K + k] = z / 2
+        z.imag = b[nz]
+        C[nz, K - k] = z / 2
     # Outer coefficients below round-off of the largest would only add roots
     # near 0 and infinity, and they spoil the companion matrix.
-    mag = np.abs(c)
-    lo = np.flatnonzero(mag > np.finfo(float).eps * mag.max())[0]
+    mag = np.abs(C)
+    top = mag.max(axis=1, initial=0.0, keepdims=True)
+    lo = np.argmax(mag > np.finfo(float).eps * top, axis=1)
     # np.roots divides by the leading coefficient, and 1/subnormal overflows:
     # an exact power-of-two scale brings the largest into [1/2, 1)
-    c = np.ldexp(c.view(float), -np.frexp(mag.max())[1]).view(complex)
-    z = np.roots(c[lo:c.size - lo][::-1])
-    theta = np.angle(z[np.abs(np.abs(z) - 1.0) < UNIT_CIRCLE_TOL])
+    C = np.ldexp(C.view(float), -np.frexp(top)[1]).view(complex)
+    theta, row = [np.empty(0)], [np.empty(0, dtype=int)]
+    live = (deg > 0) & (lo < K)     # lo = K leaves a constant: no roots
+    for cut in np.unique(lo[live]):     # np.roots' companion matrices
+        members = np.flatnonzero(live & (lo == cut))
+        P = C[members, cut:C.shape[1] - cut][:, ::-1]
+        d = P.shape[1] - 1
+        step = max(1, TABLE_MAX_ENTRIES // (d * d))
+        for s in range(0, members.size, step):
+            A = np.zeros((P[s:s + step].shape[0], d, d), dtype=complex)
+            A[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+            A[:, 0] = -P[s:s + step, 1:] / P[s:s + step, :1]
+            z = np.linalg.eigvals(A)
+            on = np.abs(np.abs(z) - 1.0) < UNIT_CIRCLE_TOL
+            theta.append(np.angle(z[on]))
+            row.append(np.broadcast_to(members[s:s + step, None], z.shape)[on])
+    theta, row = np.concatenate(theta), np.concatenate(row)
+    a0, modes = _at_rows(beta, row)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(NEWTON_STEPS):
-            dx = beta.evaluate(theta) / beta.evaluate(theta, order=1)
+            dx = _trig_sum(a0, modes, theta, 0) / _trig_sum(a0, modes, theta, 1)
             theta = np.where(abs(dx) < UNIT_CIRCLE_TOL, theta - dx, theta)
     theta = np.mod(theta, TWO_PI)
     theta[theta == TWO_PI] = 0.0        # np.mod rounds -tiny up to 2*pi
-    theta = np.sort(theta)
-    # of zeros closer than UNIT_CIRCLE_TOL, also across 2*pi, the last is kept
-    keep = np.diff(theta, append=theta[:1] + TWO_PI) >= UNIT_CIRCLE_TOL
-    return theta[keep].tolist()
+    angles = []
+    for i in range(rows):
+        th = np.sort(theta[row == i])
+        # of zeros closer than UNIT_CIRCLE_TOL, also across 2*pi, the last
+        # is kept
+        keep = np.diff(th, append=th[:1] + TWO_PI) >= UNIT_CIRCLE_TOL
+        angles.append(th[keep].tolist())
+    return angles if np.ndim(p.a0) else angles[0]
+
+
+def _at_rows(c: Columns, row: np.ndarray):
+    """a0 and the modes of c with row row[j] of c at position j, for
+    _trig_sum to evaluate each at its own angle."""
+    return c.a0[row], [(k, a[row], b[row]) for k, a, b in c.modes]
 
 
 def classify(p: SupportFourier) -> CurveClass:

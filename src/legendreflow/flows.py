@@ -318,14 +318,20 @@ def _sup_dev(beta, center, grid_n: int):
     point screened below its row's max - 2 delta, delta = 2 m (eps M + tiny),
     cannot hold the max, so evaluate's sum is redone, in its order and from
     the table, on the other points only; on every point for one row, without
-    a table, or with 2M not finite, a flat row or too many points."""
+    a table, or with 2M not finite, a flat row or too many points.  A mode
+    that is exactly zero in every row is left out of the table, the screen
+    and the redo: its terms change a sum only in the sign of a zero, which
+    abs removes."""
     theta, fp = uniform_grid(grid_n), np.finfo(float)
-    ks = np.array([k - 1 for k, _, _ in beta.modes], dtype=int)
-    table = _grid_table(theta, int(ks[-1]) + 1 if ks.size else 0)
     a0, shift = np.reshape(beta.a0, (-1, 1)), np.reshape(center, (-1, 1))
-    J = None
-    if table is not None and a0.size > 1:
-        ab = np.reshape([m[1:] for m in beta.modes], (ks.size, 2, -1))
+    J = table = None
+    if a0.size > 1:
+        ab = np.reshape([m[1:] for m in beta.modes], (-1, 2, a0.size))
+        nz = np.any(ab, axis=(1, 2))
+        ab = ab[nz]
+        ks = np.array([m[0] - 1 for m in beta.modes], dtype=int)[nz]
+        table = _grid_table(theta, int(ks[-1]) + 1 if ks.size else 0)
+    if table is not None:
         pad = np.zeros((2, a0.size, table[0].shape[0]))
         pad[:, :, ks] = ab.transpose(1, 2, 0)
         modes = np.sum(np.abs(ab), axis=(0, 1))[:, None]

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from legendreflow import GridFunction, SupportFourier, beta_of, synthesize
-from legendreflow.curves import Columns
 from helpers import periodic_quadrature
 
 
@@ -37,14 +36,6 @@ def rows_on_modes(draw, p: SupportFourier, scale: float = 1.0,
         for _ in range(draw(st.integers(0, max_size)))]
     rows.insert(draw(st.integers(0, len(rows))), p)
     return rows
-
-
-def columns_of(rows: list[SupportFourier]) -> Columns:
-    """Columns whose column i is rows[i]; the rows share their mode numbers."""
-    return Columns(np.array([r.a0 for r in rows]), tuple(
-        (k, np.array([r.modes[j][1] for r in rows]),
-         np.array([r.modes[j][2] for r in rows]))
-        for j, (k, _, _) in enumerate(rows[0].modes)))
 
 
 def length_quadrature(p: SupportFourier, n: int = 256) -> float:

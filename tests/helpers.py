@@ -1,11 +1,14 @@
 """Oracles and measurements that only the tests use: trapezoid-rule
 integrals independent of the package's Parseval sums, the Wirtinger gap, the
-equality family, a decay-rate fit, and a series with one mode replaced."""
+equality family, a decay-rate fit, a series with one mode replaced, and the
+per-curve cusp finder."""
 
 import numpy as np
 
-from legendreflow import FlowTrace, InputError, SupportFourier, l2_quantities
-from legendreflow.curves import TWO_PI, uniform_grid
+from legendreflow import (FlowTrace, InputError, SupportFourier, beta_of,
+                          l2_quantities)
+from legendreflow.curves import (MAX_ROOT_MODE, NEWTON_STEPS, TWO_PI,
+                                 UNIT_CIRCLE_TOL, _degree, uniform_grid)
 
 
 def periodic_quadrature(g) -> float:
@@ -96,3 +99,35 @@ def fit_decay_rate(trace: FlowTrace, fit_field: str,
     if r2 < 0.99:
         raise WindowTooNoisyError(f"r^2 = {r2:.4f} < 0.99")
     return {"alpha": -float(slope), "r2": r2}
+
+
+def reference_singular_angles(p: SupportFourier) -> list[float]:
+    """The cusps of one curve by np.roots on its own companion matrix, and
+    Newton steps through SupportFourier.evaluate: the oracle that each row
+    of curves.singular_angles must equal bit for bit."""
+    beta = beta_of(p)
+    K = _degree(beta)
+    if K == 0:
+        return []
+    if K > MAX_ROOT_MODE:
+        raise InputError(f"beta has mode {K} > MAX_ROOT_MODE = {MAX_ROOT_MODE}")
+    c = np.zeros(2 * K + 1, dtype=complex)
+    c[K] = beta.a0
+    for k, a, b in beta.modes:
+        if a or b:      # zero modes above K have no place in c
+            c[K + k] = complex(a, -b) / 2
+            c[K - k] = complex(a, b) / 2
+    mag = np.abs(c)
+    lo = np.flatnonzero(mag > np.finfo(float).eps * mag.max())[0]
+    c = np.ldexp(c.view(float), -np.frexp(mag.max())[1]).view(complex)
+    z = np.roots(c[lo:c.size - lo][::-1])
+    theta = np.angle(z[np.abs(np.abs(z) - 1.0) < UNIT_CIRCLE_TOL])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_STEPS):
+            dx = beta.evaluate(theta) / beta.evaluate(theta, order=1)
+            theta = np.where(abs(dx) < UNIT_CIRCLE_TOL, theta - dx, theta)
+    theta = np.mod(theta, TWO_PI)
+    theta[theta == TWO_PI] = 0.0
+    theta = np.sort(theta)
+    keep = np.diff(theta, append=theta[:1] + TWO_PI) >= UNIT_CIRCLE_TOL
+    return theta[keep].tolist()

@@ -5,6 +5,7 @@ import math
 import re
 import shlex
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -22,6 +23,7 @@ from legendreflow.flows import LAMBDA_FLOOR, DiagnosticsRow, FlowTrace
 from legendreflow.cli import (ParseError, cli_main, format_curve,
                               parse_curve_file, read_trace_csv,
                               write_curve_svg, write_trace_csv)
+from helpers import reference_singular_angles
 
 P_FIG_A = SupportFourier(2.0, ((2, 0.0, 1.0),))
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -168,8 +170,10 @@ def reference_trace_csv(trace, path):
 
 
 def reference_curve_svg(p, path):
+    """One curve's SVG, value by value, with its cusps from the per-curve
+    oracle reference_singular_angles."""
     pts = cli.sample_points(p, uniform_grid(512))
-    cusps = cli.sample_points(p, cli.singular_angles(p))
+    cusps = cli.sample_points(p, reference_singular_angles(p))
     xs, ys = pts[:, 0], -pts[:, 1]
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
@@ -220,16 +224,21 @@ class TestOneTemplateWriters:
     @settings(max_examples=100, deadline=None)
     def test_curve_svg_matches_per_value_writer(self, tmp_path_factory,
                                                 values, n_cusps):
-        # sample_points returns the awkward values as the curve's points
+        # sample_points returns the awkward values as the curve's points,
+        # for each row of Columns, and each cusp finder n_cusps angles
         pts = np.resize(np.array(values), (512, 2))
         pts[::7] *= -1.0
 
-        def points(p, thetas):
-            return pts if len(thetas) == 512 else pts[1:1 + len(thetas)]
+        def points(p, thetas, row=None):
+            out = pts if len(thetas) == 512 else pts[1:1 + len(thetas)]
+            return out if row is not None \
+                else np.broadcast_to(out, np.shape(p.a0) + out.shape)
         d = tmp_path_factory.mktemp("svg")
         with mock.patch.object(cli, "sample_points", points), \
                 mock.patch.object(cli, "singular_angles",
-                                  lambda p: [0.5] * n_cusps), \
+                                  lambda c: [[0.5] * n_cusps] * len(c.a0)), \
+                mock.patch(f"{__name__}.reference_singular_angles",
+                           lambda p: [0.5] * n_cusps), \
                 np.errstate(over="ignore", invalid="ignore"):
             write_curve_svg(P_FIG_A, d / "new.svg")
             reference_curve_svg(P_FIG_A, d / "ref.svg")
@@ -439,6 +448,35 @@ class TestCliMain:
             "error: InputError: 1000000000000001 records exceed "
             "MAX_RECORDS = 1000000; raise dt or record_every\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze"], "beta has mode 131072 > MAX_ROOT_MODE = 512"),
+        (["simulate", "--flow", "area"],
+         "a 2097152-point grid exceeds MAX_GRID_N = 1048576"),
+        (["simulate", "--flow", "length", "--svg-dir", "snaps"],
+         "a 2097152-point grid exceeds MAX_GRID_N = 1048576"),
+        (["simulate", "--flow", "area", "--scheme", "grid"],
+         "exceeds stability bound"),
+    ])
+    def test_nonzero_top_mode_is_refused_before_any_grid(
+            self, tmp_path, monkeypatch, capsys, argv, message):
+        # degree 131072 asks simulate for a 2^21-point grid and analyze's
+        # classify for 524292 points; both are refused before either exists
+        monkeypatch.chdir(tmp_path)
+        Path("top.curve").write_text(
+            "a0 = 2\nmode 2 = 0 1\nmode 131072 = 1e-300 0\n")
+        if argv[0] == "simulate":
+            argv = argv + ["--t-final", "0.1", "--dt", "0.01"]
+        tracemalloc.start()
+        try:
+            code = cli_main(argv + ["--curve", "top.curve"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 1 and err.count("\n") == 1 and message in err
+        assert peak < 1 << 20
+        assert not Path("trace.csv").exists()
+
     def test_simulate_length_floor(self, tmp_path, capsys):
         # A = 1.6e-27: lambda_area meets the floor at t = 2.99, unless the
         # run stops early
@@ -544,6 +582,69 @@ class TestCliMain:
         assert rc == 0
         snaps = sorted((tmp_path / "snaps").glob("*.svg"))
         assert len(snaps) >= 2
+
+    @staticmethod
+    def _snapshots(tmp_path, text, argv):
+        """Run simulate with --svg-every 1 on the curve text, and return its
+        exit code, the batch sizes write_curve_svg was given, and whether
+        each snapshot file has the bytes of its state written alone."""
+        f = tmp_path / "c.curve"
+        f.write_text(text)
+        states, batches, real_run = [], [], cli.run
+
+        def run(config, on_record=None):
+            def record(i, state):
+                states.append(state)
+                on_record(i, state)
+            return real_run(config, on_record=record)
+
+        def write(c, paths):
+            batches.append(len(paths))
+            write_curve_svg(c, paths)
+        with mock.patch.object(cli, "run", run), \
+                mock.patch.object(cli, "write_curve_svg", write):
+            code = cli_main(["simulate", *argv, "--curve", str(f),
+                             "--out", str(tmp_path / "t.csv"),
+                             "--svg-dir", str(tmp_path / "snaps"),
+                             "--svg-every", "1"])
+        snaps = sorted((tmp_path / "snaps").glob("*.svg"))
+        same = []
+        for i, (snap, state) in enumerate(zip(snaps, states)):
+            assert snap.name == f"snapshot_{i:05d}.svg"
+            write_curve_svg(state.p, tmp_path / "alone.svg")
+            same.append(snap.read_bytes()
+                        == (tmp_path / "alone.svg").read_bytes())
+        return code, batches, len(snaps), len(states), all(same)
+
+    def test_svg_snapshots_are_written_in_batches(self, tmp_path):
+        # 130 records: two full batches of SVG_BATCH = 64, then the rest
+        # once run returns; figure1a loses its cusps at t = ln(3)/6
+        assert cli.SVG_BATCH == 64
+        assert self._snapshots(tmp_path, "a0 = 2\nmode 2 = 0 1\n", [
+            "--flow", "area", "--t-final", "1.29", "--dt", "0.01"]) \
+            == (0, [64, 64, 2], 130, 130, True)
+
+    def test_svg_snapshots_before_an_error_are_written(self, tmp_path,
+                                                        capsys):
+        # lambda_area meets the length floor at t = 2.99: the 299 records
+        # before it are written, in four full batches and one of 43
+        assert self._snapshots(
+            tmp_path, "a0 = 1.2247448713915892e-06\nmode 2 = 0 1e-6\n", [
+                "--flow", "area", "--t-final", "3", "--dt", "1e-2"]) \
+            == (1, [64] * 4 + [43], 299, 299, True)
+        assert "DegenerateLengthError" in capsys.readouterr().err
+
+    def test_svg_snapshot_above_the_root_bound_fails_at_once(self, tmp_path,
+                                                              capsys):
+        # the first state is written alone when singular_angles must refuse
+        # it, so the run stops at its first record, not after 100001
+        assert self._snapshots(
+            tmp_path, "a0 = 2\nmode 2 = 0 1\nmode 600 = 1e-3 0\n", [
+                "--flow", "length", "--t-final", "100", "--dt", "1e-3"]) \
+            == (1, [1], 0, 1, True)
+        assert capsys.readouterr().err == ("error: InputError: beta has mode "
+                                           "600 > MAX_ROOT_MODE = 512\n")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_inequalities_json(self, tmp_path):
         out = tmp_path / "report.json"

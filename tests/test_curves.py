@@ -12,10 +12,10 @@ from legendreflow import (CurveKind, FlowState, FlowType, InputError,
                           derivative, sample_points, singular_angles,
                           step_exact_modal, steiner_point, analyze,
                           synthesize, uniform_grid)
-from legendreflow import curves
-from conftest import (area_quadrature, coeff, columns_of, length_quadrature,
+from legendreflow import curves, flows
+from conftest import (area_quadrature, coeff, length_quadrature,
                       rand_support, rows_on_modes, supports)
-from helpers import ell_convex_residuals, with_mode
+from helpers import ell_convex_residuals, reference_singular_angles, with_mode
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,7 +111,7 @@ class TestEvaluateTables:
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         # on Columns, row i is the series of column i, bit for bit
         rows = data.draw(rows_on_modes(p, 10.0 ** data.draw(st.floats(-12, 3))))
-        block = SupportFourier.evaluate(columns_of(rows), theta, order)
+        block = SupportFourier.evaluate(curves.stack(rows), theta, order)
         assert block.shape == (len(rows),) + np.shape(theta)
         for row, got in zip(rows, block):
             want = evaluate_reference(row, theta, order)
@@ -409,6 +409,73 @@ class TestSingularAngles:
             with mpmath.workdps(40):
                 for r in roots:
                     assert abs(float(mpmath.findroot(f, r)) - r) < 1e-12
+
+
+#: Coefficients that are often signed zeros, or far below round-off of 1.
+ROOT_UNIT = st.sampled_from([0.0, -0.0, 1e-17, -3e-20]) \
+    | st.floats(-1, 1, allow_nan=False)
+
+
+@st.composite
+def cusp_rows(draw):
+    """1-5 series on one list of modes (mode 2 and up to five more of
+    1..16, and at times a zero mode 600): each generic or a tangency
+    (1 + m) - cos 2(theta - phi), with zero coefficients above its own
+    degree, and scaled by 1 or by a subnormal-making factor."""
+    ks = sorted(set(draw(st.lists(st.integers(1, 16), max_size=5))) | {2})
+    ks += [600] * draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        scale = draw(st.sampled_from([1.0, 1.0, 1e-300, 2.0 ** -1040]))
+        if draw(st.booleans()):
+            phi = draw(st.floats(0.0, math.pi))
+            m = draw(st.sampled_from([0.0, 1e-16, -1e-15, -1e-12, 1e-11]))
+            rows.append(SupportFourier(scale * (1.0 + m), tuple(
+                (k, scale * math.cos(2 * phi) / 3, scale * math.sin(2 * phi) / 3)
+                if k == 2 else (k, 0.0, 0.0) for k in ks)))
+            continue
+        top = draw(st.integers(0, 16))
+        rows.append(SupportFourier(scale * draw(ROOT_UNIT), tuple(
+            (k, scale * draw(ROOT_UNIT), scale * draw(ROOT_UNIT))
+            if k <= top else (k, 0.0, 0.0) for k in ks)))
+    return rows
+
+
+class TestSingularAnglesOfColumns:
+    @given(cusp_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_is_the_per_curve_oracle_bit_for_bit(self, rows):
+        got = singular_angles(curves.stack(rows))
+        assert len(got) == len(rows)
+        for p, angles in zip(rows, got):
+            want = [x.hex() for x in reference_singular_angles(p)]
+            assert [x.hex() for x in angles] == want
+            assert [x.hex() for x in singular_angles(p)] == want
+
+    def test_flow_rows_match_the_oracle(self):
+        # figure1a's cusps merge at t* = ln(3)/6: rows on both sides, from
+        # one closed-form chunk
+        t = np.linspace(0.0, 0.4, 41).tolist()
+        c = flows._closed_form(P_FIG_A, t, FlowType.AREA_PRESERVING)
+        got = singular_angles(c)
+        assert [len(a) for a in got] == [4] * 19 + [0] * 22
+        for i, angles in enumerate(got):
+            assert angles == reference_singular_angles(curves.column(c, i))
+
+    def test_degree_bound_is_the_largest_over_the_rows(self):
+        top = curves.MAX_ROOT_MODE + 1
+        rows = [SupportFourier(2.0, ((2, 0.0, 1.0), (top, 0.0, 0.0))),
+                SupportFourier(2.0, ((2, 0.0, 1.0), (top, 1e-3, 0.0)))]
+        with pytest.raises(InputError, match=f"beta has mode {top} > "):
+            singular_angles(curves.stack(rows))
+        assert singular_angles(curves.stack(rows[:1])) \
+            == [singular_angles(P_FIG_A)]
+
+    def test_stack_needs_one_list_of_modes(self):
+        with pytest.raises(InputError, match="the same modes"):
+            curves.stack([P_FIG_A, SupportFourier(2.0)])
+        c = curves.stack([P_FIG_A, P_FIG_B])
+        assert [curves.column(c, i) for i in range(2)] == [P_FIG_A, P_FIG_B]
 
 
 class TestClassify:

@@ -18,9 +18,8 @@ from legendreflow import (Constraint, CurveEnsembleSpec, DegenerateLengthError,
                           step_grid_rk4, steiner_point, synthesize,
                           uniform_grid)
 from legendreflow import flows
-from legendreflow.curves import Columns, _degree, column
+from legendreflow.curves import Columns, _degree, column, stack
 from legendreflow.flows import GridFlowState
-from conftest import columns_of
 from helpers import ell_convex_residuals, fit_decay_rate, periodic_quadrature
 
 TWO_PI = 2.0 * math.pi
@@ -1002,7 +1001,7 @@ def screened_columns(draw):
 
 class TestScreenedSupDev:
     @given(screened_columns())
-    @example(columns_of([SupportFourier(2.0, ((2, 0.0, 1.0),))] * 3))
+    @example(stack([SupportFourier(2.0, ((2, 0.0, 1.0),))] * 3))
     @settings(max_examples=200, deadline=None)
     def test_matches_full_grid_bit_for_bit(self, c):
         n = default_grid_size(c.modes[-1][0])
@@ -1047,3 +1046,21 @@ class TestScreenedSupDev:
             assert spy.call_args.args[1] is uniform_grid(256)
             assert np.reshape(got, -1).tobytes() == np.reshape(full_sup_dev(
                 m.beta, m.L / TWO_PI, 256), -1).tobytes()
+
+    def test_modes_zero_in_every_row_are_left_out(self):
+        # figure1a with mode 600 = 0 0 listed: the screen and the redo read
+        # the degree-2 table, and every max keeps the bits it has without
+        # the listed mode, also on flat late rows and on one row, which
+        # evaluate sums on the whole grid
+        listed = SupportFourier(2.0, ((2, 0.0, 1.0), (600, 0.0, 0.0)))
+        for t, tables in ((np.linspace(0.0, 0.3, 64), [2]),
+                          (np.array([15.0, 15.5]), [2]),
+                          (np.array([0.1]), [])):
+            got = {}
+            for p in (P_FIG_A, listed):
+                m = moments(flows._closed_form(p, t.tolist(), AREA))
+                with mock.patch.object(flows, "_grid_table",
+                                       wraps=flows._grid_table) as spy:
+                    got[p] = flows._sup_dev(m.beta, m.L / TWO_PI, 256)
+                assert [c.args[1] for c in spy.call_args_list] == tables
+            assert got[listed].tobytes() == got[P_FIG_A].tobytes()

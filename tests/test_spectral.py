@@ -17,9 +17,9 @@ from legendreflow import (AliasError, DegenerateLengthError, FlowState,
                           isoperimetric_deficit, l2_quantities, lambda_area,
                           moments, synthesize, uniform_grid)
 from legendreflow import flows
-from legendreflow.curves import column
+from legendreflow.curves import column, stack
 from legendreflow.flows import LAMBDA_FLOOR
-from conftest import columns_of, rand_support, rows_on_modes, supports
+from conftest import rand_support, rows_on_modes, supports
 from helpers import periodic_quadrature
 
 TWO_PI = 2.0 * math.pi
@@ -329,9 +329,9 @@ class TestMoments:
         # derivative, zero modes and all, and the row kernel's E2 has the
         # bits of the int (beta')^2 of derivative(beta)
         rows = data.draw(rows_on_modes(p, 2.0))
-        cols = moments(columns_of(rows))
+        cols = moments(stack(rows))
         dcols = derivative(cols.beta)
-        e2 = [r.E2 for r in flows._rows(np.zeros(len(rows)), columns_of(rows),
+        e2 = [r.E2 for r in flows._rows(np.zeros(len(rows)), stack(rows),
                                         FlowType.LENGTH_PRESERVING, 64)]
         for i, row in enumerate(rows):
             mi = moments(row)
@@ -380,7 +380,7 @@ class TestMoments:
         # E1 and E2 never print as -0 for a negative a0
         rows = [SupportFourier(a0, ((1, 0.5, -0.25),)),
                 SupportFourier(-1.0, ((1, -0.0, 2.0),))]
-        cols = moments(columns_of(rows))
+        cols = moments(stack(rows))
         col = cols.int_db2
         assert isinstance(col, np.ndarray) and col.shape == (2,)
         assert [x.hex() for x in col.tolist()] == [(0.0).hex()] * 2
@@ -388,7 +388,7 @@ class TestMoments:
         for flow_type in FlowType:
             if flow_type is FlowType.AREA_PRESERVING and a0 == 0.0:
                 continue
-            for row in flows._rows([0.0, 1.0], columns_of(rows), flow_type,
+            for row in flows._rows([0.0, 1.0], stack(rows), flow_type,
                                    64):
                 assert (row.E1.hex(), row.E2.hex()) == ((0.0).hex(),) * 2
         # derivative keeps a Columns without modes, and its zero a0 column
