@@ -114,9 +114,7 @@ def write_trace_csv(trace: FlowTrace, path: str | Path) -> None:
         "# lambda_floor = %.17g" % LAMBDA_FLOOR,
         CSV_HEADER,
     ]
-    lines += [CSV_ROW % (r.t, r.L, r.A, r.deficit, r.sup_dev, r.Q, r.lam,
-                         r.E1, r.E2, r.a0, r.max_abs_mode)
-              for r in trace.rows]
+    lines += [CSV_ROW % row for row in trace.rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
                           newline="\n")
 
@@ -266,13 +264,10 @@ def _cmd_inequalities(args) -> int:
         print(f"{rep.ineq_id:30s} min_slack = {rep.slack: .6e}  "
               f"violations = {rep.n_violations}/{rep.n_checked}  {status}")
     if args.json is not None:
-        payload = [{
-            "ineq_id": r.ineq_id, "parameter": r.parameter, "slack": r.slack,
-            "holds": r.holds, "expected_violable": r.expected_violable,
-            "n_checked": r.n_checked, "n_violations": r.n_violations,
-            "witness": {"a0": r.witness.a0, "modes": list(r.witness.modes)},
-        } for r in reports]
-        text = json.dumps(payload, indent=2, check_circular=False)
+        # each report as its fields in field order, its witness likewise
+        text = json.dumps([{k: vars(v) if isinstance(v, SupportFourier)
+                            else v for k, v in vars(r).items()}
+                           for r in reports], indent=2, check_circular=False)
         Path(args.json).write_text(text + "\n", encoding="utf-8")
     return 1 if failed else 0
 

@@ -22,10 +22,11 @@ reaches its fixed point.  Every run takes sup_dev on that grid.
 run computes its record rows a chunk of record times at a time: the closed
 form, or the chunk's grid states analyzed in one rfft, at those times as
 Columns, every field from their moments, and sup_dev from _sup_dev's
-BLAS-screened rows x grid_n block.  A field that is not finite raises
-InputError.  diagnostics is the same kernel's one-row case, on floats with
-sup_dev from the whole grid; it computes the final row again from the final
-state, and a field that differs in any bit raises RuntimeError.
+BLAS-screened rows x grid_n block.  A row is a DiagnosticsRow, a NamedTuple
+whose field order is the CSV column order.  A field that is not finite
+raises InputError.  diagnostics is the same kernel's one-row case, on floats
+with sup_dev from the whole grid; it computes the final row again from the
+final state, and a field that differs in any bit raises RuntimeError.
 
 lambda_area, the one check of the length floor, raises DegenerateLengthError
 when |L| < LAMBDA_FLOOR; the closed form reads an a0^2 below 0 as L = 0.
@@ -34,11 +35,11 @@ FlowConfig refuses a run of more than MAX_RECORDS records.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from .spectral import (GridFunction, analyze, default_grid_size, derivative,
 LAMBDA_FLOOR = 1e-9
 
 #: Most records a run keeps: a DiagnosticsRow in FlowTrace.rows holds about
-#: 440 bytes (tracemalloc, Python 3.11), so 0.45 GB of rows at the cap.
+#: 410 bytes (tracemalloc, Python 3.11), so 0.41 GB of rows at the cap.
 MAX_RECORDS = 10 ** 6
 
 #: Entries of the rows x grid_n sup_dev block of one chunk of run's rows:
@@ -121,8 +122,8 @@ class FlowConfig:
                     f"area, got {a0_area:.6g}")
 
 
-@dataclass(frozen=True)
-class DiagnosticsRow:
+class DiagnosticsRow(NamedTuple):
+    """One trace record; its field order is the CSV column order."""
     t: float
     L: float
     A: float
@@ -364,19 +365,20 @@ def _rows(t, c, flow_type: FlowType, grid_n: int) -> list[DiagnosticsRow]:
         else lambda_area(m.L, m.int_b2, t)
     max_abs = np.max(np.abs([x for k, a, b in c.modes if k >= 2
                              for x in (a, b)]), axis=0, initial=0.0)
-    fields = (t, m.L, m.A, m.L * m.L - 4.0 * math.pi * m.A,
-              _sup_dev(m.beta, m.L / TWO_PI, grid_n),
-              m.L * m.L / TWO_PI - m.int_b2, lam, m.int_db2,
-              l2_quantities(derivative(m.beta))["int_dp2"], c.a0, max_abs)
+    fields = DiagnosticsRow(
+        t=t, L=m.L, A=m.A, deficit=m.L * m.L - 4.0 * math.pi * m.A,
+        sup_dev=_sup_dev(m.beta, m.L / TWO_PI, grid_n),
+        Q=m.L * m.L / TWO_PI - m.int_b2, lam=lam, E1=m.int_db2,
+        E2=l2_quantities(derivative(m.beta))["int_dp2"], a0=c.a0,
+        max_abs_mode=max_abs)
     out = np.empty((len(fields), np.size(t)))
     for j, field in enumerate(fields):
         out[j] = field
     if not np.all(np.isfinite(out)):
         i, j = np.argwhere(~np.isfinite(out.T))[0]
-        name = dataclasses.fields(DiagnosticsRow)[j].name
-        raise InputError(f"non-finite {name} = {float(out[j, i])!r} "
-                         f"at t = {float(out[0, i])!r}")
-    return [DiagnosticsRow(*r) for r in out.T.tolist()]
+        raise InputError(f"non-finite {DiagnosticsRow._fields[j]} = "
+                         f"{float(out[j, i])!r} at t = {float(out[0, i])!r}")
+    return list(map(DiagnosticsRow._make, out.T.tolist()))
 
 
 def _columns(config: FlowConfig, chunks, grid_n: int):
@@ -466,7 +468,7 @@ def run(config: FlowConfig, on_record=None) -> FlowTrace:
                              config.flow_type) \
         if config.scheme is Scheme.EXACT_MODAL else state()
     check = diagnostics(final, config.flow_type, grid_n)
-    if [x.hex() for x in astuple(check)] != [x.hex() for x in astuple(row)]:
+    if [x.hex() for x in check] != [x.hex() for x in row]:
         raise RuntimeError(f"final row {row} differs from {check}")
     return FlowTrace(config=config, rows=tuple(rows), final_state=final,
                      converged=converged)

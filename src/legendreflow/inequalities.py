@@ -74,14 +74,15 @@ class CurveEnsembleSpec:
 
 @dataclass(frozen=True)
 class InequalityReport:
+    """One row's result; its field order is the --json key order."""
     ineq_id: str
     parameter: float | None
     slack: float
     holds: bool
-    witness: SupportFourier
     expected_violable: bool
     n_checked: int
     n_violations: int
+    witness: SupportFourier
 
 
 def check_isoperimetric(m: Moments) -> float:

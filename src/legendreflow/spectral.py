@@ -1,9 +1,9 @@
 """Modal <-> grid conversions, spectral differentiation, Parseval integrals.
 
 The numerical substrate for oracles, diagnostics and the `moments` of a curve.
-Integrals over the circle are Parseval sums of the coefficients; the DFT of a
-stack of sample rows is one rfft along its rows, the transform the grid oracle
-takes of its samples.
+`derivative` takes one d/dtheta per call.  Integrals over the circle are
+Parseval sums of the coefficients; the DFT of a stack of sample rows is one
+rfft along its rows, the transform the grid oracle takes of its samples.
 """
 
 from __future__ import annotations
@@ -82,19 +82,12 @@ def analyze(V: np.ndarray, K: int) -> Columns:
     return Columns(X[:, 0].real / n, tuple(zip(range(1, K + 1), *ab)))
 
 
-def derivative(p: SupportFourier | Columns,
-               order: int = 1) -> SupportFourier | Columns:
+def derivative(p: SupportFourier | Columns) -> SupportFourier | Columns:
     """Modal differentiation: d/dtheta maps (a_k, b_k) -> (k b_k, -k a_k),
     in p's type with every mode p lists and a zero a0 (a column for
     Columns)."""
-    if order < 1:
-        raise InputError("order must be >= 1")
-    modes = []
-    for k, a, b in p.modes:
-        for _ in range(order):
-            a, b = k * b, -k * a
-        modes.append((k, a, b))
-    return type(p)(np.zeros_like(p.a0), tuple(modes))
+    return type(p)(np.zeros_like(p.a0),
+                   tuple((k, k * b, -k * a) for k, a, b in p.modes))
 
 
 def l2_quantities(p: SupportFourier | Columns) -> dict:

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from legendreflow import (FlowConfig, FlowState, FlowType, SupportFourier,
-                          algebraic_area, algebraic_length, cli,
-                          default_grid_size, run, uniform_grid)
+from legendreflow import (Constraint, FlowConfig, FlowState, FlowType,
+                          InequalityReport, SupportFourier, algebraic_area,
+                          algebraic_length, cli, default_grid_size, run,
+                          uniform_grid)
 from legendreflow.curves import MAX_ROOT_MODE
 from legendreflow.flows import LAMBDA_FLOOR, DiagnosticsRow, FlowTrace
 from legendreflow.cli import (ParseError, cli_main, format_curve,
@@ -143,8 +144,8 @@ class TestTraceCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-# The writers as they were with one f-string per value: the one-template
-# writers must give their bytes.
+# The writers as they were with one f-string per value, and one dict entry
+# per report field: the one-template writers must give their bytes.
 
 def reference_trace_csv(trace, path):
     cfg = trace.config
@@ -195,6 +196,31 @@ def reference_curve_svg(p, path):
                           newline="\n")
 
 
+def reference_report_json(reports, path):
+    payload = [{
+        "ineq_id": r.ineq_id, "parameter": r.parameter, "slack": r.slack,
+        "holds": r.holds, "expected_violable": r.expected_violable,
+        "n_checked": r.n_checked, "n_violations": r.n_violations,
+        "witness": {"a0": r.witness.a0, "modes": list(r.witness.modes)},
+    } for r in reports]
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n",
+                          encoding="utf-8")
+
+
+def inequalities_json(argv, path, ensemble=cli.run_ensemble):
+    """cli_main inequalities argv --json path with `ensemble` in place of
+    run_ensemble; returns the reports it gave."""
+    seen = []
+
+    def record(spec, rows):
+        seen[:] = ensemble(spec, rows)
+        return seen
+    with mock.patch.object(cli, "run_ensemble", record), \
+            contextlib.redirect_stdout(io.StringIO()):
+        cli_main(["inequalities", *argv, "--json", str(path)])
+    return seen
+
+
 #: Signed zeros, the smallest subnormal, values near or past overflow, and
 #: values whose 6th decimal rounds up, down or to a signed zero.
 AWKWARD = st.sampled_from([
@@ -243,6 +269,35 @@ class TestOneTemplateWriters:
             write_curve_svg(P_FIG_A, d / "new.svg")
             reference_curve_svg(P_FIG_A, d / "ref.svg")
         assert (d / "new.svg").read_bytes() == (d / "ref.svg").read_bytes()
+
+    @given(st.lists(st.tuples(
+        st.text(max_size=12), st.none() | AWKWARD, AWKWARD, st.booleans(),
+        st.booleans(), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+        FINITE, st.lists(st.tuples(FINITE, FINITE), max_size=3)),
+        max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_report_json_matches_per_value_writer(self, tmp_path_factory,
+                                                  fields):
+        reports = [InequalityReport(
+            ineq_id=i, parameter=p, slack=s, holds=h, expected_violable=e,
+            n_checked=n, n_violations=v, witness=SupportFourier(a0, tuple(
+                (k, a, b) for k, (a, b) in enumerate(modes, start=1))))
+            for i, p, s, h, e, n, v, a0, modes in fields]
+        d = tmp_path_factory.mktemp("json")
+        inequalities_json([], d / "new.json", lambda spec, rows: reports)
+        reference_report_json(reports, d / "ref.json")
+        assert (d / "new.json").read_bytes() == (d / "ref.json").read_bytes()
+
+    @pytest.mark.parametrize("constraint", [c.value for c in Constraint])
+    def test_ensemble_json_matches_per_value_writer(self, tmp_path,
+                                                    constraint):
+        reports = inequalities_json(
+            ["--count", "200", "--constraint", constraint],
+            tmp_path / "new.json")
+        assert len(reports) >= 4
+        reference_report_json(reports, tmp_path / "ref.json")
+        assert (tmp_path / "new.json").read_bytes() \
+            == (tmp_path / "ref.json").read_bytes()
 
     def test_simulated_outputs_match_per_value_writers(self, tmp_path):
         p = SupportFourier(-0.5, ((1, 0.25, -0.0), (2, 0.0, 1.0)))

@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple, replace
+from dataclasses import replace
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -139,6 +139,57 @@ class TestStepExactModal:
                             assert abs(a - ref_a) <= 1e-14 * abs(ref_a)
                             assert abs(b - ref_b) <= 1e-14 * abs(ref_b)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 32),
+           st.sampled_from(list(Constraint)))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_within_its_operation_count(self, seed, K,
+                                                    constraint):
+        # each coefficient against a 50-digit closed form at 8 times from
+        # 1e-3 to 10, at the doubles t.  A mode c exp(f t), f = 1 - k^2, is
+        # c * exp(fl(f t)): the rounded argument costs |f t| u, exp's 1 ulp
+        # 2u, the product u (u = eps/2); in the subnormal range exp's ulp
+        # and the product's half-ulp add (|c| + 1/2) 2^-1074, one step for
+        # |c| <= 1/2.  a0^2 = a0(0)^2 + (1/2) sum w_k (-expm1(2 f t)), w_k =
+        # f (a_k^2 + b_k^2), over n modes k >= 2, takes m = n + 8 roundings
+        # on its longest path: 4 in w_k, 3 in -expm1 (1 from its argument,
+        # whose e^x |x| <= |expm1 x| for x <= 0, and 2 for its 1 ulp), 1 in
+        # the product, n - 1 in sum's additions and 1 in the last addition.
+        # So a0^2 is within gamma_m (a0(0)^2 + S), S = (1/2) sum |f| (a_k^2
+        # + b_k^2), and sqrt's rounding adds (2u + u^2) a0^2; max(., 0) can
+        # only bring a0^2 closer
+        spec = CurveEnsembleSpec(seed, 1, K, constraint=constraint)
+        p = random_curve(spec, 0)
+        ts = sorted(10.0 ** np.random.default_rng(seed).uniform(-3, 1, 6))
+        ts = [1e-3, *ts, 10.0]
+        u = 2.0 ** -53
+        n = sum(k >= 2 for k, _, _ in p.modes)
+        gamma = (n + 8) * u / (1 - (n + 8) * u)
+        for ft in FlowType:
+            c = flows._closed_form(p, ts, ft)
+            with mpmath.workdps(50):
+                mpf = mpmath.mpf
+                for i, t in enumerate(ts):
+                    for (k, a, b), (_, ga, gb) in zip(p.modes, c.modes):
+                        f = 1 - k * k
+                        for x, got in ((a, ga[i]), (b, gb[i])):
+                            want = mpf(x) * mpmath.exp(f * mpf(t))
+                            assert abs(mpf(float(got)) - want) <= \
+                                (abs(f * t) + 3) * u * (1 + 1e-9) \
+                                * abs(want) + (abs(x) + 0.5) * 2.0 ** -1074
+                    got = float(c.a0[i])
+                    if ft is FlowType.LENGTH_PRESERVING:
+                        assert got == p.a0
+                        continue
+                    w = [(1 - k * k, (1 - k * k) * (mpf(a)**2 + mpf(b)**2))
+                         for k, a, b in p.modes if k >= 2]
+                    want = mpf(p.a0) ** 2 + sum(
+                        wk * -mpmath.expm1(2 * f * mpf(t)) for f, wk in w) / 2
+                    S = -sum(wk for _, wk in w) / 2
+                    assert math.copysign(1.0, got) == math.copysign(1.0, p.a0)
+                    assert abs(mpf(got) ** 2 - max(want, 0)) <= \
+                        gamma * (mpf(p.a0) ** 2 + S) \
+                        + (2 * u + u * u) * mpf(got) ** 2
+
     def test_circle_fixed_point(self):
         circle = FlowState(0.0, SupportFourier(1.5))
         for ft in FlowType:
@@ -217,26 +268,28 @@ def smooth_support(seed: int, K: int, decay: float = 2.0) -> SupportFourier:
         for k in range(1, K + 1)))
 
 
+def sparse_k16(seed: int) -> SupportFourier:
+    """The benchmark generator's sparse_k16 curve: modes 1..16 of size up to
+    (k+1)^-1.5 from default_rng([seed, 16]), a0 lifted until beta >= 0.1 on
+    4096 points."""
+    rng = np.random.default_rng([seed, 16])
+    k = np.arange(1, 17)
+    bound = (k + 1.0) ** -1.5
+    a0 = float(rng.uniform(-1.0, 1.0))
+    a = rng.uniform(-1.0, 1.0, 16) * bound
+    b = rng.uniform(-1.0, 1.0, 16) * bound
+    kt = np.outer(k, np.linspace(0.0, TWO_PI, 4096, endpoint=False))
+    beta_modes = np.sum((1.0 - k * k)[:, None] * (
+        a[:, None] * np.cos(kt) + b[:, None] * np.sin(kt)), axis=0)
+    while (shortfall := 0.1 - float(np.min(a0 + beta_modes))) > 0.0:
+        a0 += shortfall + 1e-9
+    return SupportFourier(a0, tuple(zip(k.tolist(), a.tolist(), b.tolist())))
+
+
 # The benchmark generator's seed-7 sparse_k16 curve: under the length flow
 # on 256 points at dt = 1e-3, the increment of u = Re U_0 stays nonzero for
 # 500 steps and is exactly 0.0 from step 500 on
-P_SPARSE_SEED7 = SupportFourier(13.04890429751273, (
-    (1, -0.2678884751489557, 0.21098734965948024),
-    (2, 0.13470178663731164, -0.12235336233832458),
-    (3, 0.07402855915032813, -0.08551653531123837),
-    (4, 0.03174226591277602, -0.0387699713819492),
-    (5, -0.023378562307542507, -0.004772465131428738),
-    (6, -0.016264904649054564, 0.04033836910436753),
-    (7, 0.013347973174288786, 0.0006163334095158993),
-    (8, 0.0006601730807045896, -0.017904473281670507),
-    (9, 0.0227949006947046, -0.00026504827393366263),
-    (10, -0.02663298453887167, -0.003018818592844921),
-    (11, -0.0024660019270997128, 0.012810981719654065),
-    (12, -0.013768988945554414, 0.010428365505866434),
-    (13, -0.015112907059884514, -0.002779791526176556),
-    (14, 0.005015752088180467, 0.014967654577506423),
-    (15, -0.008432514257591003, -0.014985660927006351),
-    (16, -0.014183221740149196, -0.013091908740109562)))
+P_SPARSE_SEED7 = sparse_k16(7)
 
 
 def length_stages_without_exit(state: GridFlowState, dt: float, steps: int):
@@ -281,6 +334,18 @@ class TestStepGridRK4:
         assert spy.call_args.args[0][0].real.hex() == d0.hex()
         assert got.t.hex() == t.hex()
         assert got.grid.values.tobytes() == samples.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 3, 5, 7])
+    def test_area_flow_a0_is_fourth_order(self, seed):
+        # halving dt divides the a0 error at t = 1 by about 2^4 (2^4.11 at
+        # each of these seeds; 1.371e-7 -> 7.96e-9 at seed 1)
+        p = sparse_k16(seed)
+        exact = flows._closed_form(p, [1.0], AREA).a0[0]
+        err = [abs(run(FlowConfig(AREA, p, t_final=1.0, dt=dt,
+                                  scheme=Scheme.GRID_RK4,
+                                  record_every=round(1 / dt))
+                       ).final_state.p.a0 - exact) for dt in (1e-3, 5e-4)]
+        assert 3.8 <= math.log2(err[0] / err[1]) <= 4.3
 
     def test_circle_fixed_point(self):
         g = GridFlowState(0.0, synthesize(SupportFourier(1.5), 64), 1)
@@ -665,9 +730,8 @@ class TestRun:
         for _ in range(8):
             state = step_exact_modal(state, 0.1, FlowType.LENGTH_PRESERVING)
             beta = beta_of(state.p)
-            for order in (1, 2):
-                g = synthesize(derivative(beta, order), 64)
-                rc, rs = ell_convex_residuals(g)
+            for d in (derivative(beta), derivative(derivative(beta))):
+                rc, rs = ell_convex_residuals(synthesize(d, 64))
                 assert abs(rc) < 1e-10 and abs(rs) < 1e-10
 
     def test_evolution_equation_consistency(self):
@@ -757,7 +821,7 @@ def bits(state: FlowState) -> tuple:
 
 
 def row_bits(row) -> list[str]:
-    return [x.hex() for x in astuple(row)]
+    return [x.hex() for x in row]
 
 
 def per_row_states(config: FlowConfig):
@@ -939,7 +1003,7 @@ class TestChunkedRows:
         def off_by_one_bit(t, c, flow_type, grid_n):
             rows = real(t, c, flow_type, grid_n)
             if np.ndim(t) == 1:
-                rows[-1] = replace(rows[-1], E2=math.nextafter(
+                rows[-1] = rows[-1]._replace(E2=math.nextafter(
                     rows[-1].E2, math.inf))
             return rows
         with mock.patch.object(flows, "_rows", off_by_one_bit), \

@@ -211,7 +211,7 @@ class TestDerivative:
 
     def test_second_derivative_eigenvalue(self):
         p = SupportFourier(0.0, ((3, 1.5, -0.5),))
-        d2 = derivative(p, order=2)
+        d2 = derivative(derivative(p))
         assert d2.coeff(3) == pytest.approx((-9 * 1.5, -9 * -0.5))
 
     def test_commutes_with_synthesis(self, rng):
