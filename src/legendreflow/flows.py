@@ -23,14 +23,17 @@ run computes its record rows a chunk of record times at a time: the closed
 form, or the chunk's grid states analyzed in one rfft, at those times as
 Columns, every field from their moments, and sup_dev from _sup_dev's
 BLAS-screened rows x grid_n block.  A row is a DiagnosticsRow, a NamedTuple
-whose field order is the CSV column order.  A field that is not finite
-raises InputError.  diagnostics is the same kernel's one-row case, on floats
-with sup_dev from the whole grid; it computes the final row again from the
-final state, and a field that differs in any bit raises RuntimeError.
+whose field order is the CSV column order.  A chunk is cut at its first
+failing record: a grid stepping error or non-finite coefficient, else
+lambda_area's floor (DegenerateLengthError), else a non-finite field
+(InputError), raised once on_record has seen the rows before it.
+diagnostics is the same kernel's one-row case, on floats with sup_dev from
+the whole grid; it computes the final row again from the final state, and a
+field that differs in any bit raises RuntimeError.
 
-lambda_area, the one check of the length floor, raises DegenerateLengthError
-when |L| < LAMBDA_FLOOR; the closed form reads an a0^2 below 0 as L = 0.
-FlowConfig refuses a run of more than MAX_RECORDS records.
+lambda_area holds the one comparison |L| < LAMBDA_FLOOR: DegenerateLengthError
+on floats, NaN on a column's row.  The closed form reads an a0^2 below 0 as
+L = 0.  FlowConfig refuses a run of more than MAX_RECORDS records.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ class FlowConfig:
                              f"number of steps dt = {self.dt!r}")
         if self.record_every < 1:
             raise InputError("record_every must be >= 1")
-        records = -(-round(steps) // self.record_every) + 1  # as in run
+        records = len(range(0, round(steps), self.record_every)) + 1  # run
         if records > MAX_RECORDS:
             raise InputError(f"{records} records exceed MAX_RECORDS = "
                              f"{MAX_RECORDS}; raise dt or record_every")
@@ -146,13 +149,11 @@ class FlowTrace:
 
 
 def lambda_area(L, int_b2, t):
-    """lambda = (1/L) int beta^2, for floats or for columns over the record
-    times t; t only labels DegenerateLengthError.  A column's first row
-    below the floor (else its row 0) is checked as a float."""
+    """lambda = (1/L) int beta^2, for floats or for columns.  |L| below the
+    floor raises DegenerateLengthError at the time t on floats, and gives
+    NaN on a column's row, which _rows turns into that error."""
     if isinstance(L, np.ndarray):
-        i = int(np.argmax(np.abs(L) < LAMBDA_FLOOR))
-        lambda_area(float(L[i]), 0.0, t[i])
-        return int_b2 / L
+        return int_b2 / np.where(np.abs(L) < LAMBDA_FLOOR, np.nan, L)
     if abs(L) < LAMBDA_FLOOR:
         raise DegenerateLengthError(
             f"|L| = {abs(L):.3e} below floor {LAMBDA_FLOOR} at t = {t}")
@@ -305,7 +306,10 @@ def diagnostics(state: FlowState, flow_type: FlowType,
                 grid_n: int) -> DiagnosticsRow:
     """The trace row of one state: _rows' one-row case, every field a float
     and sup_dev from evaluate on the whole grid_n-point diagnostic grid."""
-    return _rows(state.t, state.p, flow_type, grid_n)[0]
+    rows, error = _rows(state.t, state.p, flow_type, grid_n)
+    if error is not None:
+        raise error
+    return rows[0]
 
 
 def _sup_dev(beta, center, grid_n: int):
@@ -355,14 +359,17 @@ def _sup_dev(beta, center, grid_n: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _rows(t, c, flow_type: FlowType, grid_n: int) -> list[DiagnosticsRow]:
-    """The trace row of the state c at time t, or of each column i of the
-    Columns c at time t[i]: every field from the moments of c, E2 as
-    l2_quantities(derivative(beta)) sums it, and sup_dev from _sup_dev's
-    screened block; a row's bits do not depend on the other rows."""
+def _rows(t, c, flow_type: FlowType, grid_n: int):
+    """The trace rows of the state c at time t, or of each column i of the
+    Columns c at time t[i], before the first row with a non-finite field, and
+    that row's error or None (DegenerateLengthError where lambda_area meets
+    the floor, else InputError naming the field): every field from the
+    moments of c, E2 as l2_quantities(derivative(beta)) sums it, and sup_dev
+    from _sup_dev's screened block; a row's bits do not depend on the other
+    rows."""
     m = moments(c)
-    lam = c.a0 if flow_type is FlowType.LENGTH_PRESERVING \
-        else lambda_area(m.L, m.int_b2, t)
+    area = flow_type is FlowType.AREA_PRESERVING
+    lam = lambda_area(m.L, m.int_b2, t) if area else c.a0
     max_abs = np.max(np.abs([x for k, a, b in c.modes if k >= 2
                              for x in (a, b)]), axis=0, initial=0.0)
     fields = DiagnosticsRow(
@@ -374,11 +381,19 @@ def _rows(t, c, flow_type: FlowType, grid_n: int) -> list[DiagnosticsRow]:
     out = np.empty((len(fields), np.size(t)))
     for j, field in enumerate(fields):
         out[j] = field
-    if not np.all(np.isfinite(out)):
-        i, j = np.argwhere(~np.isfinite(out.T))[0]
-        raise InputError(f"non-finite {DiagnosticsRow._fields[j]} = "
-                         f"{float(out[j, i])!r} at t = {float(out[0, i])!r}")
-    return list(map(DiagnosticsRow._make, out.T.tolist()))
+    rows = list(map(DiagnosticsRow._make, out.T.tolist()))
+    ok = np.isfinite(out)
+    if ok.all():
+        return rows, None
+    i = int(np.argmin(ok.all(axis=0)))
+    row, j = rows[i], int(np.argmin(ok[:, i]))
+    try:
+        if area:
+            lambda_area(row.L, 0.0, row.t)
+    except DegenerateLengthError as exc:
+        return rows[:i], exc
+    return rows[:i], InputError(f"non-finite {DiagnosticsRow._fields[j]} = "
+                                f"{row[j]!r} at t = {row.t!r}")
 
 
 def _columns(config: FlowConfig, chunks, grid_n: int):
@@ -388,8 +403,8 @@ def _columns(config: FlowConfig, chunks, grid_n: int):
     least 1), advances RK4 one record interval per call, then analyzes the
     chunk's record grids in one rfft: Columns over modes 1..k_cut, +0.0
     where a_k = b_k = 0.  An error met while stepping a chunk, or a record
-    whose series is not finite (InputError "non-finite coefficient"), is
-    raised after the records before it."""
+    whose series is not finite (InputError "non-finite coefficient"), cuts
+    the chunk before that record, and is raised once it has been yielded."""
     flow_type, dt = config.flow_type, config.dt
     if config.scheme is Scheme.EXACT_MODAL:
         for ts in ([step * dt for step in steps] for steps in chunks):
@@ -421,55 +436,39 @@ def _columns(config: FlowConfig, chunks, grid_n: int):
             raise error
 
 
-def _records(config: FlowConfig, steps: list[int], grid_n: int):
-    """Yield (row, state) for each of the increasing step counts `steps`:
-    its DiagnosticsRow, and a function that builds its FlowState from its
-    column of the chunk's Columns.  _rows computes the rows of
-    CHUNK_ENTRIES // grid_n record times at once from their _columns; a
-    chunk in which lambda_area meets the floor is done again by diagnostics
-    row by row, so the rows before the failing one come first."""
-    size = max(1, CHUNK_ENTRIES // grid_n)
-    chunks = (steps[lo:lo + size] for lo in range(0, len(steps), size))
-    for ts, c in _columns(config, chunks, grid_n):
-        states = [lambda t=t, c=c, i=i: FlowState(t, column(c, i))
-                  for i, t in enumerate(ts)]
-        try:
-            rows = _rows(ts, c, config.flow_type, grid_n)
-        except DegenerateLengthError:
-            rows = (diagnostics(state(), config.flow_type, grid_n)
-                    for state in states)
-        yield from zip(rows, states)
-
-
 def run(config: FlowConfig, on_record=None) -> FlowTrace:
     """Integrate to t_final (or early stop), recording diagnostics every
-    record_every steps plus the initial and final rows.
+    record_every steps plus the initial and final rows: the _rows of each
+    chunk of CHUNK_ENTRIES // grid_n records that _columns yields.
 
     on_record, if given, is called with (record_index, FlowState) at every
-    recorded row (snapshot hook for the CLI), before the next chunk of rows
-    is computed.
+    recorded row in order, before the next chunk of rows is computed or the
+    chunk's error is raised: the CLI's snapshot hook, and the signature that
+    perfbench's record_states wraps, so it stays fixed.
     """
     grid_n = default_grid_size(_degree(config.initial))
     n_steps = round(config.t_final / config.dt)
-    steps = list(range(0, n_steps + 1, config.record_every))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    rows = []
-    converged = False
-    for index, (row, state) in enumerate(_records(config, steps, grid_n)):
-        rows.append(row)
-        if on_record is not None:
-            on_record(index, state())
-        if index > 0 and config.stop_sup_dev > 0 \
-                and row.sup_dev < config.stop_sup_dev:
-            converged = True
+    steps = [*range(0, n_steps, config.record_every), n_steps]
+    size = max(1, CHUNK_ENTRIES // grid_n)
+    chunks = (steps[lo:lo + size] for lo in range(0, len(steps), size))
+    rows, converged, stop = [], False, config.stop_sup_dev
+    for ts, c in _columns(config, chunks, grid_n):
+        kept, error = _rows(ts, c, config.flow_type, grid_n)
+        for i, row in enumerate(kept):
+            rows.append(row)
+            if on_record is not None:
+                on_record(len(rows) - 1, FlowState(row.t, column(c, i)))
+            if converged := len(rows) > 1 and row.sup_dev < stop:
+                break   # never for stop = 0: sup_dev >= 0
+        if converged:
             break
-    final = step_exact_modal(FlowState(0.0, config.initial), row.t,
-                             config.flow_type) \
-        if config.scheme is Scheme.EXACT_MODAL else state()
+        if error is not None:
+            raise error
+    final = FlowState(row.t, column(c, i)) \
+        if config.scheme is Scheme.GRID_RK4 else step_exact_modal(
+            FlowState(0.0, config.initial), row.t, config.flow_type)
     check = diagnostics(final, config.flow_type, grid_n)
     if [x.hex() for x in check] != [x.hex() for x in row]:
         raise RuntimeError(f"final row {row} differs from {check}")
     return FlowTrace(config=config, rows=tuple(rows), final_state=final,
                      converged=converged)
-

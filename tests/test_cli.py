@@ -545,6 +545,11 @@ class TestCliMain:
             "error: DegenerateLengthError: |L| = 9.786e-10 below floor "
             "1e-09 at t = 2.99\n")
         assert cli_main(argv + ["--stop-sup-dev", "1e-9"]) == 0
+        # the grid oracle meets it in RK4's stages, labelled with their t
+        assert cli_main(argv + ["--scheme", "grid"]) == 1
+        assert capsys.readouterr().err == (
+            "error: DegenerateLengthError: |L| = 9.933e-10 below floor "
+            "1e-09 at t = 2.9799999999999804\n")
 
     def test_simulate_partial_step_fails(self, tmp_path, capsys):
         f = tmp_path / "c.curve"

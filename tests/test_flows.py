@@ -54,12 +54,18 @@ class TestLambdas:
         m = moments(SupportFourier(0.0, ((1, 2.0, 1.0),)))
         with pytest.raises(DegenerateLengthError, match="at t = 0.5"):
             lambda_area(m.L, m.int_b2, 0.5)
-        # a column names its first row below the floor
+        # a column's rows below the floor are NaN, and _rows cuts a chunk at
+        # the first of them with its error
         L = np.array([4.0, 1e-10, 0.0])
+        lam = lambda_area(L, np.ones(3), [0.125, 0.25, 0.5])
+        assert lam[0] == 0.25 and np.isnan(lam[1:]).all()
+        assert lambda_area(L[:1], np.ones(1), [0.125]).tolist() == [0.25]
+        rows, error = flows._rows([0.125, 0.25, 0.5], Columns(L / TWO_PI, ()),
+                                  AREA, 64)
+        assert [row.t for row in rows] == [0.125]
         with pytest.raises(DegenerateLengthError,
                            match=r"^\|L\| = 1.000e-10 .* at t = 0.25$"):
-            lambda_area(L, np.ones(3), [0.125, 0.25, 0.5])
-        assert lambda_area(L[:1], np.ones(1), [0.125]).tolist() == [0.25]
+            raise error
 
 
 def _mp_reference(p: SupportFourier, flow_type: FlowType, t: float):
@@ -315,7 +321,90 @@ def length_stages_without_exit(state: GridFlowState, dt: float, steps: int):
     return d0, t, v + np.fft.irfft(D, n), first_zero
 
 
+def rk4_replica(V, n: int, K: int, dt: float, steps: int, flow_type):
+    """step_grid_rk4's recurrence on the rfft modes V in 50-digit mpmath:
+    modes 1..K by exact powers of RK4's factor R, from z = (1 - k^2) dt,
+    and u = Re V_0 through the four stages with the Parseval lambda, whose
+    E[j, s] = sum_k w_k (1 - k^2)^2 g_s^2 R^2j |V_k|^2 are exact.  Returns
+    a0 = u / n after `steps` steps, its change, and the largest n lambda / n
+    = (|x| + E / |x|) / n over the stages."""
+    mp = mpmath.mp
+    with mpmath.workdps(50):
+        u0, dt, d0 = mp.mpf(float(V[0].real)), mp.mpf(dt), mp.mpf(0)
+        if flow_type is FlowType.LENGTH_PRESERVING:   # n lambda = x: f = 0
+            return u0 / n, d0, abs(u0) / n
+        cols, rho = [[] for _ in range(4)], []
+        for k in range(1, K + 1):
+            z, g = (1 - k * k) * dt, [mp.mpf(1)]
+            for c in (0.5, 0.5, 1):
+                g.append(1 + c * z * g[-1])
+            rho.append((1 + z / 6 * (g[0] + 2 * g[1] + 2 * g[2] + g[3])) ** 2)
+            energy = (1 if 2 * k % n == 0 else 2) * (1 - k * k) ** 2 * (
+                mp.mpf(float(V[k].real)) ** 2 + mp.mpf(float(V[k].imag)) ** 2)
+            for col, gs in zip(cols, g):
+                col.append(energy * gs * gs)
+        h, w, power, u, lam_max = 2 * mp.pi / n, 2 * mp.pi / n ** 2, \
+            [mp.mpf(1)] * K, u0, mp.mpf(0)
+
+        def f(x, e):
+            nonlocal lam_max
+            lam_max = max(lam_max, abs(x) + e / abs(x))
+            return x - n * (w * (x * x + e)) / (h * x)
+        for _ in range(steps):
+            e = [mp.fdot(col, power) for col in cols]
+            f1 = f(u, e[0])
+            f2 = f(u + dt / 2 * f1, e[1])
+            f3 = f(u + dt / 2 * f2, e[2])
+            f4 = f(u + dt * f3, e[3])
+            d0 += dt / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
+            u, power = u0 + d0, [p * r for p, r in zip(power, rho)]
+        return u / n, d0 / n, lam_max / n
+
+
 class TestStepGridRK4:
+    @pytest.mark.parametrize("seed", [1, 3, 5, 7])
+    def test_a0_matches_an_exact_arithmetic_replica(self, seed):
+        # the same recurrence in exact arithmetic, within a bound counted
+        # from step_grid_rk4's floating-point operations (unit roundoff u,
+        # gamma_m = m u / (1 - m u), Higham, Accuracy and Stability, 3.1):
+        # - each stage's n lambda = n w (x^2 + E) / (h x) takes 5 roundings,
+        #   gamma_5 n lambda (n w / h = 1 exactly, n a power of two), and
+        #   the weights dt/6 (1, 2, 2, 1) sum them to gamma_5 lam_max per
+        #   unit of time;
+        # - d0 += increment rounds by u |d0| at each step;
+        # - the table's R is within u + gamma_9 |z| of RK4's factor, and
+        #   R >= 1 + z, so R^2j is within 2 j delta_R + u (pow) relatively;
+        #   with gamma_12 for the table's weights times |V_k|^2 and gamma_K
+        #   for the sum of K positive terms, that is E's relative error, and
+        #   it scales a0's change, a sum of E / x terms of one sign;
+        # - the final irfft and rfft: the DC sums of the input and of the
+        #   output samples over log2 n levels each, and the irfft's samples
+        #   within gamma_(2 log2 n) of (|D_0| + 2 sum |D_k|) / n, |D_k| <=
+        #   |V_k|, summed with the samples in one more rounding;
+        # doubled for the second-order terms
+        p, n, dt, steps = sparse_k16(seed), 256, 1e-3, 1000
+        K, u, log_n = 16, np.finfo(float).eps / 2, n.bit_length() - 1
+
+        def gamma(m):
+            return m * u / (1 - m * u)
+        state = GridFlowState(0.0, synthesize(p, n), K)
+        V = np.fft.rfft(state.grid.values)
+        z = (1 - K * K) * dt
+        delta_R = (u + gamma(9) * abs(z)) / (1 + z)
+        for flow_type in FlowType:
+            end = step_grid_rk4(state, dt, flow_type, steps)
+            got = analyze(end.grid.values[None], K).a0[0]
+            a0, change, lam_max = rk4_replica(V, n, K, dt, steps, flow_type)
+            M = np.max(np.abs(state.grid.values)) + abs(change) \
+                + 2 * np.sum(np.abs(V[1:K + 1])) / n
+            bound = 2 * (gamma(5) * steps * dt * lam_max
+                         + (steps * (u + 2 * delta_R) + u + gamma(K + 12))
+                         * abs(change) + gamma(4 * log_n + 1) * M)
+            assert abs(got - a0) <= bound, (flow_type, float(got - a0), bound)
+            if flow_type is AREA:   # RK4's truncation is far past the bound
+                exact = flows._closed_form(p, [1.0], AREA).a0[0]
+                assert abs(a0 - exact) > 1e5 * bound
+
     @pytest.mark.parametrize("grid, k_cut, first_zero", [
         (synthesize(P_SPARSE_SEED7, 256), 16, 500),
         (synthesize(P_FIG_A, 256), 2, 0),
@@ -875,6 +964,21 @@ def outcome(config: FlowConfig, per_row: bool) -> tuple:
         return hooked, str(exc)
 
 
+def nan_sup_dev_at(record: int | None):
+    """flows._sup_dev with NaN in the row of run's record `record` (None:
+    nowhere), counting the rows of its calls on Columns in order."""
+    real, seen = flows._sup_dev, [0]
+
+    def patched(beta, center, grid_n):
+        dev = real(beta, center, grid_n)
+        if np.ndim(dev):
+            if record is not None and 0 <= record - seen[0] < dev.size:
+                dev[record - seen[0]] = np.nan
+            seen[0] += dev.size
+        return dev
+    return patched
+
+
 coefficient = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
 
 
@@ -955,22 +1059,44 @@ class TestChunkedRows:
         assert trace.rows[-1].sup_dev < 1e-9 <= trace.rows[-2].sup_dev
         assert outcome(replace(config, stop_sup_dev=1e-9), per_row=True) \
             == outcome(replace(config, stop_sup_dev=1e-9), per_row=False)
+        # a non-finite field before the floor's record is raised instead; at
+        # the same record DegenerateLengthError comes first
+        floor = r"\|L\| = 9\.786e-10 below floor 1e-09 at t = 2\.99"
+        for nan_at, rows, message in (
+                (298, 298, r"non-finite sup_dev = nan at t = 2\.98"),
+                (299, 299, floor), (300, 299, floor)):
+            hooked = []
+            with mock.patch.object(flows, "CHUNK_ENTRIES",
+                                   entries or flows.CHUNK_ENTRIES), \
+                    mock.patch.object(flows, "_sup_dev",
+                                      nan_sup_dev_at(nan_at)), \
+                    pytest.raises((InputError, DegenerateLengthError),
+                                  match=f"^{message}$"):
+                run(config, lambda i, s: hooked.append(i))
+            assert hooked == list(range(rows))
 
     def test_grid_error_mid_chunk_comes_after_the_rows_stepped(self):
-        # the fifth call, to record 5, fails: records 0-4 reach on_record
+        # the fifth call, to record 5, fails: records 0-4 reach on_record;
+        # record 5 is never computed, so a non-finite field there does not
+        # show, and one at record 4 is raised after records 0-3
         config = FlowConfig(AREA, P_FIG_A, t_final=0.1, dt=1e-2,
                             scheme=Scheme.GRID_RK4)
-        calls, hooked = [], []
+        for nan_at, rows, message in (
+                (None, 5, "injected"), (5, 5, "injected"),
+                (4, 4, r"non-finite sup_dev = nan at t = 0\.04")):
+            calls, hooked = [], []
 
-        def fail_fifth(*args):
-            calls.append(args)
-            if len(calls) == 5:
-                raise InputError("injected")
-            return step_grid_rk4(*args)
-        with mock.patch.object(flows, "step_grid_rk4", fail_fifth), \
-                pytest.raises(InputError, match="^injected$"):
-            run(config, lambda i, s: hooked.append(i))
-        assert hooked == [0, 1, 2, 3, 4]
+            def fail_fifth(*args):
+                calls.append(args)
+                if len(calls) == 5:
+                    raise InputError("injected")
+                return step_grid_rk4(*args)
+            with mock.patch.object(flows, "step_grid_rk4", fail_fifth), \
+                    mock.patch.object(flows, "_sup_dev",
+                                      nan_sup_dev_at(nan_at)), \
+                    pytest.raises(InputError, match=f"^{message}$"):
+                run(config, lambda i, s: hooked.append(i))
+            assert hooked == list(range(rows))
 
     def test_non_finite_series_mid_chunk_comes_after_the_records_before_it(
             self):
@@ -994,6 +1120,17 @@ class TestChunkedRows:
         with pytest.raises(InputError, match="^non-finite coefficient$"):
             column(analyze(np.full((1, 256), 1e307), 2), 0)
 
+    def test_non_finite_field_mid_chunk_comes_after_the_rows_before_it(self):
+        # sup_dev is NaN at record 5 of the one chunk: records 0-4 reach
+        # on_record, then its InputError is raised
+        config = FlowConfig(AREA, P_FIG_A, t_final=0.2, dt=1e-2)
+        hooked = []
+        with mock.patch.object(flows, "_sup_dev", nan_sup_dev_at(5)), \
+                pytest.raises(InputError, match=(
+                    r"^non-finite sup_dev = nan at t = 0\.05$")):
+            run(config, lambda i, s: hooked.append(i))
+        assert hooked == [0, 1, 2, 3, 4]
+
     def test_final_row_check(self):
         # diagnostics is _rows' one-row case on a float t: only the chunk's
         # column calls flip E2's last bit
@@ -1001,11 +1138,11 @@ class TestChunkedRows:
         real = flows._rows
 
         def off_by_one_bit(t, c, flow_type, grid_n):
-            rows = real(t, c, flow_type, grid_n)
+            rows = real(t, c, flow_type, grid_n)[0]
             if np.ndim(t) == 1:
                 rows[-1] = rows[-1]._replace(E2=math.nextafter(
                     rows[-1].E2, math.inf))
-            return rows
+            return rows, None
         with mock.patch.object(flows, "_rows", off_by_one_bit), \
                 pytest.raises(RuntimeError, match="final row"):
             run(config)

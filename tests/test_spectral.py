@@ -332,7 +332,7 @@ class TestMoments:
         cols = moments(stack(rows))
         dcols = derivative(cols.beta)
         e2 = [r.E2 for r in flows._rows(np.zeros(len(rows)), stack(rows),
-                                        FlowType.LENGTH_PRESERVING, 64)]
+                                        FlowType.LENGTH_PRESERVING, 64)[0]]
         for i, row in enumerate(rows):
             mi = moments(row)
             assert e2[i].hex() == l2_quantities(
@@ -389,7 +389,7 @@ class TestMoments:
             if flow_type is FlowType.AREA_PRESERVING and a0 == 0.0:
                 continue
             for row in flows._rows([0.0, 1.0], stack(rows), flow_type,
-                                   64):
+                                   64)[0]:
                 assert (row.E1.hex(), row.E2.hex()) == ((0.0).hex(),) * 2
         # derivative keeps a Columns without modes, and its zero a0 column
         # gives a +0.0 int (beta')^2 column
