@@ -10,6 +10,12 @@ beta = p + p'' controls regularity: its zeros are the cusps of the curve, and
 Algebraic length and area are L = 2*pi*a0 and
 A = pi*a0^2 + (pi/2) * sum_{k>=2} (1 - k^2)(a_k^2 + b_k^2); both may vanish or
 go negative for singular curves.
+
+The modal formulas work on Columns, many series over one list of modes: a0
+over rows (record times or curves) and one (K, 2, rows) block of a_k, b_k.
+Each is a fixed number of whole-block operations, with sums over modes
+added in mode order, so a row has the bits of its own series; a
+SupportFourier goes through as its one-row block.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ NEWTON_STEPS = 3
 #: (2 MiB); a grid and mode count beyond it are evaluated row by row, so a
 #: large-K run keeps the memory of the uncached loop.
 TABLE_MAX_ENTRIES = 1 << 18
+
+#: Most rows _mode_sum sums by np.add.accumulate, whose cost grows with the
+#: entries where a loop's grows with the modes (2-core Xeon: 4 ns, 0.5 us).
+ACCUMULATE_MAX_ROWS = 128
 
 #: Most points of a uniform_grid (8 MiB of samples): a curve whose degree
 #: asks for more is refused before any grid is allocated.
@@ -108,38 +118,43 @@ class SupportFourier:
         if order < 0:
             raise InputError("order must be >= 0")
         th = np.asarray(theta, dtype=float)
-        a0, modes = self.a0, self.modes
-        if np.ndim(a0):     # Columns: rows first, then the axes of theta
-            axes = (...,) + (None,) * th.ndim
-            a0, modes = a0[axes], [(k, a[axes], b[axes]) for k, a, b in modes]
-        out = _trig_sum(a0, modes, th, order)
+        c = self if isinstance(self, Columns) else stack([self])
+        axes = (...,) + (None,) * th.ndim   # rows, then the axes of theta
+        out = _trig_sum(Columns(c.a0[axes], c.k, c.ab[axes]), th, order)
+        out = out if c is self else out[0]
         return out if out.ndim else float(out)
 
 
-def _trig_sum(a0, modes, th: np.ndarray, order: int) -> np.ndarray:
-    """evaluate's sum of the order-th derivative, the coefficients
-    broadcast against th, term by term in mode order."""
-    out = np.full(np.broadcast(a0, th).shape, a0 if order == 0 else 0.0)
-    table = _grid_table(th, modes[-1][0] if modes else 0)
-    for k, a, b in modes:
-        for _ in range(order):
-            a, b = k * b, -k * a
-        if table is None:
-            cos_k, sin_k = np.cos(k * th), np.sin(k * th)
-        else:
-            cos_k, sin_k = table[0][k - 1], table[1][k - 1]
-        out += a * cos_k
-        out += b * sin_k
+def _trig_sum(c: Columns, th: np.ndarray, order: int) -> np.ndarray:
+    """evaluate's sum of the order-th derivative of c, whose a0 and (K, 2,
+    ...) block broadcast against th, term by term in mode order."""
+    out = np.full(np.broadcast(c.a0, th).shape, c.a0 if order == 0 else 0.0)
+    table, ab = _grid_table(th, int(c.k[-1]) if c.k.size else 0), c.ab
+    for _ in range(order):
+        ab = _dtheta(c.k, ab)
+    for j, k in enumerate(c.k.tolist()):
+        cos_k, sin_k = (np.cos(k * th), np.sin(k * th)) if table is None \
+            else table[:, k - 1]
+        out += ab[j, 0] * cos_k
+        out += ab[j, 1] * sin_k
     return out
 
 
+def _dtheta(k: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """d/dtheta of the modes k of the block ab: (a, b) -> (k b, -k a)."""
+    return ab[:, ::-1] * np.stack([k, -k], axis=1).reshape(
+        k.shape + (2,) + (1,) * (ab.ndim - 2))
+
+
 class Columns(NamedTuple):
-    """Coefficient columns: a0 and each a_k, b_k of the (k, a_k, b_k) modes,
-    in SupportFourier's order, are 1-D arrays over rows (record times or
-    curves); the modal formulas take them in place of a SupportFourier.
-    Both list the modes they were built with, exact zeros included."""
+    """Coefficient columns over rows (record times or curves): a0 is (rows,),
+    k the (K,) mode numbers in SupportFourier's order and ab the (K, 2, rows)
+    block of a_k, b_k.  The modal formulas take Columns in place of a
+    SupportFourier, which they read as its one-row block; both list the
+    modes they were built with, exact zeros included."""
     a0: np.ndarray
-    modes: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    k: np.ndarray
+    ab: np.ndarray
 
 
 def _degree(p: SupportFourier) -> int:
@@ -149,8 +164,8 @@ def _degree(p: SupportFourier) -> int:
 
 def column(c: Columns, i: int) -> SupportFourier:
     """Column i of c as a SupportFourier, with every mode c lists."""
-    return SupportFourier(c.a0[i], tuple((k, a[i], b[i])
-                                         for k, a, b in c.modes))
+    return SupportFourier(c.a0[i], tuple(zip(c.k.tolist(),
+                                             *c.ab[:, :, i].T.tolist())))
 
 
 def stack(ps) -> Columns:
@@ -159,9 +174,9 @@ def stack(ps) -> Columns:
     ks = [k for k, _, _ in ps[0].modes]
     if any([k for k, _, _ in p.modes] != ks for p in ps):
         raise InputError("stacked series must list the same modes")
-    ab = np.array([[m[1:] for m in p.modes] for p in ps]).reshape(
-        len(ps), len(ks), 2).transpose(2, 1, 0)
-    return Columns(np.array([p.a0 for p in ps]), tuple(zip(ks, *ab)))
+    ab = np.array([[m[1:] for m in p.modes] for p in ps], dtype=float)
+    return Columns(np.array([p.a0 for p in ps]), np.array(ks, dtype=int),
+                   ab.reshape(len(ps), len(ks), 2).transpose(1, 2, 0))
 
 
 @functools.lru_cache(maxsize=8)
@@ -176,14 +191,15 @@ def uniform_grid(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _trig_table(n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (K, n) arrays whose row k-1 is cos(k*theta), sin(k*theta) on
-    uniform_grid(n), each row computed as evaluate computes it off the grid."""
+def _trig_table(n: int, K: int) -> np.ndarray:
+    """A read-only (2, K, n) array whose rows [0, k-1] and [1, k-1] are
+    cos(k*theta) and sin(k*theta) on uniform_grid(n), each computed as
+    evaluate computes it off the grid."""
     theta = uniform_grid(n)
-    cos_kt = np.array([np.cos(k * theta) for k in range(1, K + 1)])
-    sin_kt = np.array([np.sin(k * theta) for k in range(1, K + 1)])
-    cos_kt.flags.writeable = sin_kt.flags.writeable = False
-    return cos_kt, sin_kt
+    table = np.array([[f(k * theta) for k in range(1, K + 1)]
+                      for f in (np.cos, np.sin)])
+    table.flags.writeable = False
+    return table
 
 
 def _grid_table(th: np.ndarray, K: int):
@@ -221,11 +237,12 @@ def sample_points(p: SupportFourier | Columns, thetas: np.ndarray,
     thetas[j] alone, with the bits of that row's own points."""
     th = np.asarray(thetas, dtype=float)
     pv, dv = (SupportFourier.evaluate(p, th, order) if row is None
-              else _trig_sum(*_at_rows(p, row), th, order) for order in (0, 1))
+              else _trig_sum(_at_rows(p, row), th, order) for order in (0, 1))
     cos, sin = np.cos(th), np.sin(th)
     return np.stack([pv * cos - dv * sin, pv * sin + dv * cos], axis=-1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def beta_of(p: SupportFourier | Columns) -> SupportFourier | Columns:
     """beta = p + p'': coefficientwise (a_k, b_k) -> (1 - k^2)(a_k, b_k).
 
@@ -233,8 +250,11 @@ def beta_of(p: SupportFourier | Columns) -> SupportFourier | Columns:
     orthogonal to cos/sin and the curve remains l-convex, so beta lists
     every mode k >= 2 of p, zero or not, in p's type.
     """
-    return type(p)(p.a0, tuple((k, (1.0 - k * k) * a, (1.0 - k * k) * b)
-                               for k, a, b in p.modes if k >= 2))
+    c = p if isinstance(p, Columns) else stack([p])
+    j = np.searchsorted(c.k, 2)
+    beta = Columns(c.a0, c.k[j:], (1.0 - c.k[j:] * c.k[j:])[:, None, None]
+                   * c.ab[j:])
+    return beta if c is p else column(beta, 0)
 
 
 def algebraic_length(p: SupportFourier) -> float:
@@ -242,13 +262,36 @@ def algebraic_length(p: SupportFourier) -> float:
     return TWO_PI * p.a0
 
 
-def algebraic_area(p: SupportFourier) -> float:
-    """A = pi*a0^2 + (pi/2) sum_{k>=2} (1-k^2)(a_k^2+b_k^2); mode 1 is invisible."""
-    acc = math.pi * p.a0 * p.a0
-    for k, a, b in p.modes:
-        if k >= 2:
-            acc += 0.5 * math.pi * (1.0 - k * k) * (a * a + b * b)
-    return acc
+@np.errstate(over="ignore", invalid="ignore")   # as float arithmetic
+def algebraic_area(p: SupportFourier | Columns):
+    """A = pi*a0^2 + (pi/2) sum_{k>=2} (1-k^2)(a_k^2+b_k^2), a float or a
+    column, summed in mode order; mode 1 is invisible."""
+    c = p if isinstance(p, Columns) else stack([p])
+    j = np.searchsorted(c.k, 2)
+    e = _energy(c.ab[j:])
+    e *= (0.5 * math.pi * (1.0 - c.k[j:] * c.k[j:]))[:, None]
+    acc = _mode_sum(math.pi * c.a0 * c.a0, e)
+    return acc if c is p else float(acc[0])
+
+
+def _energy(ab: np.ndarray) -> np.ndarray:
+    """a_k^2 + b_k^2 of the block ab as a new (K, rows) array, with one
+    temporary (K, rows) array fewer than the plain expression."""
+    e = np.square(ab[:, 0])
+    e += np.square(ab[:, 1])
+    return e
+
+
+def _mode_sum(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """acc + terms[0] + terms[1] + ..., added in this order, for (rows,) acc
+    and (K, rows) terms, which it may overwrite: a loop of in-place adds, or
+    one np.add.accumulate on at most ACCUMULATE_MAX_ROWS rows."""
+    if not len(terms) or terms.shape[1] > ACCUMULATE_MAX_ROWS:
+        for term in terms:
+            acc += term
+        return acc
+    terms[0] += acc
+    return np.add.accumulate(terms)[-1]
 
 
 def isoperimetric_deficit(p: SupportFourier) -> float:
@@ -284,25 +327,21 @@ def singular_angles(p: SupportFourier | Columns) -> list:
     most TABLE_MAX_ENTRIES entries, and Newton polishes all roots at once
     in evaluate's order, so each row keeps the bits of its one-row call.
     """
-    c = p if np.ndim(p.a0) else stack([p])
+    c = p if isinstance(p, Columns) else stack([p])
     beta, rows = beta_of(c), c.a0.size
-    deg = np.zeros(rows, dtype=int)
-    for k, a, b in beta.modes:
-        deg[(a != 0) | (b != 0)] = k
+    nz = np.any(beta.ab != 0, axis=1)
+    deg = np.max(np.where(nz, beta.k[:, None], 0), axis=0, initial=0)
     K = int(deg.max(initial=0))
     if K > MAX_ROOT_MODE:
         raise InputError(f"beta has mode {K} > MAX_ROOT_MODE = {MAX_ROOT_MODE}")
     C = np.zeros((rows, 2 * K + 1), dtype=complex)
     C[:, K] = beta.a0
-    for k, a, b in beta.modes:
-        if k > K:
-            break
-        nz = (a != 0) | (b != 0)    # a zero coefficient pair stays 0j
-        z = a[nz].astype(complex)
-        z.imag = -b[nz]
-        C[nz, K + k] = z / 2
-        z.imag = b[nz]
-        C[nz, K - k] = z / 2
+    j = np.searchsorted(beta.k, K, side="right")
+    k, nz, z = beta.k[:j], nz[:j], beta.ab[:j, 0].astype(complex)
+    z.imag = -beta.ab[:j, 1]
+    C[:, K + k] = np.where(nz, z / 2, 0).T     # a zero pair stays 0j
+    z.imag = beta.ab[:j, 1]
+    C[:, K - k] = np.where(nz, z / 2, 0).T
     # Outer coefficients below round-off of the largest would only add roots
     # near 0 and infinity, and they spoil the companion matrix.
     mag = np.abs(C)
@@ -327,10 +366,10 @@ def singular_angles(p: SupportFourier | Columns) -> list:
             theta.append(np.angle(z[on]))
             row.append(np.broadcast_to(members[s:s + step, None], z.shape)[on])
     theta, row = np.concatenate(theta), np.concatenate(row)
-    a0, modes = _at_rows(beta, row)
+    at = _at_rows(beta, row)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(NEWTON_STEPS):
-            dx = _trig_sum(a0, modes, theta, 0) / _trig_sum(a0, modes, theta, 1)
+            dx = _trig_sum(at, theta, 0) / _trig_sum(at, theta, 1)
             theta = np.where(abs(dx) < UNIT_CIRCLE_TOL, theta - dx, theta)
     theta = np.mod(theta, TWO_PI)
     theta[theta == TWO_PI] = 0.0        # np.mod rounds -tiny up to 2*pi
@@ -341,13 +380,13 @@ def singular_angles(p: SupportFourier | Columns) -> list:
         # is kept
         keep = np.diff(th, append=th[:1] + TWO_PI) >= UNIT_CIRCLE_TOL
         angles.append(th[keep].tolist())
-    return angles if np.ndim(p.a0) else angles[0]
+    return angles if c is p else angles[0]
 
 
-def _at_rows(c: Columns, row: np.ndarray):
-    """a0 and the modes of c with row row[j] of c at position j, for
-    _trig_sum to evaluate each at its own angle."""
-    return c.a0[row], [(k, a[row], b[row]) for k, a, b in c.modes]
+def _at_rows(c: Columns, row) -> Columns:
+    """Rows row of c, a slice or indices: row row[j] of c lands at position
+    j, for _trig_sum to evaluate each at its own angle."""
+    return Columns(c.a0[row], c.k, c.ab[:, :, row])
 
 
 def classify(p: SupportFourier) -> CurveClass:

@@ -21,13 +21,14 @@ reaches its fixed point.  Every run takes sup_dev on that grid.
 
 run computes its record rows a chunk of record times at a time: the closed
 form, or the chunk's grid states analyzed in one rfft, at those times as
-Columns, every field from their moments, and sup_dev from _sup_dev's
-BLAS-screened rows x grid_n block.  A row is a DiagnosticsRow, a NamedTuple
-whose field order is the CSV column order.  A chunk is cut at its first
-failing record: a grid stepping error or non-finite coefficient, else
-lambda_area's floor (DegenerateLengthError), else a non-finite field
-(InputError), raised once on_record has seen the rows before it.
-diagnostics is the same kernel's one-row case, on floats with sup_dev from
+Columns, one (K, 2, rows) coefficient block, every field from its moments,
+and sup_dev from _sup_dev's BLAS-screened rows x grid_n block.  A row is a
+DiagnosticsRow, a NamedTuple whose field order is the CSV column order.
+A chunk is cut at its first failing record: a grid stepping error or
+non-finite coefficient, else lambda_area's floor (DegenerateLengthError),
+else a non-finite field (InputError), raised once on_record has seen the
+rows before it.
+diagnostics is the same kernel on a state's one-row block, with sup_dev from
 the whole grid; it computes the final row again from the final state, and a
 field that differs in any bit raises RuntimeError.
 
@@ -47,8 +48,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import (TABLE_MAX_ENTRIES, TWO_PI, Columns, InputError,
-                     SupportFourier, _degree, _grid_table, algebraic_area,
-                     algebraic_length, column, uniform_grid)
+                     SupportFourier, _at_rows, _degree, _energy, _grid_table,
+                     _mode_sum, algebraic_area, algebraic_length, column,
+                     stack, uniform_grid)
 from .spectral import (GridFunction, analyze, default_grid_size, derivative,
                        l2_quantities, moments, synthesize)
 
@@ -186,29 +188,26 @@ def step_exact_modal(state: FlowState, dt: float,
 @np.errstate(over="ignore", invalid="ignore")
 def _closed_form(p: SupportFourier, ts: list[float], flow_type: FlowType,
                  t0: float = 0.0) -> Columns:
-    """step_exact_modal from p after each duration in ts, as columns a0 and
-    (k, a_k, b_k) over ts with its bits: math.exp and math.expm1 act element
-    by element, sum adds the a0^2 terms, and mode 1 is scaled by exp(0).
+    """step_exact_modal from p after each duration in ts, as Columns over ts
+    with its bits: math.exp and math.expm1 act element by element, the a0^2
+    terms are added in mode order, and mode 1 is scaled by exp(0).  The
+    modes are p's (K, 2, 1) block times the (K, 1, len(ts)) decay factors.
     An a0^2 that rounds below 0 reads as a0 = +-0.0, that is L = 0."""
-    t = np.array(ts, dtype=float)
-    f = np.array([1 - k * k for k, _, _ in p.modes], dtype=float)
+    t, c = np.array(ts, dtype=float), stack([p])
+    f = (1 - c.k * c.k).astype(float)
     decay = np.array(list(map(math.exp, np.outer(f, t).ravel().tolist())))
-    ab = np.array([m[1:] for m in p.modes]).reshape(-1, 2, 1) \
-        * decay.reshape(-1, 1, t.size)
     a0 = np.full(t.size, p.a0)
     if flow_type is FlowType.AREA_PRESERVING:
-        w = np.array([(1 - k * k) * (a * a + b * b)
-                      for k, a, b in p.modes if k >= 2])[:, None]
-        em1 = np.array(list(map(math.expm1, np.outer(2 * f[f < 0], t)
-                                .ravel().tolist()))).reshape(w.size, t.size)
-        a0_sq = p.a0 * p.a0 + 0.5 * np.array(
-            [sum(terms) for terms in (w * -em1).T.tolist()])
+        j = np.searchsorted(c.k, 2)   # the modes with f < 0
+        em1 = np.array(list(map(math.expm1, np.outer(2 * f[j:], t)
+                                .ravel().tolist()))).reshape(-1, t.size)
+        a0_sq = p.a0 * p.a0 + 0.5 * _mode_sum(np.zeros(t.size), (
+            f[j:, None] * _energy(c.ab[j:])) * -em1)
         if not np.all(np.isfinite(a0_sq)):
             raise InputError(f"the closed form's a0^2 overflows at t = "
                              f"{t0 + ts[np.argmin(np.isfinite(a0_sq))]}")
         a0 = np.copysign(np.sqrt(np.maximum(a0_sq, 0.0)), p.a0)
-    return Columns(a0, tuple(
-        zip([k for k, _, _ in p.modes], ab[:, 0], ab[:, 1])))
+    return Columns(a0, c.k, c.ab * decay.reshape(-1, 1, t.size))
 
 
 @dataclass(frozen=True)
@@ -304,9 +303,9 @@ def step_grid_rk4(state: GridFlowState, dt: float, flow_type: FlowType,
 
 def diagnostics(state: FlowState, flow_type: FlowType,
                 grid_n: int) -> DiagnosticsRow:
-    """The trace row of one state: _rows' one-row case, every field a float
-    and sup_dev from evaluate on the whole grid_n-point diagnostic grid."""
-    rows, error = _rows(state.t, state.p, flow_type, grid_n)
+    """The trace row of one state: _rows on its one-row block, every field a
+    float and sup_dev from evaluate on the whole grid_n-point grid."""
+    rows, error = _rows(state.t, stack([state.p]), flow_type, grid_n)
     if error is not None:
         raise error
     return rows[0]
@@ -315,7 +314,7 @@ def diagnostics(state: FlowState, flow_type: FlowType,
 def _sup_dev(beta, center, grid_n: int):
     """max_j |beta(theta_j) - center| on uniform_grid(grid_n) for the
     SupportFourier beta or each row of the Columns beta, with the bits of
-    evaluate's full-grid sum.  A BLAS product over the cached table screens
+    evaluate's full-grid sum.  One BLAS product over the cached table screens
     the rows: it and evaluate add the same m = 2K + 3 terms (K table modes,
     |cos|, |sin| <= 1), each within gamma_m * M of the true sum, M = |a0| +
     |center| + sum |a_k| + |b_k|, in any order, with or without FMA (Higham,
@@ -331,29 +330,31 @@ def _sup_dev(beta, center, grid_n: int):
     a0, shift = np.reshape(beta.a0, (-1, 1)), np.reshape(center, (-1, 1))
     J = table = None
     if a0.size > 1:
-        ab = np.reshape([m[1:] for m in beta.modes], (-1, 2, a0.size))
-        nz = np.any(ab, axis=(1, 2))
-        ab = ab[nz]
-        ks = np.array([m[0] - 1 for m in beta.modes], dtype=int)[nz]
+        nz = np.any(beta.ab, axis=(1, 2))
+        ab, ks = beta.ab[nz], beta.k[nz] - 1
         table = _grid_table(theta, int(ks[-1]) + 1 if ks.size else 0)
     if table is not None:
-        pad = np.zeros((2, a0.size, table[0].shape[0]))
-        pad[:, :, ks] = ab.transpose(1, 2, 0)
+        pad = np.zeros((a0.size, 2, table.shape[1]))
+        pad[:, :, ks] = ab.transpose(2, 1, 0)
         modes = np.sum(np.abs(ab), axis=(0, 1))[:, None]
         M = np.abs(a0) + np.abs(shift) + modes
-        delta = 2.0 * (2 * pad.shape[2] + 3) * (fp.eps * M + fp.tiny)
+        delta = 2.0 * (2 * table.shape[1] + 3) * (fp.eps * M + fp.tiny)
         if np.all((np.abs(a0 - shift) + modes > delta) & (2 * M < np.inf)):
-            screen = np.abs(a0 - shift + pad[0] @ table[0] + pad[1] @ table[1])
+            # in place: a fresh rows x grid_n array costs more than its sums
+            screen = pad.reshape(a0.size, -1) @ table.reshape(-1, grid_n)
+            screen += a0 - shift
+            np.abs(screen, out=screen)
             J = np.flatnonzero(np.any(screen >= np.max(
                 screen, axis=1, keepdims=True) - 2 * delta, axis=0))
             J = J if ab.size * J.size <= TABLE_MAX_ENTRIES else None
     if J is None:
         dev = SupportFourier.evaluate(beta, theta)
-    else:
-        trig = np.stack([t[np.ix_(ks, J)] for t in table], axis=1)[:, :, None]
+    else:   # evaluate's terms at the points J, added term after term
+        trig = table[:, ks[:, None], J].transpose(1, 0, 2)[:, :, None]
         terms = (ab[..., None] * trig).reshape(-1, a0.size, J.size)
-        terms[0] += a0      # accumulate then adds term after term
-        dev = np.add.accumulate(terms)[-1]
+        dev = terms[0] + a0
+        for term in terms[1:]:
+            dev += term
     dev -= np.expand_dims(center, -1)
     return np.max(np.abs(dev, out=dev), axis=-1)
 
@@ -370,8 +371,8 @@ def _rows(t, c, flow_type: FlowType, grid_n: int):
     m = moments(c)
     area = flow_type is FlowType.AREA_PRESERVING
     lam = lambda_area(m.L, m.int_b2, t) if area else c.a0
-    max_abs = np.max(np.abs([x for k, a, b in c.modes if k >= 2
-                             for x in (a, b)]), axis=0, initial=0.0)
+    max_abs = np.max(np.abs(c.ab[np.searchsorted(c.k, 2):]), axis=(0, 1),
+                     initial=0.0)
     fields = DiagnosticsRow(
         t=t, L=m.L, A=m.A, deficit=m.L * m.L - 4.0 * math.pi * m.A,
         sup_dev=_sup_dev(m.beta, m.L / TWO_PI, grid_n),
@@ -401,10 +402,11 @@ def _columns(config: FlowConfig, chunks, grid_n: int):
     Columns.  The modal scheme evaluates its closed form at the chunk's
     times.  The grid scheme, with k_cut the initial curve's _degree (at
     least 1), advances RK4 one record interval per call, then analyzes the
-    chunk's record grids in one rfft: Columns over modes 1..k_cut, +0.0
-    where a_k = b_k = 0.  An error met while stepping a chunk, or a record
-    whose series is not finite (InputError "non-finite coefficient"), cuts
-    the chunk before that record, and is raised once it has been yielded."""
+    chunk's record grids in one rfft: Columns whose (k_cut, 2, rows) block
+    holds modes 1..k_cut, +0.0 where a_k = b_k = 0.  An error met while
+    stepping a chunk, or a record whose series is not finite (InputError
+    "non-finite coefficient"), cuts the chunk before that record, and is
+    raised once it has been yielded."""
     flow_type, dt = config.flow_type, config.dt
     if config.scheme is Scheme.EXACT_MODAL:
         for ts in ([step * dt for step in steps] for steps in chunks):
@@ -425,11 +427,10 @@ def _columns(config: FlowConfig, chunks, grid_n: int):
         except Exception as exc:    # raised below, after the rows stepped
             error = exc
         c = analyze(np.reshape(grids, (-1, grid_n)), k_cut)
-        ok = np.isfinite([c.a0, *(x for m in c.modes for x in m[1:])]).all(0)
+        ok = np.isfinite(c.a0) & np.isfinite(c.ab).all(axis=(0, 1))
         if not ok.all():    # a row's bits do not depend on the rows after it
             j, error = np.argmin(ok), InputError("non-finite coefficient")
-            c = Columns(c.a0[:j], tuple((k, a[:j], b[:j])
-                                        for k, a, b in c.modes))
+            c = _at_rows(c, slice(j))
         if len(c.a0):
             yield [step * dt for step in steps[:len(c.a0)]], c
         if error is not None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (TWO_PI, Columns, InputError, SupportFourier,
-                     algebraic_area, beta_of, column, uniform_grid)
+                     algebraic_area, beta_of, column, stack, uniform_grid)
 from .spectral import Moments, moments
 
 SLACK_TOL = 1e-9
@@ -206,9 +206,10 @@ def random_curve(spec: CurveEnsembleSpec, index: int) -> SupportFourier:
 
 
 def _columns(c: np.ndarray) -> Columns:
-    """Rows a0, a_1, b_1, ..., a_K, b_K as Columns over the curves."""
-    return Columns(c[0], tuple(zip(
-        range(1, len(c) // 2 + 1), c[1::2], c[2::2])))
+    """Rows a0, a_1, b_1, ..., a_K, b_K as Columns over the curves, a view
+    of c."""
+    return Columns(c[0], np.arange(1, len(c) // 2 + 1),
+                   c[1:].reshape(-1, 2, c.shape[1]))
 
 
 def _entries_per_curve(spec: CurveEnsembleSpec) -> int:
@@ -255,10 +256,10 @@ def run_ensemble(spec: CurveEnsembleSpec,
     """One report per row: the minimum slack over the moments of every curve
     of the ensemble, its witness, and the number of curves whose slack is
     not >= -SLACK_TOL.  Each slack is a column over a chunk of curves; ties
-    go to the lowest index.  The witness is rebuilt by random_curve, and its
-    own slack, in float arithmetic, must equal the column minimum bit for
-    bit: the draw of a curve does not depend on where it sits in a chunk, and
-    column arithmetic matches float arithmetic."""
+    go to the lowest index.  The witnesses are rebuilt by random_curve and
+    stacked, and each one's slack must equal the column minimum bit for bit:
+    the draw of a curve does not depend on where it sits in a chunk, nor a
+    row's bits on the other rows."""
     low, best, violations = [0.0] * len(rows), [0] * len(rows), [0] * len(rows)
     size = max(1, CHUNK_ENTRIES // _entries_per_curve(spec))
     for start in range(0, spec.count, size):
@@ -271,14 +272,16 @@ def run_ensemble(spec: CurveEnsembleSpec,
             if start == 0 or col[i] < low[j]:
                 low[j], best[j] = float(col[i]), start + i
         del m   # this chunk's arrays go before the next chunk is drawn
-    witness = {i: moments(random_curve(spec, i)) for i in sorted(set(best))}
+    ids = sorted(set(best))
+    witness = [random_curve(spec, i) for i in ids]
+    m = moments(stack(witness))
     for row, slack, i in zip(rows, low, best):
-        if row(witness[i]).hex() != slack.hex():
+        if (got := float(row(m)[ids.index(i)])).hex() != slack.hex():
             raise RuntimeError(f"{row.ineq_id}: curve {i} has slack "
-                               f"{row(witness[i])!r}, its column {slack!r}")
+                               f"{got!r}, its column {slack!r}")
     return [InequalityReport(
         ineq_id=row.ineq_id, parameter=row.parameter, slack=slack,
-        holds=viol == 0, witness=witness[i].p,
+        holds=viol == 0, witness=witness[ids.index(i)],
         expected_violable=row.expected_violable, n_checked=spec.count,
         n_violations=viol)
         for row, slack, i, viol in zip(rows, low, best, violations)]

@@ -2,8 +2,9 @@
 
 The numerical substrate for oracles, diagnostics and the `moments` of a curve.
 `derivative` takes one d/dtheta per call.  Integrals over the circle are
-Parseval sums of the coefficients; the DFT of a stack of sample rows is one
-rfft along its rows, the transform the grid oracle takes of its samples.
+Parseval sums over a (K, 2, rows) coefficient block, mode after mode; the
+DFT of a stack of sample rows is one rfft along its rows, the transform the
+grid oracle takes of its samples, and its coefficients are such a block.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import (TWO_PI, Columns, InputError, SupportFourier, _degree,
-                     algebraic_area, algebraic_length, beta_of, uniform_grid)
+                     _dtheta, _energy, _mode_sum, algebraic_area,
+                     algebraic_length, beta_of, column, stack, uniform_grid)
 
 
 class AliasError(InputError):
@@ -77,29 +79,33 @@ def analyze(V: np.ndarray, K: int) -> Columns:
     if 2 * K + 2 > (n := V.shape[1]):
         raise AliasError(f"cannot recover K={K} modes from {n} samples")
     X = np.fft.rfft(V)[:, :K + 1]
-    ab = np.stack([2.0 / n * X.real[:, 1:].T, -2.0 / n * X.imag[:, 1:].T])
-    ab[:, (ab[0] == 0.0) & (ab[1] == 0.0)] = 0.0
-    return Columns(X[:, 0].real / n, tuple(zip(range(1, K + 1), *ab)))
+    ab = np.stack([2.0 / n * X.real[:, 1:].T, -2.0 / n * X.imag[:, 1:].T], 1)
+    return Columns(X[:, 0].real / n, np.arange(1, K + 1), np.where(
+        np.all(ab == 0.0, axis=1, keepdims=True), 0.0, ab))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def derivative(p: SupportFourier | Columns) -> SupportFourier | Columns:
     """Modal differentiation: d/dtheta maps (a_k, b_k) -> (k b_k, -k a_k),
     in p's type with every mode p lists and a zero a0 (a column for
     Columns)."""
-    return type(p)(np.zeros_like(p.a0),
-                   tuple((k, k * b, -k * a) for k, a, b in p.modes))
+    c = p if isinstance(p, Columns) else stack([p])
+    d = Columns(np.zeros_like(c.a0), c.k, _dtheta(c.k, c.ab))
+    return d if c is p else column(d, 0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def l2_quantities(p: SupportFourier | Columns) -> dict:
     """Parseval values: int p^2 = 2*pi*a0^2 + pi*sum(a_k^2+b_k^2) and
     int (p')^2 = pi*sum k^2 (a_k^2+b_k^2), for a SupportFourier or Columns."""
-    int_p2, int_dp2 = TWO_PI * p.a0 * p.a0, 0.0
-    for k, a, b in p.modes:
-        e = a * a + b * b
-        int_p2 += math.pi * e
-        int_dp2 += math.pi * k * k * e
-    if isinstance(p, Columns) and not p.modes:   # +0.0, not 0.0 * a0 = -0.0
-        int_dp2 = np.zeros(p.a0.size)
+    c = p if isinstance(p, Columns) else stack([p])
+    e = _energy(c.ab)
+    de = (math.pi * c.k * c.k)[:, None] * e
+    e *= math.pi
+    int_p2 = _mode_sum(TWO_PI * c.a0 * c.a0, e)
+    int_dp2 = _mode_sum(np.zeros(c.a0.size), de)
+    if c is not p:
+        int_p2, int_dp2 = float(int_p2[0]), float(int_dp2[0])
     return {"int_p2": int_p2, "int_dp2": int_dp2}
 
 

@@ -1,14 +1,17 @@
 """Oracles and measurements that only the tests use: trapezoid-rule
 integrals independent of the package's Parseval sums, the Wirtinger gap, the
-equality family, a decay-rate fit, a series with one mode replaced, and the
-per-curve cusp finder."""
+equality family, a decay-rate fit, a series with one mode replaced, the
+per-curve cusp finder and the trace fields of Columns in Python floats."""
+
+import math
 
 import numpy as np
 
-from legendreflow import (FlowTrace, InputError, SupportFourier, beta_of,
-                          l2_quantities)
+from legendreflow import (FlowTrace, FlowType, InputError, SupportFourier,
+                          beta_of, l2_quantities)
 from legendreflow.curves import (MAX_ROOT_MODE, NEWTON_STEPS, TWO_PI,
                                  UNIT_CIRCLE_TOL, _degree, uniform_grid)
+from legendreflow.flows import LAMBDA_FLOOR
 
 
 def periodic_quadrature(g) -> float:
@@ -131,3 +134,35 @@ def reference_singular_angles(p: SupportFourier) -> list[float]:
     theta = np.sort(theta)
     keep = np.diff(theta, append=theta[:1] + TWO_PI) >= UNIT_CIRCLE_TOL
     return theta[keep].tolist()
+
+
+def reference_rows(c, flow_type: FlowType) -> list[dict]:
+    """For each row of the Columns c, its trace fields other than t and
+    sup_dev, and int beta^2, in Python floats, one mode (k, a, b) at a time
+    in mode order: the formulas of the inequalities module docstring, with
+    beta's modes (1 - k^2)(a, b) and beta''s (k b_beta, -k a_beta) squared
+    and summed as the package associates them.  lam is None where the area
+    flow's |L| is below LAMBDA_FLOOR: the row kernel cuts its rows there."""
+    out = []
+    for a0, ab in zip(c.a0.tolist(), np.moveaxis(c.ab, 2, 0).tolist()):
+        L, A, int_b2 = TWO_PI * a0, math.pi * a0 * a0, TWO_PI * a0 * a0
+        E1 = E2 = max_abs = 0.0
+        for k, (a, b) in zip(c.k.tolist(), ab):
+            if k < 2:
+                continue
+            A += 0.5 * math.pi * (1.0 - k * k) * (a * a + b * b)
+            ba, bb = (1.0 - k * k) * a, (1.0 - k * k) * b
+            e = ba * ba + bb * bb
+            int_b2 += math.pi * e
+            E1 += math.pi * k * k * e
+            E2 += math.pi * k * k * ((k * bb) * (k * bb) + (k * ba) * (k * ba))
+            max_abs = max(max_abs, abs(a), abs(b))
+        if flow_type is FlowType.LENGTH_PRESERVING:
+            lam = a0
+        else:
+            lam = int_b2 / L if abs(L) >= LAMBDA_FLOOR else None
+        out.append({"L": L, "A": A, "deficit": L * L - 4.0 * math.pi * A,
+                    "Q": L * L / TWO_PI - int_b2, "lam": lam, "E1": E1,
+                    "E2": E2, "a0": a0, "max_abs_mode": max_abs,
+                    "int_b2": int_b2})
+    return out

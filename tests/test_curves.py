@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from legendreflow import (CurveKind, FlowState, FlowType, InputError,
@@ -12,7 +13,8 @@ from legendreflow import (CurveKind, FlowState, FlowType, InputError,
                           derivative, sample_points, singular_angles,
                           step_exact_modal, steiner_point, analyze,
                           synthesize, uniform_grid)
-from legendreflow import curves, flows
+from legendreflow import curves, flows, inequalities
+from legendreflow.cli import write_curve_svg
 from conftest import (area_quadrature, coeff, length_quadrature,
                       rand_support, rows_on_modes, supports)
 from helpers import ell_convex_residuals, reference_singular_angles, with_mode
@@ -476,6 +478,72 @@ class TestSingularAnglesOfColumns:
             curves.stack([P_FIG_A, SupportFourier(2.0)])
         c = curves.stack([P_FIG_A, P_FIG_B])
         assert [curves.column(c, i) for i in range(2)] == [P_FIG_A, P_FIG_B]
+
+
+def _svg_digests(c, tmp_path, name) -> list[str]:
+    paths = [tmp_path / f"{name}_{i}.svg" for i in range(c.a0.size)]
+    write_curve_svg(c, paths)
+    return [hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in paths]
+
+
+def _sup_devs(c) -> list[str]:
+    beta = curves.beta_of(c)
+    center = curves.algebraic_length(c) / TWO_PI
+    return [x.hex() for x in flows._sup_dev(beta, center, 256).tolist()]
+
+
+class TestColumnsLayout:
+    @given(supports().flatmap(rows_on_modes))
+    @example([SupportFourier(-0.0)])
+    @example([SupportFourier(1.0), SupportFourier(-0.0, ())])
+    @example([SupportFourier(0.5, ((3, -0.0, 0.0), (7, 0.25, -1.0)))])
+    @settings(max_examples=100, deadline=None)
+    def test_block_round_trip_is_byte_identical(self, rows):
+        c = curves.stack(rows)
+        assert c.ab.shape == (c.k.size, 2, len(rows))
+        again = curves.stack([curves.column(c, i) for i in range(len(rows))])
+        for x, y in zip(c, again):
+            assert (x.dtype, x.shape, x.tobytes()) \
+                == (y.dtype, y.shape, y.tobytes())
+
+    def test_producers_hand_over_their_block(self):
+        # the ensemble's coefficient rows a0, a_1, b_1, ... are the block
+        # (K, 2, curves) without a copy; the closed form broadcasts p's
+        # (K, 2, 1) block against its (K, 1, times) decay
+        raw = np.arange(7.0 * 5).reshape(7, 5)
+        c = inequalities._columns(raw)
+        assert np.shares_memory(c.ab, raw) and c.k.tolist() == [1, 2, 3]
+        assert c.ab[2, 1].tolist() == raw[6].tolist()
+        c = flows._closed_form(P_FIG_A, [0.0, 0.5], FlowType.AREA_PRESERVING)
+        assert c.k.tolist() == [2] and c.ab.shape == (1, 2, 2)
+
+    def test_edge_layouts_keep_their_results(self, tmp_path):
+        # no modes: beta is the constant a0 (a point for a0 = -0.0)
+        k0 = curves.stack([SupportFourier(1.0), SupportFourier(-0.0),
+                           SupportFourier(2.5)])
+        assert _sup_devs(k0) == [(0.0).hex()] * 3
+        assert singular_angles(k0) == [[], [], []]
+        assert _svg_digests(k0, tmp_path, "k0") == [
+            "eec9ed4da5626cc2", "4d6b561d96cd75c2", "1446ca3b39deaaf9"]
+        # figure1a at three times; a chunk of one time is its last row, and
+        # a listed zero mode 600 (zero600.curve) changes nothing
+        area = FlowType.AREA_PRESERVING
+        fig = flows._closed_form(P_FIG_A, [0.0, 0.05, 0.1], area)
+        assert _sup_devs(fig)[0] == (3.0).hex()    # max |3 sin 2 theta|
+        want = singular_angles(fig)
+        assert [len(a) for a in want] == [4, 4, 4]
+        assert want[2] == reference_singular_angles(curves.column(fig, 2))
+        assert _svg_digests(fig, tmp_path, "fig") == [
+            "d3761230438ceb3e", "dafe2e0456201a4a", "933ad8354af69026"]
+        one = flows._closed_form(P_FIG_A, [0.1], area)
+        zero600 = flows._closed_form(SupportFourier(2.0, (
+            (2, 0.0, 1.0), (600, 0.0, 0.0))), [0.0, 0.05, 0.1], area)
+        assert zero600.k.tolist() == [2, 600]
+        for c, rows in ((one, slice(2, 3)), (zero600, slice(None))):
+            assert _sup_devs(c) == _sup_devs(fig)[rows]
+            assert singular_angles(c) == want[rows]
+            assert _svg_digests(c, tmp_path, "c") \
+                == _svg_digests(fig, tmp_path, "fig")[rows]
 
 
 class TestClassify:

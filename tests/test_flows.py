@@ -20,7 +20,8 @@ from legendreflow import (Constraint, CurveEnsembleSpec, DegenerateLengthError,
 from legendreflow import flows
 from legendreflow.curves import Columns, _degree, column, stack
 from legendreflow.flows import GridFlowState
-from helpers import ell_convex_residuals, fit_decay_rate, periodic_quadrature
+from helpers import (ell_convex_residuals, fit_decay_rate, periodic_quadrature,
+                     reference_rows)
 
 TWO_PI = 2.0 * math.pi
 AREA = FlowType.AREA_PRESERVING
@@ -60,7 +61,8 @@ class TestLambdas:
         lam = lambda_area(L, np.ones(3), [0.125, 0.25, 0.5])
         assert lam[0] == 0.25 and np.isnan(lam[1:]).all()
         assert lambda_area(L[:1], np.ones(1), [0.125]).tolist() == [0.25]
-        rows, error = flows._rows([0.125, 0.25, 0.5], Columns(L / TWO_PI, ()),
+        rows, error = flows._rows([0.125, 0.25, 0.5], stack(
+            [SupportFourier(x) for x in (L / TWO_PI).tolist()]),
                                   AREA, 64)
         assert [row.t for row in rows] == [0.125]
         with pytest.raises(DegenerateLengthError,
@@ -175,7 +177,7 @@ class TestStepExactModal:
             with mpmath.workdps(50):
                 mpf = mpmath.mpf
                 for i, t in enumerate(ts):
-                    for (k, a, b), (_, ga, gb) in zip(p.modes, c.modes):
+                    for (k, a, b), (ga, gb) in zip(p.modes, c.ab):
                         f = 1 - k * k
                         for x, got in ((a, ga[i]), (b, gb[i])):
                             want = mpf(x) * mpmath.exp(f * mpf(t))
@@ -1157,6 +1159,65 @@ class TestChunkedRows:
             diagnostics(state, flow_type, 256)
 
 
+# --- the row kernel against its fields in Python floats ---------------------
+
+@st.composite
+def listed_blocks(draw):
+    """Columns over 1 to 130 rows, on either side of the rows that
+    _mode_sum accumulates, with up to 64 listed modes, some exactly zero in
+    every row, signed zero coefficients, and a0 = +-0.0 in some rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    K = draw(st.sampled_from([0, 1, 2, 3, 8, 32, 64]))
+    ks = np.flatnonzero(rng.random(K) < draw(st.sampled_from([0.5, 1.0]))) + 1
+    rows = draw(st.sampled_from([1, 2, 127, 128, 129, 130])
+                | st.integers(1, 130))
+    ab = rng.uniform(-1.0, 1.0, (ks.size, 2, rows)) \
+        / ks[:, None, None] ** draw(st.sampled_from([0.0, 1.5]))
+    ab[rng.random(ks.size) < 0.3] = 0.0
+    signed = rng.choice([0.0, -0.0], ab.shape)
+    ab = np.where(rng.random(ab.shape) < 0.1, signed, ab)
+    a0 = rng.uniform(-3.0, 3.0, rows)
+    zero = rng.random(rows) < draw(st.sampled_from([0.0, 0.1]))
+    return Columns(np.where(zero, rng.choice([0.0, -0.0], rows), a0), ks, ab)
+
+
+ROW_FIELDS = ("L", "A", "deficit", "Q", "lam", "E1", "E2", "a0",
+              "max_abs_mode")
+
+
+class TestRowsAgainstReference:
+    @given(listed_blocks(), st.sampled_from(list(FlowType)))
+    @example(Columns(np.array([0.0, -0.0]), np.zeros(0, dtype=int),
+                     np.zeros((0, 2, 2))), FlowType.LENGTH_PRESERVING)
+    @example(stack([SupportFourier(-0.0, ((1, 0.5, 0.0), (5, 0.0, 0.0)))]),
+             FlowType.LENGTH_PRESERVING)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_and_moments_match_reference_bit_for_bit(self, c, flow_type):
+        want = reference_rows(c, flow_type)
+        m = moments(c)
+        for name, col in (("L", m.L), ("A", m.A), ("int_b2", m.int_b2),
+                          ("E1", m.int_db2)):
+            assert [x.hex() for x in col.tolist()] \
+                == [r[name].hex() for r in want], name
+        # rows up to the first whose lambda the area flow leaves undefined
+        cut = next((i for i, r in enumerate(want) if r["lam"] is None),
+                   len(want))
+        grid_n = default_grid_size(int(c.k[-1]) if c.k.size else 0)
+        rows, error = flows._rows((np.arange(c.a0.size) / 8).tolist(), c,
+                                  flow_type, grid_n)
+        assert len(rows) == cut
+        assert isinstance(error, DegenerateLengthError) if cut < len(want) \
+            else error is None
+        for row, ref in zip(rows, want):
+            assert [getattr(row, f).hex() for f in ROW_FIELDS] \
+                == [ref[f].hex() for f in ROW_FIELDS]
+        # a SupportFourier goes through as its one-row block
+        for i in {0, c.a0.size - 1}:
+            mi = moments(column(c, i))
+            assert [x.hex() for x in (mi.L, mi.A, mi.int_b2, mi.int_db2)] \
+                == [want[i][f].hex() for f in ("L", "A", "int_b2", "E1")]
+
+
 # --- _sup_dev's screen against the full-grid evaluate -----------------------
 
 def full_sup_dev(beta, center, n: int):
@@ -1197,7 +1258,7 @@ def screened_columns(draw):
         else:
             ab[draw(st.integers(0, 1)), draw(st.integers(0, K - 1)),
                draw(st.integers(0, rows - 1))] = bad
-    return Columns(a0, tuple(zip(ks.tolist(), ab[0], ab[1])))
+    return Columns(a0, ks, ab.transpose(1, 0, 2))
 
 
 class TestScreenedSupDev:
@@ -1205,19 +1266,17 @@ class TestScreenedSupDev:
     @example(stack([SupportFourier(2.0, ((2, 0.0, 1.0),))] * 3))
     @settings(max_examples=200, deadline=None)
     def test_matches_full_grid_bit_for_bit(self, c):
-        n = default_grid_size(c.modes[-1][0])
+        n = default_grid_size(int(c.k[-1]))
         with np.errstate(all="ignore"):
             m = moments(c)
             center = m.L / TWO_PI
             want = full_sup_dev(m.beta, center, n)
             assert flows._sup_dev(m.beta, center, n).tobytes() \
                 == want.tobytes()
-        for i in np.flatnonzero(np.isfinite(c.a0) & np.all(
-                [np.isfinite(x) for _, a, b in c.modes for x in (a, b)],
-                axis=0)):
-            # one row as a SupportFourier, as the grid scheme passes it
-            beta = beta_of(SupportFourier(
-                c.a0[i], tuple((k, a[i], b[i]) for k, a, b in c.modes)))
+        for i in np.flatnonzero(np.isfinite(c.a0)
+                                & np.all(np.isfinite(c.ab), axis=(0, 1))):
+            # one row as a SupportFourier
+            beta = beta_of(column(c, i))
             got = flows._sup_dev(beta, float(m.L[i] / TWO_PI), n)
             assert np.reshape(got, -1).tobytes() == want[i:i + 1].tobytes()
 

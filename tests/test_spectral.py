@@ -132,15 +132,14 @@ class TestAnalyzeStack:
             assert all(math.copysign(1.0, 2.0 / n * np.sum(V[i0] * np.cos(
                 k * uniform_grid(n)))) == -1.0 for k in range(1, K + 1))
         c = analyze(V, K)
-        assert [k for k, _, _ in c.modes] == list(range(1, K + 1))
+        assert c.k.tolist() == list(range(1, K + 1))
         for i, v in enumerate(V):
             p = column(c, i)
             assert _series_bytes(p) == _series_bytes(
                 column(analyze(V[i:i + 1], K), 0))
             _assert_near_per_mode(p, v, K)
         if special:
-            assert all(a[i0].tobytes() == b[i0].tobytes() == bytes(8)
-                       for _, a, b in c.modes)
+            assert c.ab[:, :, i0].tobytes() == bytes(16 * K)
 
     def test_alias_error(self):
         with pytest.raises(AliasError):
@@ -394,7 +393,7 @@ class TestMoments:
         # derivative keeps a Columns without modes, and its zero a0 column
         # gives a +0.0 int (beta')^2 column
         dcols = derivative(cols.beta)
-        assert dcols.modes == () and dcols.a0.tolist() == [0.0, 0.0]
+        assert dcols.k.size == 0 and dcols.a0.tolist() == [0.0, 0.0]
         assert [x.hex() for x in l2_quantities(dcols)["int_dp2"].tolist()] \
             == [(0.0).hex()] * 2
 
