@@ -11,10 +11,8 @@ Algebraic length and area are L = 2*pi*a0 and
 A = pi*a0^2 + (pi/2) * sum_{k>=2} (1 - k^2)(a_k^2 + b_k^2); both may vanish or
 go negative for singular curves.
 
-The modal formulas work on Columns, many series over one list of modes: a0
-over rows (record times or curves) and one (K, 2, rows) block of a_k, b_k.
-Each is a fixed number of whole-block operations, with sums over modes
-added in mode order, so a row has the bits of its own series; a
+The modal formulas take Columns, a0 and one (K, 2, rows) block of a_k, b_k,
+and add sums over modes in mode order, so a row has its own series' bits; a
 SupportFourier goes through as its one-row block.
 """
 
@@ -45,10 +43,6 @@ NEWTON_STEPS = 3
 #: (2 MiB); a grid and mode count beyond it are evaluated row by row, so a
 #: large-K run keeps the memory of the uncached loop.
 TABLE_MAX_ENTRIES = 1 << 18
-
-#: Most rows _mode_sum sums by np.add.accumulate, whose cost grows with the
-#: entries where a loop's grows with the modes (2-core Xeon: 4 ns, 0.5 us).
-ACCUMULATE_MAX_ROWS = 128
 
 #: Most points of a uniform_grid (8 MiB of samples): a curve whose degree
 #: asks for more is refused before any grid is allocated.
@@ -84,8 +78,8 @@ class SupportFourier:
     def __post_init__(self) -> None:
         norm = tuple(sorted((int(k), float(a), float(b)) for k, a, b in self.modes))
         ks = [k for k, _, _ in norm]
-        if any(k < 1 for k in ks):
-            raise InputError("mode numbers must be >= 1")
+        if any(not 1 <= k < 2 ** 63 for k in ks):    # Columns' int64 k
+            raise InputError("mode numbers must be >= 1 and < 2**63")
         if len(set(ks)) != len(ks):
             raise InputError("duplicate mode numbers")
         if not math.isfinite(self.a0) or not all(
@@ -147,11 +141,9 @@ def _dtheta(k: np.ndarray, ab: np.ndarray) -> np.ndarray:
 
 
 class Columns(NamedTuple):
-    """Coefficient columns over rows (record times or curves): a0 is (rows,),
-    k the (K,) mode numbers in SupportFourier's order and ab the (K, 2, rows)
-    block of a_k, b_k.  The modal formulas take Columns in place of a
-    SupportFourier, which they read as its one-row block; both list the
-    modes they were built with, exact zeros included."""
+    """Series over rows (record times or curves): a0 (rows,), the (K,) mode
+    numbers k in SupportFourier's order and the (K, 2, rows) block ab of a_k,
+    b_k.  Both list the modes they were built with, exact zeros included."""
     a0: np.ndarray
     k: np.ndarray
     ab: np.ndarray
@@ -252,8 +244,8 @@ def beta_of(p: SupportFourier | Columns) -> SupportFourier | Columns:
     """
     c = p if isinstance(p, Columns) else stack([p])
     j = np.searchsorted(c.k, 2)
-    beta = Columns(c.a0, c.k[j:], (1.0 - c.k[j:] * c.k[j:])[:, None, None]
-                   * c.ab[j:])
+    f = 1.0 - np.square(c.k[j:], dtype=float)
+    beta = Columns(c.a0, c.k[j:], f[:, None, None] * c.ab[j:])
     return beta if c is p else column(beta, 0)
 
 
@@ -269,29 +261,26 @@ def algebraic_area(p: SupportFourier | Columns):
     c = p if isinstance(p, Columns) else stack([p])
     j = np.searchsorted(c.k, 2)
     e = _energy(c.ab[j:])
-    e *= (0.5 * math.pi * (1.0 - c.k[j:] * c.k[j:]))[:, None]
+    e *= (0.5 * math.pi * (1.0 - np.square(c.k[j:], dtype=float)))[:, None]
     acc = _mode_sum(math.pi * c.a0 * c.a0, e)
     return acc if c is p else float(acc[0])
 
 
 def _energy(ab: np.ndarray) -> np.ndarray:
-    """a_k^2 + b_k^2 of the block ab as a new (K, rows) array, with one
-    temporary (K, rows) array fewer than the plain expression."""
+    """a_k^2 + b_k^2 of the block ab as a new (K, rows) array, by two squares
+    and one in-place add: np.square(ab).sum(axis=1) has the same bits but
+    took three times as long on the strided blocks of the ensemble's
+    rejection rounds (2-core Xeon)."""
     e = np.square(ab[:, 0])
     e += np.square(ab[:, 1])
     return e
 
 
 def _mode_sum(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """acc + terms[0] + terms[1] + ..., added in this order, for (rows,) acc
-    and (K, rows) terms, which it may overwrite: a loop of in-place adds, or
-    one np.add.accumulate on at most ACCUMULATE_MAX_ROWS rows."""
-    if not len(terms) or terms.shape[1] > ACCUMULATE_MAX_ROWS:
-        for term in terms:
-            acc += term
-        return acc
-    terms[0] += acc
-    return np.add.accumulate(terms)[-1]
+    """acc + terms[0] + terms[1] + ..., added in this order into acc."""
+    for term in terms:
+        acc += term
+    return acc
 
 
 def isoperimetric_deficit(p: SupportFourier) -> float:

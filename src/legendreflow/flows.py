@@ -194,7 +194,7 @@ def _closed_form(p: SupportFourier, ts: list[float], flow_type: FlowType,
     modes are p's (K, 2, 1) block times the (K, 1, len(ts)) decay factors.
     An a0^2 that rounds below 0 reads as a0 = +-0.0, that is L = 0."""
     t, c = np.array(ts, dtype=float), stack([p])
-    f = (1 - c.k * c.k).astype(float)
+    f = 1.0 - np.square(c.k, dtype=float)
     decay = np.array(list(map(math.exp, np.outer(f, t).ravel().tolist())))
     a0 = np.full(t.size, p.a0)
     if flow_type is FlowType.AREA_PRESERVING:
@@ -379,9 +379,7 @@ def _rows(t, c, flow_type: FlowType, grid_n: int):
         Q=m.L * m.L / TWO_PI - m.int_b2, lam=lam, E1=m.int_db2,
         E2=l2_quantities(derivative(m.beta))["int_dp2"], a0=c.a0,
         max_abs_mode=max_abs)
-    out = np.empty((len(fields), np.size(t)))
-    for j, field in enumerate(fields):
-        out[j] = field
+    out = np.vstack(fields)
     rows = list(map(DiagnosticsRow._make, out.T.tolist()))
     ok = np.isfinite(out)
     if ok.all():

@@ -102,11 +102,9 @@ def l2_quantities(p: SupportFourier | Columns) -> dict:
     e = _energy(c.ab)
     de = (math.pi * c.k * c.k)[:, None] * e
     e *= math.pi
-    int_p2 = _mode_sum(TWO_PI * c.a0 * c.a0, e)
-    int_dp2 = _mode_sum(np.zeros(c.a0.size), de)
-    if c is not p:
-        int_p2, int_dp2 = float(int_p2[0]), float(int_dp2[0])
-    return {"int_p2": int_p2, "int_dp2": int_dp2}
+    q = {"int_p2": _mode_sum(TWO_PI * c.a0 * c.a0, e),
+         "int_dp2": _mode_sum(np.zeros(c.a0.size), de)}
+    return q if c is p else {key: float(v[0]) for key, v in q.items()}
 
 
 class Moments(NamedTuple):

@@ -1,7 +1,8 @@
 """Oracles and measurements that only the tests use: trapezoid-rule
 integrals independent of the package's Parseval sums, the Wirtinger gap, the
 equality family, a decay-rate fit, a series with one mode replaced, the
-per-curve cusp finder and the trace fields of Columns in Python floats."""
+per-curve cusp finder, and the trace fields of Columns and the modal closed
+form in Python floats."""
 
 import math
 
@@ -165,4 +166,27 @@ def reference_rows(c, flow_type: FlowType) -> list[dict]:
                     "Q": L * L / TWO_PI - int_b2, "lam": lam, "E1": E1,
                     "E2": E2, "a0": a0, "max_abs_mode": max_abs,
                     "int_b2": int_b2})
+    return out
+
+
+def reference_closed_form(p: SupportFourier, ts, flow_type: FlowType):
+    """The exact solution from p after each duration t in ts, as (a0, [(k,
+    a, b), ...]) pairs in Python floats, one mode at a time in mode order:
+    (a, b) e^{(1-k^2) t} and, under the area flow, a0^2 = a0(0)^2 + (1/2)
+    sum_{k>=2} ((1-k^2) c_k^2) (-expm1(2 (1-k^2) t)) with a0's sign, as
+    the package associates them."""
+    out = []
+    for t in ts:
+        modes = [(k, a * math.exp((1.0 - k * k) * t),
+                  b * math.exp((1.0 - k * k) * t)) for k, a, b in p.modes]
+        a0 = p.a0
+        if flow_type is FlowType.AREA_PRESERVING:
+            s = 0.0
+            for k, a, b in p.modes:
+                if k >= 2:
+                    f = 1.0 - k * k
+                    s += (f * (a * a + b * b)) * -math.expm1(2.0 * f * t)
+            a0 = math.copysign(math.sqrt(max(p.a0 * p.a0 + 0.5 * s, 0.0)),
+                               p.a0)
+        out.append((a0, modes))
     return out

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import re
@@ -490,6 +491,40 @@ class TestCliMain:
             assert "# grid_n = 256" in out.read_text().splitlines()
         assert time.perf_counter() - start < 5.0
         assert "class = ell-convex-nonconvex" in capsys.readouterr().out
+
+    def test_listed_zero_mode_whose_square_leaves_int64(self, tmp_path,
+                                                         capsys):
+        # 4e9^2 > 2^63: (1 - k^2) is taken in floats, so the zero mode adds
+        # only zero terms and every output is figure1a's
+        fig, far = tmp_path / "fig.curve", tmp_path / "far.curve"
+        fig.write_text("a0 = 2\nmode 2 = 0 1\n")
+        far.write_text("a0 = 2\nmode 2 = 0 1\nmode 4000000000 = 0 0\n")
+        outputs = []
+        for f in (fig, far):
+            assert cli_main(["analyze", "--curve", str(f)]) == 0
+            for flow, scheme in itertools.product(("length", "area"),
+                                                  ("modal", "grid")):
+                out = tmp_path / f"{flow}_{scheme}.csv"
+                assert cli_main(["simulate", "--flow", flow, "--scheme",
+                                 scheme, "--curve", str(f), "--t-final",
+                                 "0.1", "--dt", "0.01", "--out",
+                                 str(out)]) == 0
+                outputs.append([line for line in out.read_text().splitlines()
+                                if not line.startswith("# K = ")])
+            outputs.append(capsys.readouterr().out)
+        assert outputs[:5] == outputs[5:]
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--flow", "length"], ["--flow", "area", "--scheme", "grid"]])
+    def test_mode_number_past_int64_is_refused(self, tmp_path, capsys, argv):
+        f = tmp_path / "huge.curve"
+        f.write_text("a0 = 2\nmode 2 = 0 1\n"
+                     "mode 100000000000000000000 = 0 0\n")
+        cmd = ["simulate", *argv, "--out", str(tmp_path / "t.csv")] if argv \
+            else ["analyze"]
+        assert cli_main(cmd + ["--curve", str(f)]) == 1
+        assert capsys.readouterr().err == ("error: InputError: mode numbers "
+                                           "must be >= 1 and < 2**63\n")
 
     def test_simulate_too_many_records_fails_at_once(self, tmp_path, capsys):
         f = tmp_path / "c.curve"

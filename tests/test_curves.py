@@ -493,6 +493,18 @@ def _sup_devs(c) -> list[str]:
 
 
 class TestColumnsLayout:
+    def test_mode_numbers_are_int64_and_their_squares_floats(self):
+        with pytest.raises(InputError, match=r"< 2\*\*63"):
+            SupportFourier(1.0, ((2 ** 63, 0.0, 0.0),))
+        # 4e9^2 leaves int64; Python's (1 - k*k) * a is the reference
+        k = 4_000_000_000
+        p = SupportFourier(2.0, ((2, 0.0, 1.0), (k, 1e-20, -0.0)))
+        assert beta_of(p).modes[-1][1:] == ((1.0 - k * k) * 1e-20,
+                                            (1.0 - k * k) * -0.0)
+        assert algebraic_area(p).hex() == (
+            math.pi * 4.0 + 0.5 * math.pi * -3.0 * 1.0
+            + 0.5 * math.pi * (1.0 - k * k) * (1e-20 * 1e-20)).hex()
+
     @given(supports().flatmap(rows_on_modes))
     @example([SupportFourier(-0.0)])
     @example([SupportFourier(1.0), SupportFourier(-0.0, ())])

@@ -21,7 +21,7 @@ from legendreflow import flows
 from legendreflow.curves import Columns, _degree, column, stack
 from legendreflow.flows import GridFlowState
 from helpers import (ell_convex_residuals, fit_decay_rate, periodic_quadrature,
-                     reference_rows)
+                     reference_closed_form, reference_rows)
 
 TWO_PI = 2.0 * math.pi
 AREA = FlowType.AREA_PRESERVING
@@ -1163,9 +1163,10 @@ class TestChunkedRows:
 
 @st.composite
 def listed_blocks(draw):
-    """Columns over 1 to 130 rows, on either side of the rows that
-    _mode_sum accumulates, with up to 64 listed modes, some exactly zero in
-    every row, signed zero coefficients, and a0 = +-0.0 in some rows."""
+    """Columns over 1 to 130 rows, so that a run's chunks of 64 or 128 rows
+    and their remainders are covered, with up to 64 listed modes, some
+    exactly zero in every row, signed zero coefficients, and a0 = +-0.0 in
+    some rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     K = draw(st.sampled_from([0, 1, 2, 3, 8, 32, 64]))
     ks = np.flatnonzero(rng.random(K) < draw(st.sampled_from([0.5, 1.0]))) + 1
@@ -1216,6 +1217,30 @@ class TestRowsAgainstReference:
             mi = moments(column(c, i))
             assert [x.hex() for x in (mi.L, mi.A, mi.int_b2, mi.int_db2)] \
                 == [want[i][f].hex() for f in ("L", "A", "int_b2", "E1")]
+
+    @given(listed_blocks(), st.sampled_from(list(FlowType)),
+           st.lists(st.sampled_from([0.0, 1e-3, 0.0625, 0.3, 2.0, 40.0])
+                    | st.floats(0.0, 50.0), min_size=1, max_size=130),
+           st.sampled_from([None, 1e-3, 1e-9]))
+    @example(stack([SupportFourier(-0.0, ((1, 0.5, -0.0), (5, 0.0, 0.0)))]),
+             FlowType.AREA_PRESERVING, [0.0, 1.0], None)
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_matches_reference_bit_for_bit(self, c, flow_type, ts,
+                                                       margin):
+        # row 0 of the block as the initial curve, at up to 130 times; with
+        # a margin, a0^2 exceeds (1/2) sum (k^2 - 1) c_k^2 by that fraction,
+        # so a0(t)^2 -> A/pi is small and shows its sum's last bits
+        p = column(c, 0)
+        if margin is not None:
+            s = sum((k * k - 1.0) * (a * a + b * b) for k, a, b in p.modes)
+            p = SupportFourier(math.sqrt(0.5 * s * (1.0 + margin)), p.modes)
+        want = reference_closed_form(p, ts, flow_type)
+        got = flows._closed_form(p, ts, flow_type)
+        assert got.ab.shape == (len(p.modes), 2, len(ts))
+        for i, (a0, modes) in enumerate(want):
+            assert [x.hex() for x in column(got, i).modes for x in x[1:]] \
+                == [x.hex() for m in modes for x in m[1:]]
+            assert float(got.a0[i]).hex() == a0.hex()
 
 
 # --- _sup_dev's screen against the full-grid evaluate -----------------------
