@@ -1,10 +1,10 @@
 """Spectral simulation and verification of nonlocal inverse curvature flows
 for l-convex Legendre curves."""
 
-from .curves import (CurveClass, CurveKind, InputError, Point2,
-                     SupportFourier, algebraic_area, algebraic_length,
-                     beta_of, classify, isoperimetric_deficit, sample_points,
-                     singular_angles, steiner_point, uniform_grid)
+from .curves import (CurveClass, CurveKind, InputError, SupportFourier,
+                     algebraic_area, algebraic_length, beta_of, classify,
+                     sample_points, singular_angles, steiner_point,
+                     uniform_grid)
 from .spectral import (AliasError, GridFunction, Moments, analyze,
                        default_grid_size, derivative, l2_quantities, moments,
                        synthesize)

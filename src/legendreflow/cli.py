@@ -21,15 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .curves import (MAX_ROOT_MODE, Columns, InputError, SupportFourier,
-                     _degree, algebraic_area, algebraic_length, classify,
-                     isoperimetric_deficit, sample_points, singular_angles,
-                     stack, steiner_point, uniform_grid)
+                     _degree, classify, sample_points, singular_angles, stack,
+                     steiner_point, uniform_grid)
 from .flows import (LAMBDA_FLOOR, DegenerateLengthError, FlowConfig, FlowTrace,
                     FlowType, Scheme, run)
 from .inequalities import (Constraint, CurveEnsembleSpec,
-                           RejectionExhaustedError, inequality_table,
-                           run_ensemble)
-from .spectral import default_grid_size
+                           RejectionExhaustedError, check_isoperimetric,
+                           inequality_table, run_ensemble)
+from .spectral import default_grid_size, moments
 
 CSV_HEADER = "t,L,A,deficit_U,sup_dev,Q,lambda,E1,E2,a0,max_mode"
 
@@ -190,13 +189,14 @@ def _cmd_analyze(args) -> int:
     p = parse_curve_file(args.curve)
     angles = singular_angles(p)     # refuses a degree above MAX_ROOT_MODE
     cls = classify(p)               # before classify samples on 4(K+1) points
-    st = steiner_point(p)
-    print(f"L = {algebraic_length(p)!r}")
-    print(f"A = {algebraic_area(p)!r}")
-    print(f"deficit_U = {isoperimetric_deficit(p)!r}")
+    m = moments(p)
+    x, y = steiner_point(p)
+    print(f"L = {m.L!r}")
+    print(f"A = {m.A!r}")
+    print(f"deficit_U = {check_isoperimetric(m)!r}")
     print(f"class = {cls.kind.value} (min_p = {cls.min_p:.6g}, "
           f"min_beta = {cls.min_beta:.6g})")
-    print(f"steiner = ({st.x!r}, {st.y!r})")
+    print(f"steiner = ({x!r}, {y!r})")
     print("singular_angles = [" + ", ".join(f"{a:.12f}" for a in angles) + "]")
     return 0
 
@@ -255,12 +255,9 @@ def _cmd_inequalities(args) -> int:
     rows = inequality_table(args.tau, args.xi,
                             constraint is Constraint.ZERO_LENGTH)
     reports = run_ensemble(spec, rows)
-    failed = False
     for rep in reports:
         status = "ok" if rep.holds else (
             "violated (expected)" if rep.expected_violable else "VIOLATED")
-        if not rep.holds and not rep.expected_violable:
-            failed = True
         print(f"{rep.ineq_id:30s} min_slack = {rep.slack: .6e}  "
               f"violations = {rep.n_violations}/{rep.n_checked}  {status}")
     if args.json is not None:
@@ -269,7 +266,7 @@ def _cmd_inequalities(args) -> int:
                             else v for k, v in vars(r).items()}
                            for r in reports], indent=2, check_circular=False)
         Path(args.json).write_text(text + "\n", encoding="utf-8")
-    return 1 if failed else 0
+    return int(any(not r.holds and not r.expected_violable for r in reports))
 
 
 def _cmd_examples(args) -> int:

@@ -9,11 +9,13 @@ beta = p + p'' controls regularity: its zeros are the cusps of the curve, and
 (ell, beta) of consistent sign means the curve is an ordinary convex curve.
 Algebraic length and area are L = 2*pi*a0 and
 A = pi*a0^2 + (pi/2) * sum_{k>=2} (1 - k^2)(a_k^2 + b_k^2); both may vanish or
-go negative for singular curves.
+go negative for singular curves; their deficit L^2 - 4*pi*A is
+inequalities.check_isoperimetric.
 
 The modal formulas take Columns, a0 and one (K, 2, rows) block of a_k, b_k,
-and add sums over modes in mode order, so a row has its own series' bits; a
-SupportFourier goes through as its one-row block.
+and add sums over modes in mode order (_mode_sum), so a row has its own
+series' bits; a SupportFourier goes through as its one-row block.
+_one_minus_k2 is the one 1 - k^2 of beta, A and the modal flows.
 """
 
 from __future__ import annotations
@@ -55,11 +57,6 @@ MAX_ROOT_MODE = 512
 
 class InputError(ValueError):
     """An argument outside the domain the function is defined on."""
-
-
-class Point2(NamedTuple):
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -234,6 +231,11 @@ def sample_points(p: SupportFourier | Columns, thetas: np.ndarray,
     return np.stack([pv * cos - dv * sin, pv * sin + dv * cos], axis=-1)
 
 
+def _one_minus_k2(k: np.ndarray) -> np.ndarray:
+    """1 - k^2 of the int64 mode numbers k, in floats: k^2 wraps in int64."""
+    return 1.0 - np.square(k, dtype=float)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def beta_of(p: SupportFourier | Columns) -> SupportFourier | Columns:
     """beta = p + p'': coefficientwise (a_k, b_k) -> (1 - k^2)(a_k, b_k).
@@ -244,7 +246,7 @@ def beta_of(p: SupportFourier | Columns) -> SupportFourier | Columns:
     """
     c = p if isinstance(p, Columns) else stack([p])
     j = np.searchsorted(c.k, 2)
-    f = 1.0 - np.square(c.k[j:], dtype=float)
+    f = _one_minus_k2(c.k[j:])
     beta = Columns(c.a0, c.k[j:], f[:, None, None] * c.ab[j:])
     return beta if c is p else column(beta, 0)
 
@@ -261,7 +263,7 @@ def algebraic_area(p: SupportFourier | Columns):
     c = p if isinstance(p, Columns) else stack([p])
     j = np.searchsorted(c.k, 2)
     e = _energy(c.ab[j:])
-    e *= (0.5 * math.pi * (1.0 - np.square(c.k[j:], dtype=float)))[:, None]
+    e *= (0.5 * math.pi * _one_minus_k2(c.k[j:]))[:, None]
     acc = _mode_sum(math.pi * c.a0 * c.a0, e)
     return acc if c is p else float(acc[0])
 
@@ -283,16 +285,9 @@ def _mode_sum(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return acc
 
 
-def isoperimetric_deficit(p: SupportFourier) -> float:
-    """L^2 - 4*pi*A; zero exactly for circles."""
-    L = algebraic_length(p)
-    return L * L - 4.0 * math.pi * algebraic_area(p)
-
-
-def steiner_point(p: SupportFourier) -> Point2:
+def steiner_point(p: SupportFourier) -> tuple[float, float]:
     """The flow-invariant center (a1, b1)."""
-    a1, b1 = p.coeff(1)
-    return Point2(a1, b1)
+    return p.coeff(1)
 
 
 def singular_angles(p: SupportFourier | Columns) -> list:

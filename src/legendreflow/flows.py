@@ -21,9 +21,11 @@ reaches its fixed point.  Every run takes sup_dev on that grid.
 
 run computes its record rows a chunk of record times at a time: the closed
 form, or the chunk's grid states analyzed in one rfft, at those times as
-Columns, one (K, 2, rows) coefficient block, every field from its moments,
-and sup_dev from _sup_dev's BLAS-screened rows x grid_n block.  A row is a
-DiagnosticsRow, a NamedTuple whose field order is the CSV column order.
+Columns, one (K, 2, rows) coefficient block, every field from its moments
+(U by inequalities.check_isoperimetric), and sup_dev from _sup_dev's
+BLAS-screened rows x grid_n block.  The closed form and the row kernel take
+1 - k^2 and their sums over modes from curves.  A row is a DiagnosticsRow,
+a NamedTuple whose field order is the CSV column order.
 A chunk is cut at its first failing record: a grid stepping error or
 non-finite coefficient, else lambda_area's floor (DegenerateLengthError),
 else a non-finite field (InputError), raised once on_record has seen the
@@ -49,8 +51,9 @@ import numpy as np
 
 from .curves import (TABLE_MAX_ENTRIES, TWO_PI, Columns, InputError,
                      SupportFourier, _at_rows, _degree, _energy, _grid_table,
-                     _mode_sum, algebraic_area, algebraic_length, column,
-                     stack, uniform_grid)
+                     _mode_sum, _one_minus_k2, algebraic_area,
+                     algebraic_length, column, stack, uniform_grid)
+from .inequalities import check_isoperimetric
 from .spectral import (GridFunction, analyze, default_grid_size, derivative,
                        l2_quantities, moments, synthesize)
 
@@ -132,7 +135,7 @@ class DiagnosticsRow(NamedTuple):
     t: float
     L: float
     A: float
-    deficit: float        # U = L^2 - 4*pi*A
+    deficit: float        # U = L^2 - 4*pi*A, check_isoperimetric
     sup_dev: float        # sup over the diagnostic grid of |beta - L/2pi|
     Q: float              # L^2/2pi - int beta^2  (<= 0 for l-convex curves)
     lam: float
@@ -194,7 +197,7 @@ def _closed_form(p: SupportFourier, ts: list[float], flow_type: FlowType,
     modes are p's (K, 2, 1) block times the (K, 1, len(ts)) decay factors.
     An a0^2 that rounds below 0 reads as a0 = +-0.0, that is L = 0."""
     t, c = np.array(ts, dtype=float), stack([p])
-    f = 1.0 - np.square(c.k, dtype=float)
+    f = _one_minus_k2(c.k)
     decay = np.array(list(map(math.exp, np.outer(f, t).ravel().tolist())))
     a0 = np.full(t.size, p.a0)
     if flow_type is FlowType.AREA_PRESERVING:
@@ -352,9 +355,7 @@ def _sup_dev(beta, center, grid_n: int):
     else:   # evaluate's terms at the points J, added term after term
         trig = table[:, ks[:, None], J].transpose(1, 0, 2)[:, :, None]
         terms = (ab[..., None] * trig).reshape(-1, a0.size, J.size)
-        dev = terms[0] + a0
-        for term in terms[1:]:
-            dev += term
+        dev = _mode_sum(terms[0] + a0, terms[1:])
     dev -= np.expand_dims(center, -1)
     return np.max(np.abs(dev, out=dev), axis=-1)
 
@@ -374,7 +375,7 @@ def _rows(t, c, flow_type: FlowType, grid_n: int):
     max_abs = np.max(np.abs(c.ab[np.searchsorted(c.k, 2):]), axis=(0, 1),
                      initial=0.0)
     fields = DiagnosticsRow(
-        t=t, L=m.L, A=m.A, deficit=m.L * m.L - 4.0 * math.pi * m.A,
+        t=t, L=m.L, A=m.A, deficit=check_isoperimetric(m),
         sup_dev=_sup_dev(m.beta, m.L / TWO_PI, grid_n),
         Q=m.L * m.L / TWO_PI - m.int_b2, lam=lam, E1=m.int_db2,
         E2=l2_quantities(derivative(m.beta))["int_dp2"], a0=c.a0,

@@ -16,7 +16,9 @@ is an exact modal expression; slack >= 0 up to the sharp bound:
     Green-Osher (F=x^2)  int beta^2 - (L^2 - 2*pi*A)/pi         -
 
 The tau = 8 and xi = 24 cases are saturated exactly by support functions with
-modes {0, 1, 2} only (parallel curves of astroids).
+modes {0, 1, 2} only (parallel curves of astroids).  check_isoperimetric is
+the one definition of the deficit U: the flows' trace rows and `analyze`
+read it too.
 
 run_ensemble draws its curves a chunk of indices at a time, as arrays, up to
 10 000 attempts each: splitmix64 over the key (seed, index, mode, slot,
@@ -70,6 +72,9 @@ class CurveEnsembleSpec:
                 or not 0 <= self.amplitude_decay < math.inf:
             raise InputError("need count >= 1, K >= 1, "
                              "0 <= amplitude_decay < inf")
+        if (n := _entries_per_curve(self)) > CHUNK_ENTRIES:
+            raise InputError(f"K = {self.K} needs {n} entries per curve, "
+                             f"more than CHUNK_ENTRIES = {CHUNK_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,7 @@ class InequalityReport:
 
 
 def check_isoperimetric(m: Moments) -> float:
+    """U = L^2 - 4*pi*A, the isoperimetric deficit: 0 exactly on circles."""
     return m.L * m.L - 4.0 * math.pi * m.A
 
 
@@ -160,8 +166,8 @@ def inequality_table(taus: Sequence[float], xis: Sequence[float],
 
 # --- deterministic ensembles -------------------------------------------------
 
-#: run_ensemble draws CHUNK_ENTRIES // _entries_per_curve(spec) curves at a
-#: time, so that the arrays a chunk keeps alive stay near 2 MiB in all.
+#: run_ensemble draws CHUNK_ENTRIES // _entries_per_curve(spec) >= 1 curves
+#: at a time, so that the arrays a chunk keeps alive stay near 2 MiB in all.
 CHUNK_ENTRIES = 1 << 18
 _GOLDEN, _MIX1, _MIX2, _S27, _S30, _S31 = map(np.uint64, (
     0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 27, 30, 31))
@@ -261,7 +267,7 @@ def run_ensemble(spec: CurveEnsembleSpec,
     the draw of a curve does not depend on where it sits in a chunk, nor a
     row's bits on the other rows."""
     low, best, violations = [0.0] * len(rows), [0] * len(rows), [0] * len(rows)
-    size = max(1, CHUNK_ENTRIES // _entries_per_curve(spec))
+    size = CHUNK_ENTRIES // _entries_per_curve(spec)
     for start in range(0, spec.count, size):
         m = moments(_columns(_chunk(spec, start,
                                     min(start + size, spec.count))))

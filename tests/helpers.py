@@ -1,8 +1,8 @@
 """Oracles and measurements that only the tests use: trapezoid-rule
 integrals independent of the package's Parseval sums, the Wirtinger gap, the
 equality family, a decay-rate fit, a series with one mode replaced, the
-per-curve cusp finder, and the trace fields of Columns and the modal closed
-form in Python floats."""
+per-curve cusp finder, sup_dev from the whole grid, and the trace fields of
+Columns and the modal closed form in Python floats."""
 
 import math
 
@@ -167,6 +167,12 @@ def reference_rows(c, flow_type: FlowType) -> list[dict]:
                     "E2": E2, "a0": a0, "max_abs_mode": max_abs,
                     "int_b2": int_b2})
     return out
+
+
+def full_sup_dev(beta, center, n: int):
+    """max_j |beta(theta_j) - center| from evaluate on the whole grid."""
+    dev = SupportFourier.evaluate(beta, uniform_grid(n))
+    return np.max(np.abs(dev - np.expand_dims(center, -1)), axis=-1)
 
 
 def reference_closed_form(p: SupportFourier, ts, flow_type: FlowType):

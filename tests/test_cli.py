@@ -538,6 +538,16 @@ class TestCliMain:
             "error: InputError: 1000000000000001 records exceed "
             "MAX_RECORDS = 1000000; raise dt or record_every\n")
 
+    def test_inequalities_k_max_above_chunk_entries_fails_at_once(
+            self, monkeypatch, capsys):
+        # the spec is refused before run_ensemble draws a curve
+        monkeypatch.setattr(cli, "run_ensemble", None)
+        assert cli_main(["inequalities", "--count", "1",
+                         "--k-max", "32768"]) == 1
+        assert capsys.readouterr().err == (
+            "error: InputError: K = 32768 needs 262148 entries per curve, "
+            "more than CHUNK_ENTRIES = 262144\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["analyze"], "beta has mode 131072 > MAX_ROOT_MODE = 512"),
         (["simulate", "--flow", "area"],

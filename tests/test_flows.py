@@ -20,8 +20,9 @@ from legendreflow import (Constraint, CurveEnsembleSpec, DegenerateLengthError,
 from legendreflow import flows
 from legendreflow.curves import Columns, _degree, column, stack
 from legendreflow.flows import GridFlowState
-from helpers import (ell_convex_residuals, fit_decay_rate, periodic_quadrature,
-                     reference_closed_form, reference_rows)
+from helpers import (ell_convex_residuals, fit_decay_rate, full_sup_dev,
+                     periodic_quadrature, reference_closed_form,
+                     reference_rows)
 
 TWO_PI = 2.0 * math.pi
 AREA = FlowType.AREA_PRESERVING
@@ -843,6 +844,31 @@ class TestRun:
                 assert dA == pytest.approx(int_bf, rel=1e-4, abs=1e-10)
 
 
+# the benchmark's three modal curves at seed 5: a dense K = 32 series lifted
+# to a0 = 4, sparse_k16 and figure1a
+MODAL_CURVES = {
+    "dense_k32": SupportFourier(4.0, smooth_support(5, 32, 1.5).modes),
+    "sparse_k16": sparse_k16(5), "figure1a": P_FIG_A}
+
+
+class TestModalFinalState:
+    # run's final state, step_exact_modal from the initial curve to the last
+    # row's t, is the state its last on_record call was handed, bit for bit
+    @pytest.mark.parametrize("name", list(MODAL_CURVES))
+    @pytest.mark.parametrize("flow_type", list(FlowType))
+    @pytest.mark.parametrize("t_final, dt, record_every, stop", [
+        (1.0, 1e-2, 1, 0.0), (0.3, 1e-3, 7, 0.0), (6.0, 1e-2, 3, 1e-3)])
+    def test_final_state_is_last_hooked_state(self, name, flow_type, t_final,
+                                              dt, record_every, stop):
+        config = FlowConfig(flow_type, MODAL_CURVES[name], t_final=t_final,
+                            dt=dt, record_every=record_every,
+                            stop_sup_dev=stop)
+        hooked = []
+        trace = run(config, lambda i, s: hooked.append((i, bits(s))))
+        assert hooked[-1] == (len(trace.rows) - 1, bits(trace.final_state))
+        assert trace.converged == (stop > 0)    # each stops by t = 2.67
+
+
 class TestFits:
     def test_sup_dev_rate(self):
         tr = run(FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A,
@@ -1244,12 +1270,6 @@ class TestRowsAgainstReference:
 
 
 # --- _sup_dev's screen against the full-grid evaluate -----------------------
-
-def full_sup_dev(beta, center, n: int):
-    """max_j |beta(theta_j) - center| from evaluate on the whole grid."""
-    dev = SupportFourier.evaluate(beta, uniform_grid(n))
-    return np.max(np.abs(dev - np.expand_dims(center, -1)), axis=-1)
-
 
 @st.composite
 def screened_columns(draw):

@@ -8,15 +8,15 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from legendreflow import (Constraint, CurveEnsembleSpec, CurveKind,
-                          FlowConfig, FlowType, GridFunction,
+                          FlowConfig, FlowType, GridFunction, InputError,
                           NotZeroLengthError, RejectionExhaustedError,
                           SupportFourier, algebraic_area, algebraic_length,
                           beta_of, check_beta2_family, check_beta2_zero_length,
                           check_grad_family, check_grad_zero_length,
                           check_isoperimetric, classify,
-                          green_osher_quadratic, inequality_table,
-                          isoperimetric_deficit, moments, random_curve, run,
-                          run_ensemble, synthesize, uniform_grid)
+                          green_osher_quadratic, inequality_table, moments,
+                          random_curve, run, run_ensemble, synthesize,
+                          uniform_grid)
 from legendreflow import inequalities
 from legendreflow.inequalities import SLACK_TOL
 from conftest import rand_support
@@ -34,15 +34,15 @@ def quad_int_beta2(p, n=512):
 
 class TestIsoperimetric:
     def test_circle_equality(self):
-        assert isoperimetric_deficit(SupportFourier(1.7)) == \
+        assert check_isoperimetric(moments(SupportFourier(1.7))) == \
             pytest.approx(0.0, abs=1e-12)
 
     def test_fig_a(self):
-        assert isoperimetric_deficit(P_FIG_A) == pytest.approx(
+        assert check_isoperimetric(moments(P_FIG_A)) == pytest.approx(
             6 * math.pi ** 2, abs=1e-10)
 
     def test_negative_area_curve(self):
-        assert isoperimetric_deficit(P_NEG) == pytest.approx(
+        assert check_isoperimetric(moments(P_NEG)) == pytest.approx(
             30 * math.pi ** 2, abs=1e-10)
 
 
@@ -67,7 +67,7 @@ class TestBeta2Family:
 
     def test_tau_monotone_and_expected_violable(self, rng):
         p = rand_support(rng, K=4)
-        if isoperimetric_deficit(p) > 0:
+        if check_isoperimetric(moments(p)) > 0:
             assert check_beta2_family(moments(p), 8.0) <= \
                 check_beta2_family(moments(p), 4.0) + 1e-12
         rows = {r.ineq_id: r for r in inequality_table([8.0, 9.0], [], False)}
@@ -195,6 +195,27 @@ class TestRandomCurve:
         spec = CurveEnsembleSpec(seed=1, count=3, K=2)
         with pytest.raises(ValueError):
             random_curve(spec, 3)
+
+
+class TestSpecBound:
+    # a spec whose one curve needs more than CHUNK_ENTRIES entries is
+    # refused when it is made: these specs are only constructed, never run
+    @pytest.mark.parametrize("K, constraint", [
+        (32768, Constraint.NONE), (32768, Constraint.POSITIVE_AREA),
+        (32768, Constraint.ZERO_LENGTH), (65536, Constraint.CONVEX),
+        (10 ** 30, Constraint.NONE)])
+    def test_refused_above_chunk_entries(self, K, constraint):
+        with pytest.raises(InputError, match=re.escape(
+                f"more than CHUNK_ENTRIES = {inequalities.CHUNK_ENTRIES}")):
+            CurveEnsembleSpec(seed=1, count=1, K=K, constraint=constraint)
+
+    @pytest.mark.parametrize("K, constraint", [
+        (32767, Constraint.NONE), (32767, Constraint.POSITIVE_AREA),
+        (32767, Constraint.ZERO_LENGTH), (65535, Constraint.CONVEX)])
+    def test_accepted_at_chunk_entries(self, K, constraint):
+        spec = CurveEnsembleSpec(seed=1, count=1, K=K, constraint=constraint)
+        assert inequalities._entries_per_curve(spec) \
+            <= inequalities.CHUNK_ENTRIES
 
 
 class TestEqualityFamily:
@@ -465,7 +486,7 @@ def test_translation_invariance_of_slacks(da, db):
         check_grad_family(moments(p), 24.0)
     assert green_osher_quadratic(moments(q)) == \
         green_osher_quadratic(moments(p))
-    assert isoperimetric_deficit(q) == isoperimetric_deficit(p)
+    assert check_isoperimetric(moments(q)) == check_isoperimetric(moments(p))
 
 
 def test_sharpness_characterization(rng):

@@ -8,19 +8,17 @@ from hypothesis import given, settings
 from legendreflow import (AliasError, DegenerateLengthError, FlowState,
                           FlowType, GridFunction, InputError, Moments,
                           NotZeroLengthError, SupportFourier,
-                          algebraic_area, algebraic_length,
-                          analyze, beta_of, check_beta2_family,
+                          algebraic_area, analyze, beta_of, check_beta2_family,
                           check_beta2_zero_length, check_grad_family,
                           check_grad_zero_length, check_isoperimetric,
                           default_grid_size, derivative,
-                          diagnostics, green_osher_quadratic,
-                          isoperimetric_deficit, l2_quantities, lambda_area,
-                          moments, synthesize, uniform_grid)
+                          diagnostics, green_osher_quadratic, l2_quantities,
+                          lambda_area, moments, synthesize, uniform_grid)
 from legendreflow import flows
 from legendreflow.curves import column, stack
 from legendreflow.flows import LAMBDA_FLOOR
 from conftest import rand_support, rows_on_modes, supports
-from helpers import periodic_quadrature
+from helpers import full_sup_dev, periodic_quadrature, reference_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -264,43 +262,8 @@ class TestL2Quantities:
                 periodic_quadrature(GridFunction(dg * dg)), abs=1e-10)
 
 
-def reference_slacks(p: SupportFourier, tau: float, xi: float) -> dict:
-    """The six slacks written straight from p, beta rebuilt for each."""
-    q = l2_quantities(beta_of(p))
-    int_b2, int_db2 = q["int_p2"], q["int_dp2"]
-    L = algebraic_length(p)
-    A = algebraic_area(p)
-    return {
-        "isoperimetric": isoperimetric_deficit(p),
-        "beta2_family": int_b2 - 2.0 * A - tau * (L * L / (4.0 * math.pi) - A),
-        "beta2_zero_length": int_b2 + tau * algebraic_area(p),
-        "grad_family": int_db2 - xi * (L * L / (4.0 * math.pi) - A),
-        "grad_zero_length": int_db2 + xi * A,
-        "green_osher_quadratic": int_b2 - (L * L - TWO_PI * A) / math.pi,
-    }
-
-
 def series_bits(p: SupportFourier) -> tuple:
     return (p.a0.hex(), tuple((k, a.hex(), b.hex()) for k, a, b in p.modes))
-
-
-def reference_row_fields(p: SupportFourier, flow_type: FlowType,
-                      grid_n: int) -> dict:
-    """The diagnostics fields that read the moments, written straight from p,
-    with beta rebuilt for lambda."""
-    L = algebraic_length(p)
-    A = algebraic_area(p)
-    beta = beta_of(p)
-    q = l2_quantities(beta)
-    int_b2, e1 = q["int_p2"], q["int_dp2"]
-    lam = p.a0 if flow_type is FlowType.LENGTH_PRESERVING \
-        else l2_quantities(beta_of(p))["int_p2"] / algebraic_length(p)
-    return {
-        "L": L, "A": A, "Q": L * L / TWO_PI - int_b2, "E1": e1, "lam": lam,
-        "E2": l2_quantities(derivative(beta))["int_dp2"],
-        "sup_dev": float(np.max(np.abs(
-            beta.evaluate(uniform_grid(grid_n)) - L / TWO_PI))),
-    }
 
 
 @st.composite
@@ -342,7 +305,19 @@ class TestMoments:
             assert series_bits(column(cols.beta, i)) == series_bits(mi.beta)
             assert series_bits(column(dcols, i)) \
                 == series_bits(derivative(mi.beta))
-        ref = reference_slacks(p, tau, xi)
+        # the reference: Python-float loops for the moments, the six slacks
+        # written out on them, sup_dev from evaluate on the whole grid
+        ref = reference_rows(stack([p]), FlowType.AREA_PRESERVING)[0]
+        L, A, int_b2, int_db2 = ref["L"], ref["A"], ref["int_b2"], ref["E1"]
+        want_slacks = {
+            "isoperimetric": L * L - 4.0 * math.pi * A,
+            "beta2_family": int_b2 - 2.0 * A
+            - tau * (L * L / (4.0 * math.pi) - A),
+            "beta2_zero_length": int_b2 + tau * A,
+            "grad_family": int_db2 - xi * (L * L / (4.0 * math.pi) - A),
+            "grad_zero_length": int_db2 + xi * A,
+            "green_osher_quadratic": int_b2 - (L * L - TWO_PI * A) / math.pi,
+        }
         slacks = {"isoperimetric": check_isoperimetric(m),
                   "beta2_family": check_beta2_family(m, tau),
                   "grad_family": check_grad_family(m, xi),
@@ -356,7 +331,7 @@ class TestMoments:
             with pytest.raises(NotZeroLengthError):
                 check_grad_zero_length(m, xi)
         for name, slack in slacks.items():
-            assert slack.hex() == ref[name].hex(), name
+            assert slack.hex() == want_slacks[name].hex(), name
         for flow_type in FlowType:
             state = FlowState(0.5, p)
             if flow_type is FlowType.AREA_PRESERVING \
@@ -368,8 +343,11 @@ class TestMoments:
                         call()
                 continue
             row = diagnostics(state, flow_type, 64)
-            for name, want in reference_row_fields(p, flow_type, 64).items():
-                assert getattr(row, name).hex() == want.hex(), name
+            want = reference_rows(stack([p]), flow_type)[0]
+            want["sup_dev"] = float(full_sup_dev(m.beta, L / TWO_PI, 64))
+            for name in ("L", "A", "deficit", "Q", "lam", "E1", "E2",
+                         "sup_dev"):
+                assert getattr(row, name).hex() == want[name].hex(), name
             if flow_type is FlowType.AREA_PRESERVING:
                 assert lambda_area(m.L, m.int_b2, state.t) == row.lam
 
