@@ -148,15 +148,15 @@ def write_curve_svg(p: SupportFourier | Columns, paths) -> None:
                                    np.repeat(np.arange(len(counts)), counts)),
                      np.cumsum(counts)[:-1])
     d_template = "M " + " L ".join(["%.6f %.6f"] * outlines.shape[1]) + " Z"
-    for path, pts, marks in zip(paths, outlines, cusps):
-        xs, ys = pts[:, 0], pts[:, 1]
-        x_lo, x_hi = float(xs.min()), float(xs.max())
-        y_lo, y_hi = float(ys.min()), float(ys.max())
+    xy = outlines.transpose(0, 2, 1).copy()     # reduced along contiguous rows
+    rows = zip(paths, outlines.reshape(len(outlines), -1).tolist(),
+               xy.min(axis=2).tolist(), xy.max(axis=2).tolist(), cusps)
+    for path, pts, (x_lo, y_lo), (x_hi, y_hi), marks in rows:
         span = max(x_hi - x_lo, y_hi - y_lo, 1e-6)
         m = 0.1 * span
         vb = (x_lo - m, y_lo - m, (x_hi - x_lo) + 2 * m, (y_hi - y_lo) + 2 * m)
         sw = 0.004 * span
-        d = d_template % tuple(pts.ravel().tolist())
+        d = d_template % tuple(pts)
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" '
             f'viewBox="{vb[0]:.6f} {vb[1]:.6f} {vb[2]:.6f} {vb[3]:.6f}">',

@@ -65,8 +65,9 @@ LAMBDA_FLOOR = 1e-9
 MAX_RECORDS = 10 ** 6
 
 #: Entries of the rows x grid_n sup_dev block of one chunk of run's rows:
-#: 256 KiB, as fast as larger blocks, keeps memory flat at large K.
-CHUNK_ENTRIES = TABLE_MAX_ENTRIES // 8
+#: 512 KiB, the fastest of 256 KiB, 512 KiB and 1 MiB at K = 32, and a
+#: fixed size, so memory stays flat in K.
+CHUNK_ENTRIES = TABLE_MAX_ENTRIES // 4
 
 
 class DegenerateLengthError(ArithmeticError):
@@ -91,6 +92,13 @@ class Scheme(enum.Enum):
 class FlowState:
     t: float
     p: SupportFourier
+
+    def __getattr__(self, name):    # a record state's p, built on first read
+        if name != "p" or "_column" not in self.__dict__:
+            raise AttributeError(name)
+        object.__setattr__(self, "p", column(*self.__dict__["_column"]))
+        self.__dict__.pop("_column", None)
+        return self.p
 
 
 @dataclass(frozen=True)
@@ -198,12 +206,12 @@ def _closed_form(p: SupportFourier, ts: list[float], flow_type: FlowType,
     An a0^2 that rounds below 0 reads as a0 = +-0.0, that is L = 0."""
     t, c = np.array(ts, dtype=float), stack([p])
     f = _one_minus_k2(c.k)
-    decay = np.array(list(map(math.exp, np.outer(f, t).ravel().tolist())))
+    decay = np.fromiter(map(math.exp, np.outer(f, t).ravel().tolist()), float)
     a0 = np.full(t.size, p.a0)
     if flow_type is FlowType.AREA_PRESERVING:
         j = np.searchsorted(c.k, 2)   # the modes with f < 0
-        em1 = np.array(list(map(math.expm1, np.outer(2 * f[j:], t)
-                                .ravel().tolist()))).reshape(-1, t.size)
+        em1 = np.fromiter(map(math.expm1, np.outer(2 * f[j:], t).ravel()
+                              .tolist()), float).reshape(-1, t.size)
         a0_sq = p.a0 * p.a0 + 0.5 * _mode_sum(np.zeros(t.size), (
             f[j:, None] * _energy(c.ab[j:])) * -em1)
         if not np.all(np.isfinite(a0_sq)):
@@ -444,7 +452,9 @@ def run(config: FlowConfig, on_record=None) -> FlowTrace:
     on_record, if given, is called with (record_index, FlowState) at every
     recorded row in order, before the next chunk of rows is computed or the
     chunk's error is raised: the CLI's snapshot hook, and the signature that
-    perfbench's record_states wraps, so it stays fixed.
+    perfbench's record_states wraps, so it stays fixed.  The state's p is
+    column(c, i) of its chunk's block, built and validated when first read,
+    so a record whose p is never read builds no SupportFourier.
     """
     grid_n = default_grid_size(_degree(config.initial))
     n_steps = round(config.t_final / config.dt)
@@ -457,7 +467,9 @@ def run(config: FlowConfig, on_record=None) -> FlowTrace:
         for i, row in enumerate(kept):
             rows.append(row)
             if on_record is not None:
-                on_record(len(rows) - 1, FlowState(row.t, column(c, i)))
+                state = object.__new__(FlowState)   # p = column(c, i)
+                state.__dict__.update(t=row.t, _column=(c, i))
+                on_record(len(rows) - 1, state)
             if converged := len(rows) > 1 and row.sup_dev < stop:
                 break   # never for stop = 0: sup_dev >= 0
         if converged:

@@ -1,10 +1,12 @@
 """Oracles and measurements that only the tests use: trapezoid-rule
 integrals independent of the package's Parseval sums, the Wirtinger gap, the
 equality family, a decay-rate fit, a series with one mode replaced, the
-per-curve cusp finder, sup_dev from the whole grid, and the trace fields of
-Columns and the modal closed form in Python floats."""
+per-curve cusp finder, sup_dev from the whole grid, the trace fields of
+Columns and the modal closed form in Python floats, and a count of the
+SupportFourier series a call builds."""
 
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -196,3 +198,16 @@ def reference_closed_form(p: SupportFourier, ts, flow_type: FlowType):
                                p.a0)
         out.append((a0, modes))
     return out
+
+
+def count_builds(fn) -> int:
+    """The SupportFourier.__post_init__ calls made by fn()."""
+    real, calls = SupportFourier.__post_init__, [0]
+
+    def counted(self):
+        calls[0] += 1
+        real(self)
+
+    with mock.patch.object(SupportFourier, "__post_init__", counted):
+        fn()
+    return calls[0]

@@ -25,7 +25,7 @@ from legendreflow.flows import LAMBDA_FLOOR, DiagnosticsRow, FlowTrace
 from legendreflow.cli import (ParseError, cli_main, format_curve,
                               parse_curve_file, read_trace_csv,
                               write_curve_svg, write_trace_csv)
-from helpers import reference_singular_angles
+from helpers import count_builds, reference_singular_angles
 
 P_FIG_A = SupportFourier(2.0, ((2, 0.0, 1.0),))
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -687,6 +687,20 @@ class TestCliMain:
         assert rc == 0
         snaps = sorted((tmp_path / "snaps").glob("*.svg"))
         assert len(snaps) >= 2
+
+    @pytest.mark.parametrize("scheme", ["modal", "grid"])
+    def test_only_snapshotted_records_build_series(self, tmp_path, scheme):
+        # figure1a's 251 area-flow records to t = 0.25, a snapshot of every
+        # 10th: the 26 snapshotted states alone build their SupportFourier
+        f = tmp_path / "c.curve"
+        f.write_text("a0 = 2\nmode 2 = 0 1\n")
+        argv = ["simulate", "--flow", "area", "--curve", str(f), "--scheme",
+                scheme, "--t-final", "0.25", "--dt", "1e-3",
+                "--out", str(tmp_path / "t.csv")]
+        bare = count_builds(lambda: cli_main(argv))
+        snapped = count_builds(lambda: cli_main([
+            *argv, "--svg-dir", str(tmp_path / "s"), "--svg-every", "10"]))
+        assert snapped - bare == 26
 
     @staticmethod
     def _snapshots(tmp_path, text, argv):

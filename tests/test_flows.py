@@ -20,8 +20,8 @@ from legendreflow import (Constraint, CurveEnsembleSpec, DegenerateLengthError,
 from legendreflow import flows
 from legendreflow.curves import Columns, _degree, column, stack
 from legendreflow.flows import GridFlowState
-from helpers import (ell_convex_residuals, fit_decay_rate, full_sup_dev,
-                     periodic_quadrature, reference_closed_form,
+from helpers import (count_builds, ell_convex_residuals, fit_decay_rate,
+                     full_sup_dev, periodic_quadrature, reference_closed_form,
                      reference_rows)
 
 TWO_PI = 2.0 * math.pi
@@ -867,6 +867,72 @@ class TestModalFinalState:
         trace = run(config, lambda i, s: hooked.append((i, bits(s))))
         assert hooked[-1] == (len(trace.rows) - 1, bits(trace.final_state))
         assert trace.converged == (stop > 0)    # each stops by t = 2.67
+
+
+class TestLazyRecordState:
+    # run hands on_record a FlowState whose p, column(c, i) of its chunk's
+    # block, is built when first read; 31 records in chunks of 4
+    CONFIGS = [FlowConfig(flow_type, p, t_final=0.06, dt=2e-3, scheme=scheme)
+               for flow_type in FlowType for scheme in Scheme
+               for p in (P_FIG_A, MODAL_CURVES["sparse_k16"])]
+
+    @staticmethod
+    def blocks(config, on_record):
+        """run(config, on_record) in chunks of 4 rows on 256 points, and the
+        Columns of its chunks."""
+        real, blocks = flows._columns, []
+
+        def captured(*args):
+            for ts, c in real(*args):
+                blocks.append(c)
+                yield ts, c
+
+        with mock.patch.object(flows, "CHUNK_ENTRIES", 1024), \
+                mock.patch.object(flows, "_columns", captured):
+            run(config, on_record)
+        return blocks
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_unread_states_build_nothing(self, config):
+        with mock.patch.object(flows, "CHUNK_ENTRIES", 1024):
+            bare = count_builds(lambda: run(config))
+            assert count_builds(lambda: run(config, lambda i, s: None)) \
+                == bare
+            assert count_builds(lambda: run(config, lambda i, s: s.p)) \
+                == bare + 31
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_p_is_its_column_whenever_read(self, config):
+        now, states, late, stored = [], [], [], []
+        blocks = self.blocks(config, lambda i, s: now.append(bits(s)))
+        assert len(blocks) == 8
+        want = [bits(FlowState(t, column(c, i)))
+                for t, (c, i) in zip(
+                    [float.fromhex(b[0]) for b in now],
+                    [(c, i) for c in blocks for i in range(len(c.a0))])]
+        assert now == want
+
+        def hook(i, state):    # each p read two chunks or more later
+            states.append(state)
+            if i >= 9:
+                late.append(bits(states[i - 9]))
+
+        self.blocks(config, hook)
+        assert late == want[:-9]
+        self.blocks(config, lambda i, s: stored.append(s))
+        assert [bits(s) for s in stored] == want    # read after run returns
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_state_equals_its_eager_twin(self, config):
+        states = []
+        self.blocks(config, lambda i, s: states.append(s))
+        for state in states:
+            assert type(state) is FlowState
+            builds = count_builds(lambda: state.p)
+            twin = FlowState(state.t, state.p)
+            assert state == twin and hash(state) == hash(twin)
+            assert builds == 1 and state.p is twin.p
+            assert count_builds(lambda: state.p) == 0
 
 
 class TestFits:
