@@ -7,7 +7,8 @@ Curve text format (UTF-8, one item per line):
     a0 = <float>
     mode <k> = <a_k> <b_k>
 
-Blank lines and '#' comments are ignored; any other key is an error.
+Blank lines and '#' comments are ignored; any other malformed line fails as
+one ParseError that names its line.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ class ParseError(InputError):
 
 def parse_curve_file(path: str | Path) -> SupportFourier:
     """Read a curve file; empty file yields the zero curve {a0 = 0}."""
-    a0 = 0.0
-    seen_a0 = False
+    a0 = None
     modes: dict[int, tuple[float, float]] = {}
     data = Path(path).read_bytes()
     try:
@@ -54,39 +54,34 @@ def parse_curve_file(path: str | Path) -> SupportFourier:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {raw!r}", lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        fields = value.split()
-        mode_key = key.split()
+        key, eq, value = line.partition("=")
+        key, fields, mode_key = key.strip(), value.split(), key.split()
         try:
+            if not eq:
+                raise ValueError(f"expected 'key = value', got {raw!r}")
             if key == "a0":
-                if seen_a0:
-                    raise ParseError("duplicate a0", lineno)
+                if a0 is not None:
+                    raise ValueError("duplicate a0")
                 if len(fields) != 1:
-                    raise ParseError("a0 takes one value", lineno)
-                a0 = float(fields[0])
-                values = (a0,)
-                seen_a0 = True
+                    raise ValueError("a0 takes one value")
+                values = (a0 := float(fields[0]),)
             elif len(mode_key) == 2 and mode_key[0] == "mode":
                 k = int(mode_key[1])
                 if k < 1:
-                    raise ParseError(f"mode number {k} must be >= 1", lineno)
+                    raise ValueError(f"mode number {k} must be >= 1")
                 if k in modes:
-                    raise ParseError(f"duplicate mode {k}", lineno)
+                    raise ValueError(f"duplicate mode {k}")
                 if len(fields) != 2:
-                    raise ParseError(f"mode {k} takes two values", lineno)
+                    raise ValueError(f"mode {k} takes two values")
                 modes[k] = values = (float(fields[0]), float(fields[1]))
             else:
-                raise ParseError(f"unknown key {key!r}", lineno)
-        except ParseError:
-            raise
+                raise ValueError(f"unknown key {key!r}")
+            if not all(map(math.isfinite, values)):
+                raise ValueError("non-finite coefficient")
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
-        if not all(map(math.isfinite, values)):
-            raise ParseError("non-finite coefficient", lineno)
-    return SupportFourier(a0, tuple((k, a, b) for k, (a, b) in modes.items()))
+    return SupportFourier(0.0 if a0 is None else a0,
+                          tuple((k, a, b) for k, (a, b) in modes.items()))
 
 
 def format_curve(p: SupportFourier) -> str:
@@ -133,18 +128,15 @@ def read_trace_csv(path: str | Path) -> list[dict[str, float]]:
 SVG_BATCH = 64
 
 
-def write_curve_svg(p: SupportFourier | Columns, paths) -> None:
-    """For each row of p, to the matching one of paths (a SupportFourier is
-    the one-row case, with one path): a closed polyline through 512 curve
-    samples, y-up, 10% margin, singular points marked with small circles.
-    The outlines of all rows come from one evaluate of p and p', and the
-    singular points of all rows from one more."""
-    if not np.ndim(p.a0):
-        p, paths = stack([p]), [paths]
-    outlines = sample_points(p, uniform_grid(512)) * [1.0, -1.0]  # y-up
-    angles = singular_angles(p)
+def write_curve_svg(c: Columns, paths) -> None:
+    """For each row of the block c (one curve p is stack([p])), to the
+    matching one of paths: a closed polyline through 512 curve samples,
+    y-up, 10% margin, singular points marked with small circles.  All
+    outlines come from one evaluate of c and c', all cusps from one more."""
+    outlines = sample_points(c, uniform_grid(512)) * [1.0, -1.0]  # y-up
+    angles = singular_angles(c)
     counts = [len(a) for a in angles]
-    cusps = np.split(sample_points(p, [a for row in angles for a in row],
+    cusps = np.split(sample_points(c, [a for row in angles for a in row],
                                    np.repeat(np.arange(len(counts)), counts)),
                      np.cumsum(counts)[:-1])
     d_template = "M " + " L ".join(["%.6f %.6f"] * outlines.shape[1]) + " Z"
@@ -247,13 +239,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_inequalities(args) -> int:
-    if not all(math.isfinite(v) for v in args.tau + args.xi):
-        raise InputError("tau and xi must be finite")
     constraint = Constraint(args.constraint)
-    spec = CurveEnsembleSpec(seed=args.seed, count=args.count, K=args.k_max,
-                             amplitude_decay=args.decay, constraint=constraint)
+    # a non-finite tau or xi is refused before the spec checks its fields
     rows = inequality_table(args.tau, args.xi,
                             constraint is Constraint.ZERO_LENGTH)
+    spec = CurveEnsembleSpec(seed=args.seed, count=args.count, K=args.k_max,
+                             amplitude_decay=args.decay, constraint=constraint)
     reports = run_ensemble(spec, rows)
     for rep in reports:
         status = "ok" if rep.holds else (
@@ -275,7 +266,7 @@ def _cmd_examples(args) -> int:
     for name, p in FIGURE_CURVES.items():
         (outdir / f"{name}.curve").write_text(format_curve(p), encoding="utf-8")
         if args.svg:
-            write_curve_svg(p, outdir / f"{name}.svg")
+            write_curve_svg(stack([p]), [outdir / f"{name}.svg"])
     print(f"wrote {len(FIGURE_CURVES)} curve files to {outdir}")
     return 0
 

@@ -148,8 +148,10 @@ class Inequality:
 def inequality_table(taus: Sequence[float], xis: Sequence[float],
                      zero_length: bool) -> list[Inequality]:
     """The isoperimetric and Green-Osher rows, the beta2 family at each tau,
-    the gradient family at each xi and, for zero-length ensembles, the two
-    L = 0 inequalities at their sharp parameters."""
+    the gradient family at each xi (InputError unless all are finite) and,
+    for zero-length ensembles, the L = 0 pair at their sharp parameters."""
+    if not all(map(math.isfinite, [*taus, *xis])):
+        raise InputError("tau and xi must be finite")
     rows = [Inequality("isoperimetric", check_isoperimetric),
             Inequality("green_osher_quadratic", green_osher_quadratic)]
     rows += [Inequality(f"beta2_family(tau={tau:g})", check_beta2_family,

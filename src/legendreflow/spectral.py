@@ -108,9 +108,8 @@ def l2_quantities(p: SupportFourier | Columns) -> dict:
 
 
 class Moments(NamedTuple):
-    """p, beta = p + p'' and the numbers the slacks and trace rows use, each
-    a column for Columns p (zeros for int_db2 with no mode k >= 2)."""
-    p: SupportFourier | Columns
+    """beta = p + p'' and the numbers the slacks and trace rows use, each a
+    column for Columns p (zeros for int_db2 with no mode k >= 2)."""
     beta: SupportFourier | Columns
     L: float
     A: float
@@ -122,5 +121,5 @@ def moments(p: SupportFourier | Columns) -> Moments:
     """L, A and the Parseval integrals of beta, with beta built once."""
     beta = beta_of(p)
     q = l2_quantities(beta)
-    return Moments(p, beta, algebraic_length(p), algebraic_area(p),
+    return Moments(beta, algebraic_length(p), algebraic_area(p),
                    q["int_p2"], q["int_dp2"])

@@ -20,7 +20,7 @@ from legendreflow import (Constraint, FlowConfig, FlowState, FlowType,
                           InequalityReport, SupportFourier, algebraic_area,
                           algebraic_length, cli, default_grid_size, run,
                           uniform_grid)
-from legendreflow.curves import MAX_ROOT_MODE
+from legendreflow.curves import MAX_ROOT_MODE, stack
 from legendreflow.flows import LAMBDA_FLOOR, DiagnosticsRow, FlowTrace
 from legendreflow.cli import (ParseError, cli_main, format_curve,
                               parse_curve_file, read_trace_csv,
@@ -83,6 +83,34 @@ class TestParseCurveFile:
         with pytest.raises(ParseError, match="non-finite") as exc:
             parse_curve_file(f)
         assert exc.value.line == line
+
+    @pytest.mark.parametrize("data, line, message", [
+        (b"a0 = 2\nfoo\n", 2, "expected 'key = value', got 'foo'"),
+        (b"a0 = 2\n# note\na0 = 3\n", 3, "duplicate a0"),
+        (b"a0 = 1 2\n", 1, "a0 takes one value"),
+        (b"a0 = 2\nmode 0 = 1 2\n", 2, "mode number 0 must be >= 1"),
+        (b"mode 2 = 0 1 3\n", 1, "mode 2 takes two values"),
+        (b"mode 2 = 0 1\n\nmode 2 = 1 0\n", 3, "duplicate mode 2"),
+        (b"a0 = x\n", 1, "could not convert string to float: 'x'"),
+        (b"a0 = 2\nmode two = 0 1\n", 2,
+         "invalid literal for int() with base 10: 'two'"),
+        (b"radius = 2\n", 1, "unknown key 'radius'"),
+        (b"a0 = 2\nmode 3 = 0 -inf\n", 2, "non-finite coefficient"),
+        (b"a0 = 2\n\n\xff\n", 3, "not UTF-8 text: invalid start byte"),
+    ])
+    def test_every_line_error_names_its_line(self, tmp_path, data, line,
+                                             message):
+        f = tmp_path / "c.curve"
+        f.write_bytes(data)
+        with pytest.raises(ParseError) as exc:
+            parse_curve_file(f)
+        assert (str(exc.value), exc.value.line) \
+            == (f"line {line}: {message}", line)
+
+    def test_negative_zero_a0_keeps_its_sign(self, tmp_path):
+        f = tmp_path / "c.curve"
+        f.write_text("a0 = -0\nmode 2 = 0 1\n")
+        assert math.copysign(1.0, parse_curve_file(f).a0) == -1.0
 
     def test_many_modes_parse_in_linear_time(self, tmp_path):
         # each line checks only its own values, so parsing stays linear in
@@ -267,7 +295,7 @@ class TestOneTemplateWriters:
                 mock.patch(f"{__name__}.reference_singular_angles",
                            lambda p: [0.5] * n_cusps), \
                 np.errstate(over="ignore", invalid="ignore"):
-            write_curve_svg(P_FIG_A, d / "new.svg")
+            write_curve_svg(stack([P_FIG_A]), [d / "new.svg"])
             reference_curve_svg(P_FIG_A, d / "ref.svg")
         assert (d / "new.svg").read_bytes() == (d / "ref.svg").read_bytes()
 
@@ -304,12 +332,11 @@ class TestOneTemplateWriters:
         p = SupportFourier(-0.5, ((1, 0.25, -0.0), (2, 0.0, 1.0)))
         trace = run(FlowConfig(FlowType.LENGTH_PRESERVING, p, t_final=1.0,
                                dt=0.1))
-        for write, reference, name in (
-                (write_trace_csv, reference_trace_csv, "t.csv"),
-                (write_curve_svg, reference_curve_svg, "c.svg")):
-            obj = trace if name == "t.csv" else p
-            write(obj, tmp_path / name)
-            reference(obj, tmp_path / ("ref_" + name))
+        write_trace_csv(trace, tmp_path / "t.csv")
+        reference_trace_csv(trace, tmp_path / "ref_t.csv")
+        write_curve_svg(stack([p]), [tmp_path / "c.svg"])
+        reference_curve_svg(p, tmp_path / "ref_c.svg")
+        for name in ("t.csv", "c.svg"):
             assert (tmp_path / name).read_bytes() \
                 == (tmp_path / ("ref_" + name)).read_bytes()
 
@@ -323,7 +350,7 @@ class TestCurveSvg:
 
     def test_circle_radius_deviation(self, tmp_path):
         f = tmp_path / "circle.svg"
-        write_curve_svg(SupportFourier(2.0), f)
+        write_curve_svg(stack([SupportFourier(2.0)]), [f])
         pts, _ = self._vertices(f)
         r = np.hypot(pts[:, 0], pts[:, 1])
         assert np.max(np.abs(r - 2.0)) < 1e-3
@@ -332,21 +359,22 @@ class TestCurveSvg:
 
     def test_fig_a_has_four_cusp_markers(self, tmp_path):
         f = tmp_path / "fig_a.svg"
-        write_curve_svg(P_FIG_A, f)
+        write_curve_svg(stack([P_FIG_A]), [f])
         _, text = self._vertices(f)
         assert text.count("<circle") == 4
 
     def test_astroid_like(self, tmp_path):
         f = tmp_path / "fig_d.svg"
-        write_curve_svg(SupportFourier(0.0, ((2, 0.0, 2.0),)), f)
+        write_curve_svg(stack([SupportFourier(0.0, ((2, 0.0, 2.0),))]),
+                        [f])
         _, text = self._vertices(f)
         assert text.count("<circle") == 4
         assert "viewBox" in text
 
     def test_deterministic_bytes(self, tmp_path):
         f1, f2 = tmp_path / "a.svg", tmp_path / "b.svg"
-        write_curve_svg(P_FIG_A, f1)
-        write_curve_svg(P_FIG_A, f2)
+        write_curve_svg(stack([P_FIG_A]), [f1])
+        write_curve_svg(stack([P_FIG_A]), [f2])
         assert f1.read_bytes() == f2.read_bytes()
 
 
@@ -640,6 +668,11 @@ class TestCliMain:
         (["inequalities", "--count", "5", "--tau", "nan"], "must be finite"),
         (["inequalities", "--count", "5", "--tau", "inf"], "must be finite"),
         (["inequalities", "--count", "5", "--xi", "nan"], "must be finite"),
+        (["inequalities", "--count", "0", "--tau", "nan"],
+         "tau and xi must be finite"),
+        (["simulate", "--flow", "area", "--curve", "c.curve", "--t-final",
+          "0.1", "--dt", "0.01", "--record-every", "0"],
+         "record_every must be >= 1"),
         (["inequalities", "--count", "3", "--decay", "inf"],
          "0 <= amplitude_decay < inf"),
         (["simulate", "--flow", "area", "--curve", "c.curve", "--t-final",
@@ -730,7 +763,7 @@ class TestCliMain:
         same = []
         for i, (snap, state) in enumerate(zip(snaps, states)):
             assert snap.name == f"snapshot_{i:05d}.svg"
-            write_curve_svg(state.p, tmp_path / "alone.svg")
+            write_curve_svg(stack([state.p]), [tmp_path / "alone.svg"])
             same.append(snap.read_bytes()
                         == (tmp_path / "alone.svg").read_bytes())
         return code, batches, len(snaps), len(states), all(same)

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 from unittest import mock
@@ -222,6 +223,11 @@ class TestStepExactModal:
         with pytest.raises(DegenerateLengthError, match=(
                 r"^\|L\| = 0\.000e\+00 below floor 1e-09 at t = 0\.1$")):
             step_exact_modal(start, 0.1, AREA)
+
+    @pytest.mark.parametrize("flow_type", list(FlowType))
+    def test_negative_dt_refused(self, flow_type):
+        with pytest.raises(InputError, match="^dt must be >= 0$"):
+            step_exact_modal(FlowState(0.0, P_FIG_A), -1e-3, flow_type)
 
     @pytest.mark.parametrize("dt", [0.0305, 0.1, 1.0, 30.0, 1e6])
     def test_area_flow_past_collapse_reads_zero_length(self, dt):
@@ -703,6 +709,8 @@ class TestRun:
                 FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, **bad)
         with pytest.raises(DegenerateLengthError):
             FlowConfig(FlowType.AREA_PRESERVING, P_ZERO_L)
+        with pytest.raises(InputError, match="^record_every must be >= 1$"):
+            FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, record_every=0)
 
     def test_record_count_cap(self):
         # constructed only: a run at the cap would keep MAX_RECORDS rows
@@ -921,6 +929,28 @@ class TestLazyRecordState:
         assert late == want[:-9]
         self.blocks(config, lambda i, s: stored.append(s))
         assert [bits(s) for s in stored] == want    # read after run returns
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_only_p_is_built_on_read(self, config):
+        # any other missing name is an AttributeError, before and after p
+        # is first read, and a copy of an unread state builds its own p
+        missing, copies = [], []
+
+        def hook(i, state):
+            missing.append(not hasattr(state, "q"))
+            with pytest.raises(AttributeError, match="^q$"):
+                getattr(state, "q")
+            copies.append(copy.copy(state))
+            state.p
+            missing.append(not hasattr(state, "q"))
+            with pytest.raises(AttributeError, match="^q$"):
+                getattr(state, "q")
+
+        blocks = self.blocks(config, hook)
+        want = [bits(FlowState(s.t, column(c, i))) for s, (c, i) in zip(
+            copies, [(c, i) for c in blocks for i in range(len(c.a0))])]
+        assert all(missing) and len(missing) == 62
+        assert [bits(s) for s in copies] == want
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_state_equals_its_eager_twin(self, config):

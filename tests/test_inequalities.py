@@ -74,6 +74,15 @@ class TestBeta2Family:
         assert rows["beta2_family(tau=9)"].expected_violable
         assert not rows["beta2_family(tau=8)"].expected_violable
 
+    @pytest.mark.parametrize("taus, xis", [
+        ([math.nan], []), ([], [math.inf]), ([8.0, -math.inf], [24.0]),
+        ([8.0], [24.0, math.nan])])
+    @pytest.mark.parametrize("zero_length", [False, True])
+    def test_table_refuses_non_finite_parameters(self, taus, xis,
+                                                 zero_length):
+        with pytest.raises(InputError, match="^tau and xi must be finite$"):
+            inequality_table(taus, xis, zero_length)
+
 
 class TestBeta2ZeroLength:
     def test_sharp_mode2(self):
@@ -346,12 +355,12 @@ def oracle_reports(spec, rows):
     low, witness, violations = [None] * len(rows), [None] * len(rows), \
         [0] * len(rows)
     for index in range(spec.count):
-        m = moments(oracle_curve(spec, index))
+        m = moments(p := oracle_curve(spec, index))
         for j, row in enumerate(rows):
             slack = row(m)
             violations[j] += not slack >= -SLACK_TOL
             if low[j] is None or slack < low[j]:
-                low[j], witness[j] = slack, m.p
+                low[j], witness[j] = slack, p
     return [(row.ineq_id, slack.hex(), p, v)
             for row, slack, p, v in zip(rows, low, witness, violations)]
 

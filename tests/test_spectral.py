@@ -299,7 +299,7 @@ class TestMoments:
             mi = moments(row)
             assert e2[i].hex() == l2_quantities(
                 derivative(mi.beta))["int_dp2"].hex()
-            for name in Moments._fields[2:]:
+            for name in Moments._fields[1:]:
                 col = getattr(cols, name)
                 assert col[i].hex() == getattr(mi, name).hex(), name
             assert series_bits(column(cols.beta, i)) == series_bits(mi.beta)
@@ -386,7 +386,7 @@ class TestMoments:
                 "A": 0.5 * periodic_quadrature(GridFunction(pg * bg)),
                 "int_b2": periodic_quadrature(GridFunction(bg * bg)),
                 "int_db2": periodic_quadrature(GridFunction(dbg * dbg))}
-        assert m.p is p and m.beta == beta_of(p)
+        assert m.beta == beta_of(p)
         for name, want in quad.items():
             assert getattr(m, name) == pytest.approx(want, rel=1e-12,
                                                      abs=1e-10), name
