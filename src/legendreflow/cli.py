@@ -127,6 +127,45 @@ def read_trace_csv(path: str | Path) -> list[dict[str, float]]:
 #: Snapshots _cmd_simulate queues before it writes them in one batch.
 SVG_BATCH = 64
 
+#: Rows per _path_data block: its 64 KiB temporaries beat 512 KiB ones 1.5x.
+_PATH_ROWS = 8
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), "<u2")
+
+
+def _path_data(xy) -> list[str]:
+    """Each row of the (rows, 2n) block xy as "x0 y0 L x1 y1 L ... y{n-1}",
+    each value byte for byte its "%.6f": the integer nearest v 10^6 (ties to
+    even) is rint(p) of p = fl(v 10^6) if |p| < 2^52 and |p - rint(p)| < 1/2,
+    as rounding is monotone.  Rows with other values use the template."""
+    template = " L ".join(["%.6f %.6f"] * (xy.shape[1] // 2))
+    seps = np.frombuffer(b" \0\0 L " * (xy.shape[1] // 2 - 1) + b" \0\0\n\0\0",
+                         np.uint8).reshape(-1, 3)
+    texts = []
+    for v in np.split(xy, range(_PATH_ROWS, len(xy), _PATH_ROWS)):
+        with np.errstate(all="ignore"):     # rows with inf or nan fall back
+            r = np.rint(p := v * 1e6)
+            exact = (np.abs(p) < 2.0 ** 52) & (np.abs(p - r) < 0.5)
+        r[~exact] = 0.0
+        q = np.floor(np.abs(r, out=r) / 1e6)    # exact below 2^52 / 10^6
+        f = (r - q * 1e6).astype(np.uint32)
+        w = len("%.0f" % q.max(initial=0.0))    # integer digits of the widest
+        m = np.zeros(v.shape + (w + 11,), np.uint8)     # 0 bytes are dropped
+        m[..., 0] = np.signbit(v) * np.uint8(ord("-"))
+        for j in range(w, 0, -1):       # from the units digit leftwards
+            t = np.floor(q / 10)
+            m[..., j] = q - 10 * t + ord("0") * ((q > 0) | (j == w))
+            q = t
+        m[..., w + 1] = ord(".")
+        hi, mid = f // 10 ** 4, f // 100
+        for k, pair in zip(range(w + 2, w + 8, 2),
+                           (hi, mid - hi * 100, f - mid * 100)):
+            m[..., k:k + 2].view("<u2")[..., 0] = _PAIRS.take(pair)
+        m[..., -3:] = seps
+        cut = m.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+        texts += [s if ok else template % tuple(row.tolist()) for s, ok, row
+                  in zip(cut, exact.all(axis=1).tolist(), v)]
+    return texts
+
 
 def write_curve_svg(c: Columns, paths) -> None:
     """For each row of the block c (one curve p is stack([p])), to the
@@ -139,20 +178,18 @@ def write_curve_svg(c: Columns, paths) -> None:
     cusps = np.split(sample_points(c, [a for row in angles for a in row],
                                    np.repeat(np.arange(len(counts)), counts)),
                      np.cumsum(counts)[:-1])
-    d_template = "M " + " L ".join(["%.6f %.6f"] * outlines.shape[1]) + " Z"
     xy = outlines.transpose(0, 2, 1).copy()     # reduced along contiguous rows
-    rows = zip(paths, outlines.reshape(len(outlines), -1).tolist(),
+    rows = zip(paths, _path_data(outlines.reshape(len(outlines), -1)),
                xy.min(axis=2).tolist(), xy.max(axis=2).tolist(), cusps)
-    for path, pts, (x_lo, y_lo), (x_hi, y_hi), marks in rows:
+    for path, d, (x_lo, y_lo), (x_hi, y_hi), marks in rows:
         span = max(x_hi - x_lo, y_hi - y_lo, 1e-6)
         m = 0.1 * span
         vb = (x_lo - m, y_lo - m, (x_hi - x_lo) + 2 * m, (y_hi - y_lo) + 2 * m)
         sw = 0.004 * span
-        d = d_template % tuple(pts)
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" '
             f'viewBox="{vb[0]:.6f} {vb[1]:.6f} {vb[2]:.6f} {vb[3]:.6f}">',
-            f'<path d="{d}" fill="none" stroke="black" '
+            f'<path d="M {d} Z" fill="none" stroke="black" '
             f'stroke-width="{sw:.6f}"/>',
         ]
         for x, y in marks:
@@ -182,10 +219,13 @@ def _cmd_analyze(args) -> int:
     angles = singular_angles(p)     # refuses a degree above MAX_ROOT_MODE
     cls = classify(p)               # before classify samples on 4(K+1) points
     m = moments(p)
+    values = (("L", m.L), ("A", m.A), ("deficit_U", check_isoperimetric(m)))
+    for name, value in values:
+        if not math.isfinite(value):
+            raise InputError(f"non-finite {name} = {value!r}")
     x, y = steiner_point(p)
-    print(f"L = {m.L!r}")
-    print(f"A = {m.A!r}")
-    print(f"deficit_U = {check_isoperimetric(m)!r}")
+    for name, value in values:
+        print(f"{name} = {value!r}")
     print(f"class = {cls.kind.value} (min_p = {cls.min_p:.6g}, "
           f"min_beta = {cls.min_beta:.6g})")
     print(f"steiner = ({x!r}, {y!r})")

@@ -251,12 +251,18 @@ def inequalities_json(argv, path, ensemble=cli.run_ensemble):
 
 
 #: Signed zeros, the smallest subnormal, values near or past overflow, and
-#: values whose 6th decimal rounds up, down or to a signed zero.
+#: values whose 6th decimal rounds up, down or to a signed zero; exact
+#: decimal ties, and 2^52 / 10^6 (the SVG path kernel's bound), its
+#: neighbours and 1e10 beyond it.
+BOUND = 4503599627.370496
 AWKWARD = st.sampled_from([
     0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308,
     math.inf, -math.inf, math.nan, 2.5e-7, -2.5e-7, 5e-7, 1.0000005,
     -1.0000005, 0.1234565, 2.0000015, -3.9999995, 1 / 3, 1e-300,
-    123456.7890125]) | FINITE
+    123456.7890125, 0.0078125, -0.0234375, 1e10] + [
+    x for b in (BOUND, -BOUND) for x in (
+        b, math.nextafter(b, 0.0), math.nextafter(b, math.copysign(
+            math.inf, b)))]) | FINITE
 
 
 class TestOneTemplateWriters:
@@ -275,19 +281,29 @@ class TestOneTemplateWriters:
         reference_trace_csv(trace, d / "ref.csv")
         assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
 
-    @given(st.lists(AWKWARD, min_size=2, max_size=8), st.integers(0, 6))
+    @given(st.lists(st.lists(AWKWARD, min_size=2, max_size=8), min_size=1,
+                    max_size=3), st.integers(0, 6))
+    @example([  # a kernel row, a row of ties and a row past the bound
+        [-0.0, -2.5e-7, 1.0000005, 1 / 3, math.nextafter(BOUND, 0.0),
+         -math.nextafter(BOUND, 0.0)],
+        [-3.9999995, 0.0078125, -0.0234375, 5e-7],
+        [BOUND, -math.nextafter(BOUND, -math.inf), 1e10, math.nan]], 2)
     @settings(max_examples=100, deadline=None)
     def test_curve_svg_matches_per_value_writer(self, tmp_path_factory,
-                                                values, n_cusps):
-        # sample_points returns the awkward values as the curve's points,
-        # for each row of Columns, and each cusp finder n_cusps angles
-        pts = np.resize(np.array(values), (512, 2))
-        pts[::7] *= -1.0
+                                                rows, n_cusps):
+        # sample_points returns the awkward values as the points of curve i
+        # (a0 = i) and of row i of their Columns, so that one block can mix
+        # rows the path kernel formats with rows it hands to the template,
+        # and each cusp finder n_cusps angles
+        pts = np.array([np.resize(np.array(values), (512, 2))
+                        for values in rows])
+        pts[:, ::7] *= -1.0
+        curves = [SupportFourier(float(i)) for i in range(len(rows))]
 
         def points(p, thetas, row=None):
-            out = pts if len(thetas) == 512 else pts[1:1 + len(thetas)]
-            return out if row is not None \
-                else np.broadcast_to(out, np.shape(p.a0) + out.shape)
+            if len(thetas) != 512:
+                return np.resize(pts[0, 1:1 + n_cusps], (len(thetas), 2))
+            return pts if np.ndim(p.a0) else pts[int(p.a0)]
         d = tmp_path_factory.mktemp("svg")
         with mock.patch.object(cli, "sample_points", points), \
                 mock.patch.object(cli, "singular_angles",
@@ -295,9 +311,13 @@ class TestOneTemplateWriters:
                 mock.patch(f"{__name__}.reference_singular_angles",
                            lambda p: [0.5] * n_cusps), \
                 np.errstate(over="ignore", invalid="ignore"):
-            write_curve_svg(stack([P_FIG_A]), [d / "new.svg"])
-            reference_curve_svg(P_FIG_A, d / "ref.svg")
-        assert (d / "new.svg").read_bytes() == (d / "ref.svg").read_bytes()
+            write_curve_svg(stack(curves),
+                            [d / f"new{i}.svg" for i in range(len(rows))])
+            for i, p in enumerate(curves):
+                reference_curve_svg(p, d / f"ref{i}.svg")
+        for i in range(len(rows)):
+            assert (d / f"new{i}.svg").read_bytes() \
+                == (d / f"ref{i}.svg").read_bytes()
 
     @given(st.lists(st.tuples(
         st.text(max_size=12), st.none() | AWKWARD, AWKWARD, st.booleans(),
@@ -461,6 +481,20 @@ class TestCliMain:
         assert re.fullmatch(f"error: InputError: {message}\n",
                             capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("a0 = 1e160\n", "A = inf"),
+        ("a0 = 1e300\nmode 2 = 0 1e300\n", "A = nan"),
+    ])
+    def test_analyze_non_finite_moments_fail_with_a_named_error(
+            self, tmp_path, capsys, text, message):
+        # simulate refuses the first file too: non-finite A = inf at t = 0.0
+        f = tmp_path / "big.curve"
+        f.write_text(text)
+        assert cli_main(["analyze", "--curve", str(f)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: InputError: non-finite {message}\n"
 
     def test_simulate_length_flow(self, tmp_path):
         f = tmp_path / "c.curve"
