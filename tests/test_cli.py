@@ -3,8 +3,12 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -207,7 +211,7 @@ def reference_curve_svg(p, path):
     xs, ys = pts[:, 0], -pts[:, 1]
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
-    span = max(x_hi - x_lo, y_hi - y_lo, 1e-6)
+    span = max(x_hi - x_lo, y_hi - y_lo, 2.5e-4)
     m = 0.1 * span
     vb = (x_lo - m, y_lo - m, (x_hi - x_lo) + 2 * m, (y_hi - y_lo) + 2 * m)
     sw = 0.004 * span
@@ -324,6 +328,13 @@ class TestOneTemplateWriters:
         st.booleans(), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
         FINITE, st.lists(st.tuples(FINITE, FINITE), max_size=3)),
         max_size=4))
+    @example([  # json escapes the NUL that splits the C encoder's output
+        ('a\0"b\\c \u00e9\u221e\U0001d4c1', None, math.nan, False, True, 0,
+         0, -0.0, []),
+        ("\0", 1.5, math.inf, True, False, 1, 1, 2.0, [(0.5, -0.0)]),
+        ("", -0.0, -math.inf, False, False, 10 ** 6, 0, 1e-300,
+         [(1.0, 2.0), (-3.0, 5e-324)])])
+    @example([])
     @settings(max_examples=100, deadline=None)
     def test_report_json_matches_per_value_writer(self, tmp_path_factory,
                                                   fields):
@@ -359,6 +370,112 @@ class TestOneTemplateWriters:
         for name in ("t.csv", "c.svg"):
             assert (tmp_path / name).read_bytes() \
                 == (tmp_path / ("ref_" + name)).read_bytes()
+
+
+class TestWriteInPlace:
+    """Every output is written over the old file in place and cut to its
+    length: the bytes are a fresh file's whatever was at the path."""
+
+    @staticmethod
+    def _commands(out, curve):
+        return [["examples", "--outdir", str(out / "curves"), "--svg"],
+                ["simulate", "--flow", "area", "--curve", str(curve),
+                 "--t-final", "0.2", "--dt", "0.01", "--out",
+                 str(out / "t.csv"), "--svg-dir", str(out / "snaps"),
+                 "--svg-every", "5"],
+                ["inequalities", "--count", "30", "--json",
+                 str(out / "r.json")]]
+
+    @staticmethod
+    def _files(out):
+        return {p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+
+    @pytest.mark.parametrize("old_length", [
+        lambda n: n + 1000, lambda n: n // 2, lambda n: 0],
+        ids=["longer", "shorter", "empty"])
+    def test_old_file_of_any_length_gives_a_fresh_files_bytes(
+            self, tmp_path, capsys, old_length):
+        curve = tmp_path / "c.curve"
+        curve.write_text("a0 = 2\nmode 2 = 0 1\n")
+        for argv in self._commands(tmp_path / "fresh", curve):
+            assert cli_main(argv) == 0, argv
+        fresh = self._files(tmp_path / "fresh")
+        assert {name.rsplit(".", 1)[1] for name in fresh} \
+            == {"curve", "svg", "csv", "json"}
+        for name, data in fresh.items():
+            old = tmp_path / "old" / name
+            old.parent.mkdir(parents=True, exist_ok=True)
+            old.write_bytes(b"#" * old_length(len(data)))
+        for argv in self._commands(tmp_path / "old", curve):
+            assert cli_main(argv) == 0, argv
+        capsys.readouterr()
+        assert self._files(tmp_path / "old") == fresh
+
+    def test_devices_pipes_and_fifos_are_written_and_not_cut(
+            self, tmp_path, capsys):
+        curve = tmp_path / "c.curve"
+        curve.write_text("a0 = 2\nmode 2 = 0 1\n")
+        argv = ["simulate", "--flow", "length", "--curve", str(curve),
+                "--t-final", "0.2", "--dt", "0.01", "--out"]
+        assert cli_main(argv + [str(tmp_path / "t.csv")]) == 0
+        assert cli_main(argv + ["/dev/null"]) == 0
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(
+            fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert cli_main(argv + [str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [(tmp_path / "t.csv").read_bytes()]
+        # /dev/stdout of a process whose standard output is a pipe
+        ineq = ["inequalities", "--count", "30", "--json"]
+        assert cli_main(ineq + [str(tmp_path / "r.json")]) == 0
+        capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from legendreflow.cli import "
+             "cli_main; sys.exit(cli_main(sys.argv[1:]))", *ineq,
+             "/dev/stdout"], stdout=subprocess.PIPE, timeout=120,
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        assert proc.returncode == 0
+        assert (tmp_path / "r.json").read_bytes() in proc.stdout
+
+    @pytest.mark.parametrize("argv, target", [
+        (["simulate", "--out", "t.csv"], "t.csv"),
+        (["simulate", "--out", "t.csv", "--svg-dir", "s"],
+         "s/snapshot_00000.svg"),
+        (["inequalities", "--json", "r.json"], "r.json"),
+        (["examples", "--outdir", "ex"], "ex/figure1a.curve"),
+    ])
+    def test_directory_target_fails_with_a_named_error(
+            self, tmp_path, monkeypatch, capsys, argv, target):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.curve").write_text("a0 = 2\nmode 2 = 0 1\n")
+        (tmp_path / target).mkdir(parents=True)
+        if argv[0] == "simulate":
+            argv = argv + ["--flow", "area", "--curve", "c.curve",
+                           "--t-final", "0.1", "--dt", "0.01"]
+        elif argv[0] == "inequalities":
+            argv = argv + ["--count", "5"]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: IsADirectoryError: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--flow", "area", "--curve", "c.curve", "--t-final",
+         "0.1", "--dt", "0.01", "--out", "missing/t.csv"],
+        ["inequalities", "--count", "5", "--json", "missing/r.json"],
+    ])
+    def test_missing_parent_fails_with_a_named_error(
+            self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.curve").write_text("a0 = 2\nmode 2 = 0 1\n")
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: FileNotFoundError: ")
 
 
 class TestCurveSvg:

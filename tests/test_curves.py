@@ -535,8 +535,9 @@ class TestColumnsLayout:
                            SupportFourier(2.5)])
         assert _sup_devs(k0) == [(0.0).hex()] * 3
         assert singular_angles(k0) == [[], [], []]
+        # the point's SVG has write_curve_svg's floor span 2.5e-4
         assert _svg_digests(k0, tmp_path, "k0") == [
-            "eec9ed4da5626cc2", "4d6b561d96cd75c2", "1446ca3b39deaaf9"]
+            "eec9ed4da5626cc2", "7293c7a77e7a5204", "1446ca3b39deaaf9"]
         # figure1a at three times; a chunk of one time is its last row, and
         # a listed zero mode 600 (zero600.curve) changes nothing
         area = FlowType.AREA_PRESERVING
