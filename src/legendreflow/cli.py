@@ -18,10 +18,13 @@ bytes past the new text (O_TRUNC: a short file); a rerun replaces either.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
 import stat
+import struct
 import sys
 from pathlib import Path
 
@@ -105,6 +108,95 @@ def format_curve(p: SupportFourier) -> str:
 
 CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
 
+#: Rows per _csv_rows block, and the fewest rows of a trace that
+#: write_trace_csv sends through it: below, the template is faster.
+_CSV_ROWS, _CSV_MIN_ROWS = 512, 32
+_SEP = np.array([ord(",")] * 10 + [ord("\n")], "<u8") << np.uint64(56)
+
+
+@functools.cache
+def _csv_tables():
+    """_csv_rows' tables, built on its first call: hi, lo, hi's 26-bit
+    halves of 10^s = hi + lo to 106 bits, s in [-263, 296] (where its
+    partial products are normal); per exponent X in [-280, 280] the words
+    of a value's slot [sign, prefix, N's 20 digits, suffix, separator]:
+    '0.000' prefix, XOR dropping N's leading zeros and making its inserted
+    '0' the dot, 'e+XX' suffix, 10^(17 - n) and 6 + n, for n digits before
+    the dot; per c the words of a slot's bytes below c; ASCII of 0000-9999."""
+    p10, lay = [], []
+    for s in range(-263, 297):
+        a, b = 10 ** max(s, 0), 10 ** max(-s, 0)
+        num, den = (a / b).as_integer_ratio()
+        p10.append((a / b, (a * den - num * b) / (b * den)))
+    hi, lo = np.array(p10).T
+    hh = hi * 134217729.0
+    hh -= hh - hi
+    for x in range(-280, 281):
+        fixed = -4 <= x < 17
+        n = max(x + 1, 0) if fixed else 1
+        fix = bytearray(4) + b"00" + bytearray(18)
+        fix[6 + n] = ord("0") ^ (ord(".") if n else 0)
+        lay.append(b"\0" + (b"0." + b"0" * (-x - 1) if n == 0 else b"")
+                   .ljust(7, b"\0") + fix + (b"" if fixed else b"e%+03d" % x)
+                   .ljust(8, b"\0") + struct.pack("<2Q", 10 ** (17 - n), 6 + n))
+    mask = [[(1 << 8 * min(max(c - 8 * w, 0), 8)) - 1 for c in range(25)]
+            for w in range(3)]
+    pairs = _PAIRS.astype("<u4")
+    return (np.array([hi, lo, hh, hi - hh]),
+            np.frombuffer(b"".join(lay), "<u8").reshape(-1, 7).T.copy(),
+            np.array(mask, "<u8"), (pairs[:, None] | pairs << 16).ravel())
+
+
+def _csv_rows(v) -> str:
+    """The rows of the (rows, 11) block v as CSV_ROW % row + "\n" gives them.
+    %.17g of v != 0 prints D, the integer nearest P = |v| 10^(16-E) (ties to
+    even) with E = floor(log10 |v|), or 10^16 at E + 1 if D = 10^17.  P is a
+    Dekker product within 2^-47 of exact, so D is exact if P is 2^-32 or
+    more from a half-integer.  Rows with a zero, inf, nan, E outside [-280,
+    279], a P that near a half-integer or one showing log10 missed E take
+    the template."""
+    p10, layout, mask, quads = _csv_tables()
+    a = np.abs(v.ravel())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    ok = (e >= -280) & (e <= 279)
+    a[~ok], e[~ok] = 1.0, 0.0
+    s = (279 - e).astype(np.intp)
+    hi, lo, hh, hl = p10.take(s, axis=1)
+    ah = a * 134217729.0            # a = ah + al, 26 bits each
+    ah -= ah - a
+    al = a - ah
+    p = a * hi
+    p_lo = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
+    k = np.rint(p_lo)
+    f = p_lo - k
+    D = p.astype(np.int64) + k.astype(np.int64)     # p >= 2^53: an integer
+    ok &= (np.abs(f) < 0.5 - 2.0 ** -32) & (D <= 10 ** 17) & (
+        (D > 10 ** 16) | (D == 10 ** 16) & (f >= -2.0 ** -5))
+    roll = D == 10 ** 17
+    D[roll] = 10 ** 16
+    lay = layout.take(559 - s + roll, axis=1)
+    div = lay[5].view(np.int64)
+    N = D + 9 * (D // div) * div    # a '0' after the digits before the dot
+    M = np.zeros((4, len(a)), "<u8")
+    h, r = N // 10 ** 8, N % 10 ** 8
+    for j, g in enumerate((h // 10 ** 8, h // 10 ** 4 % 10 ** 4, h % 10 ** 4,
+                           r // 10 ** 4, r % 10 ** 4), 1):
+        quads.take(g, out=M.view("<u4")[j // 2, j % 2::2], mode="clip")
+    # the digits' values, each below 16, so z is the last byte not '0'
+    y = (M[:3] ^ np.uint64(0x3030303030303030)).astype(float)
+    z = np.frexp(y[2] * 2.0 ** 128 + y[1] * 2.0 ** 64 + y[0])[1] - 1 >> 3
+    M[:3] ^= lay[1:4]
+    M[:3] &= mask.take(np.maximum(z + 1, lay[6].view(np.int64)), axis=1)
+    M[0] |= lay[0] | np.signbit(v.ravel()) * np.uint64(ord("-"))
+    M[3] = lay[4]
+    M[3].reshape(-1, 11)[:] |= _SEP
+    rows = np.ascontiguousarray(M.T).view(np.uint8).reshape(len(v), -1)
+    for i in np.flatnonzero(~ok.reshape(v.shape).all(axis=1)).tolist():
+        rows[i] = np.frombuffer((CSV_ROW % tuple(v[i].tolist()) + "\n")
+                                .encode().ljust(rows.shape[1], b"\0"), np.uint8)
+    return rows.tobytes().translate(None, b"\0").decode()
+
 
 def write_trace_csv(trace: FlowTrace, path: str | Path) -> None:
     """CSV with a config-echo comment header, 17-significant-digit values
@@ -122,8 +214,15 @@ def write_trace_csv(trace: FlowTrace, path: str | Path) -> None:
         "# lambda_floor = %.17g" % LAMBDA_FLOOR,
         CSV_HEADER,
     ]
-    lines += [CSV_ROW % row for row in trace.rows]
-    _write(path, "\n".join(lines) + "\n")
+    text, rows = "\n".join(lines) + "\n", trace.rows
+    if len(rows) < _CSV_MIN_ROWS:
+        text += "".join([CSV_ROW % row + "\n" for row in rows])
+    else:               # one block of rows at a time, so memory stays flat
+        values = itertools.chain.from_iterable(rows)
+        for start in range(0, len(rows), _CSV_ROWS):
+            m = min(_CSV_ROWS, len(rows) - start)
+            text += _csv_rows(np.fromiter(values, float, 11 * m).reshape(m, 11))
+    _write(path, text)
 
 
 def read_trace_csv(path: str | Path) -> list[dict[str, float]]:

@@ -72,6 +72,9 @@ class CurveEnsembleSpec:
                 or not 0 <= self.amplitude_decay < math.inf:
             raise InputError("need count >= 1, K >= 1, "
                              "0 <= amplitude_decay < inf")
+        if self.constraint is Constraint.CONVEX and self.K > MAX_CONVEX_K:
+            raise InputError(f"convex K = {self.K} above MAX_CONVEX_K = "
+                             f"{MAX_CONVEX_K}")
         if (n := _entries_per_curve(self)) > CHUNK_ENTRIES:
             raise InputError(f"K = {self.K} needs {n} entries per curve, "
                              f"more than CHUNK_ENTRIES = {CHUNK_ENTRIES}")
@@ -168,11 +171,15 @@ def inequality_table(taus: Sequence[float], xis: Sequence[float],
 
 # --- deterministic ensembles -------------------------------------------------
 
+#: The largest K of a convex ensemble: its lift costs O(K^2) a curve, and
+#: one curve took 0.031 s at K = 255, 0.57 s at 1024 and 8.5 s at 4096.
+MAX_CONVEX_K = 1024
 #: run_ensemble draws CHUNK_ENTRIES // _entries_per_curve(spec) >= 1 curves
 #: at a time, so that the arrays a chunk keeps alive stay near 2 MiB in all.
 CHUNK_ENTRIES = 1 << 18
-_GOLDEN, _MIX1, _MIX2, _S27, _S30, _S31 = map(np.uint64, (
-    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 27, 30, 31))
+_GOLDEN, _MIX1, _MIX2, _S27, _S30, _S31, _S32, _LOW32, _EXP84, _EXP52 = map(
+    np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
+                27, 30, 31, 32, 0xFFFFFFFF, 0x4530 << 48, 0x4330 << 48))
 
 
 def _fold(h: np.ndarray, part) -> np.ndarray:
@@ -194,14 +201,29 @@ def _keys(spec: CurveEnsembleSpec, index: np.ndarray) -> np.ndarray:
     return _fold(_fold(h, (row + 1) // 2), (row > 0) & (row % 2 == 0))
 
 
-def _draw(spec: CurveEnsembleSpec, keys: np.ndarray, attempt: int) -> np.ndarray:
-    """Coefficients in _keys' layout: (2u - 1) * (mode + 1)^-s, with u the
-    key (seed, index, mode, slot, attempt) folded by splitmix64, over 2^64.
+def _unit(x: np.ndarray) -> np.ndarray:
+    """x * 2.0**-63 - 1.0 of the uint64 array x, bit for bit, but without
+    numpy's slow uint64 cast: x's halves as the low bits of 2^84's and 2^52's
+    mantissas are exact doubles, and their sum rounds once.  Overwrites x."""
+    u = x >> _S32
+    u |= _EXP84
+    u = u.view(float)
+    u -= 2.0 ** 84 + 2.0 ** 52
+    x &= _LOW32
+    x |= _EXP52
+    u += x.view(float)
+    u *= 2.0 ** -63
+    u -= 1.0
+    return u
+
+
+def _draw(keys: np.ndarray, attempt: int, amplitude: np.ndarray) -> np.ndarray:
+    """Coefficients in _keys' layout: (2u - 1) * amplitude, with u the key
+    (seed, index, mode, slot, attempt) folded by splitmix64, over 2^64.
     Counter-based: an index draws alone what it draws in a chunk, with the
     same bits on every platform."""
-    u = _fold(keys, np.uint64(attempt)) * 2.0 ** -63 - 1.0   # 2 u / 2^64 - 1
-    u *= np.array([((j + 1) // 2 + 1.0) ** (-spec.amplitude_decay)
-                   for j in range(len(keys))])[:, None]
+    u = _unit(_fold(keys, np.uint64(attempt)))
+    u *= amplitude
     return u
 
 
@@ -234,7 +256,9 @@ def _chunk(spec: CurveEnsembleSpec, start: int, stop: int) -> np.ndarray:
     for the lowest index still rejected; ZeroLength sets a0 = 0; Convex
     lifts a0 until min p and min beta on the lift's grid exceed 0.1."""
     keys = _keys(spec, np.arange(start, stop))
-    c = _draw(spec, keys, 0)
+    amplitude = np.array([((j + 1) // 2 + 1.0) ** (-spec.amplitude_decay)
+                          for j in range(len(keys))])[:, None]
+    c = _draw(keys, 0, amplitude)
     if spec.constraint is Constraint.POSITIVE_AREA:
         todo, attempt = np.flatnonzero(~(algebraic_area(_columns(c)) > 0.01)), 0
         while todo.size:
@@ -243,7 +267,7 @@ def _chunk(spec: CurveEnsembleSpec, start: int, stop: int) -> np.ndarray:
                     f"no curve satisfying {spec.constraint.value} after "
                     f"10000 resamples (seed {spec.seed}, index "
                     f"{start + int(todo[0])})")
-            d = _draw(spec, keys[:, todo], attempt)
+            d = _draw(keys[:, todo], attempt, amplitude)
             ok = algebraic_area(_columns(d)) > 0.01
             c[:, todo[ok]] = d[:, ok]
             todo = todo[~ok]

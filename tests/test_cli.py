@@ -269,21 +269,78 @@ AWKWARD = st.sampled_from([
             math.inf, b)))]) | FINITE
 
 
+#: %.17g's hard cases for the CSV kernel: 10^k and its neighbours (log10
+#: may miss the exponent there), an exact 17-digit tie, a value that parses
+#: to 1e17, the switches to exponent notation at X = 17 and X = -4,
+#: three-digit exponents, subnormals, signed zeros, infinities and nan.
+G17 = [x for k in range(-6, 23) for x in (
+    float(f"1e{k}"), math.nextafter(float(f"1e{k}"), 0.0),
+    math.nextafter(float(f"1e{k}"), math.inf))] + [
+    1234567890123456.25, 99999999999999999.0, 9999999999999998.0, 1e16,
+    1e17, 1e-4, 9.9999999999999991e-05, 1e300, -1e-300, 1e-280, 1e280,
+    5e-324, -2.2250738585072014e-308, 0.0, -0.0, math.inf, -math.inf,
+    math.nan]
+
+
+def trace_of(rows, stop_sup_dev=0.0):
+    cfg = FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, t_final=0.3,
+                     dt=0.1, stop_sup_dev=stop_sup_dev)
+    return FlowTrace(cfg, tuple(DiagnosticsRow(*r) for r in rows),
+                     FlowState(0.0, P_FIG_A))
+
+
+def assert_csv_matches_reference(trace, d, block_rows=None):
+    """write_trace_csv gives reference_trace_csv's bytes as it is and, if
+    block_rows, with every trace sent to the kernel in blocks of that many
+    rows."""
+    reference_trace_csv(trace, d / "ref.csv")
+    write_trace_csv(trace, d / "new.csv")
+    assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+    if block_rows:
+        with mock.patch.object(cli, "_CSV_MIN_ROWS", 1), \
+                mock.patch.object(cli, "_CSV_ROWS", block_rows):
+            write_trace_csv(trace, d / "kernel.csv")
+        assert (d / "kernel.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+
 class TestOneTemplateWriters:
-    @given(st.lists(AWKWARD, min_size=11, max_size=44))
+    @given(st.lists(AWKWARD | st.sampled_from(G17), min_size=11,
+                    max_size=44), st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
     def test_trace_csv_matches_per_value_writer(self, tmp_path_factory,
-                                                values):
-        rows = [DiagnosticsRow(*(values[i:] + values[:i])[:11])
+                                                values, block_rows):
+        # up to 34 rows: the template alone, then the kernel in blocks
+        rows = [(values[i:] + values[:i])[:11]
                 for i in range(len(values) - 10)]
-        cfg = FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, t_final=0.3,
-                         dt=0.1, stop_sup_dev=abs(values[0])
-                         if math.isfinite(values[0]) else -0.0)
-        trace = FlowTrace(cfg, tuple(rows), FlowState(0.0, P_FIG_A))
-        d = tmp_path_factory.mktemp("csv")
-        write_trace_csv(trace, d / "new.csv")
-        reference_trace_csv(trace, d / "ref.csv")
-        assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+        trace = trace_of(rows, abs(values[0]) if math.isfinite(values[0])
+                         else -0.0)
+        assert_csv_matches_reference(trace, tmp_path_factory.mktemp("csv"),
+                                     block_rows)
+
+    @pytest.mark.parametrize("shift", [0.0, -1.0, 1.0])
+    def test_trace_csv_kernel_on_awkward_values(self, tmp_path, shift):
+        # one G17 value a row, alternating in sign along it; log10 shifted
+        # by one makes the kernel's exponent miss by one either way
+        rows = [[v if j % 2 else -v for j in range(11)] for v in G17]
+        log10, template = np.log10, []
+
+        class Template(str):        # counts the rows the kernel hands back
+            def __mod__(self, row):
+                template.append(row)
+                return str.__mod__(self, row)
+        with mock.patch.object(np, "log10", lambda a: log10(a) + shift), \
+                mock.patch.object(cli, "CSV_ROW", Template(cli.CSV_ROW)):
+            assert_csv_matches_reference(trace_of(rows), tmp_path, 16)
+        # each row is written twice (in one block, in blocks of 16): the
+        # kernel formats most rows; none once log10 is one too high; and
+        # with log10 one too low, 10^0..10^22 round to 10^17 and roll over
+        handed_back = {-row[0] for row in template}
+        if shift > 0:
+            assert len(template) == 2 * len(rows)
+        elif shift < 0:
+            assert handed_back.isdisjoint(10.0 ** k for k in range(23))
+        else:
+            assert len(template) < len(rows)
 
     @given(st.lists(st.lists(AWKWARD, min_size=2, max_size=8), min_size=1,
                     max_size=3), st.integers(0, 6))
@@ -359,10 +416,13 @@ class TestOneTemplateWriters:
         assert (tmp_path / "new.json").read_bytes() \
             == (tmp_path / "ref.json").read_bytes()
 
-    def test_simulated_outputs_match_per_value_writers(self, tmp_path):
+    @pytest.mark.parametrize("dt", [0.1, 1e-3])
+    def test_simulated_outputs_match_per_value_writers(self, tmp_path, dt):
+        # 11 rows take the template, 1001 the kernel's blocks of 512 rows
         p = SupportFourier(-0.5, ((1, 0.25, -0.0), (2, 0.0, 1.0)))
         trace = run(FlowConfig(FlowType.LENGTH_PRESERVING, p, t_final=1.0,
-                               dt=0.1))
+                               dt=dt))
+        assert len(trace.rows) == {0.1: 11, 1e-3: 1001}[dt]
         write_trace_csv(trace, tmp_path / "t.csv")
         reference_trace_csv(trace, tmp_path / "ref_t.csv")
         write_curve_svg(stack([p]), [tmp_path / "c.svg"])

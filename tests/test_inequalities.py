@@ -211,8 +211,7 @@ class TestSpecBound:
     # refused when it is made: these specs are only constructed, never run
     @pytest.mark.parametrize("K, constraint", [
         (32768, Constraint.NONE), (32768, Constraint.POSITIVE_AREA),
-        (32768, Constraint.ZERO_LENGTH), (65536, Constraint.CONVEX),
-        (10 ** 30, Constraint.NONE)])
+        (32768, Constraint.ZERO_LENGTH), (10 ** 30, Constraint.NONE)])
     def test_refused_above_chunk_entries(self, K, constraint):
         with pytest.raises(InputError, match=re.escape(
                 f"more than CHUNK_ENTRIES = {inequalities.CHUNK_ENTRIES}")):
@@ -220,11 +219,21 @@ class TestSpecBound:
 
     @pytest.mark.parametrize("K, constraint", [
         (32767, Constraint.NONE), (32767, Constraint.POSITIVE_AREA),
-        (32767, Constraint.ZERO_LENGTH), (65535, Constraint.CONVEX)])
+        (32767, Constraint.ZERO_LENGTH), (1024, Constraint.CONVEX)])
     def test_accepted_at_chunk_entries(self, K, constraint):
         spec = CurveEnsembleSpec(seed=1, count=1, K=K, constraint=constraint)
         assert inequalities._entries_per_curve(spec) \
             <= inequalities.CHUNK_ENTRIES
+
+    # the convex lift costs O(K^2) a curve: a convex K above MAX_CONVEX_K
+    # is refused before CHUNK_ENTRIES would be reached
+    @pytest.mark.parametrize("K", [1025, 65535, 65536, 10 ** 30])
+    def test_convex_refused_above_max_convex_k(self, K):
+        assert inequalities.MAX_CONVEX_K == 1024
+        with pytest.raises(InputError, match=re.escape(
+                f"convex K = {K} above MAX_CONVEX_K = 1024")):
+            CurveEnsembleSpec(seed=1, count=1, K=K,
+                              constraint=Constraint.CONVEX)
 
 
 class TestEqualityFamily:
@@ -439,6 +448,21 @@ def test_random_curve_matches_per_curve_oracle(spec, index):
     spec = CurveEnsembleSpec(spec.seed, index + 1, spec.K,
                              spec.amplitude_decay, spec.constraint)
     assert random_curve(spec, index) == oracle_curve(spec, index)
+
+
+def test_unit_matches_the_uint64_cast_bit_for_bit():
+    # the two halves of the uint64 key, converted exactly and summed with
+    # one rounding, give what numpy's uint64-to-float cast gives
+    edges = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1,
+             2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1025, 2 ** 64 - 1024,
+             2 ** 64 - 1]
+    rng = np.random.default_rng(5)
+    for x in (np.array(edges, np.uint64),
+              rng.integers(0, 2 ** 64, (17, 2000), np.uint64, endpoint=False),
+              rng.integers(0, 2 ** 53, 1000, np.uint64)):
+        want = x * 2.0 ** -63 - 1.0
+        got = inequalities._unit(x.copy())
+        assert got.tobytes() == want.tobytes()
 
 
 def test_witness_is_checked_against_its_column(monkeypatch):
