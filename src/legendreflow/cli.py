@@ -179,10 +179,10 @@ def _csv_rows(v) -> str:
     div = lay[5].view(np.int64)
     N = D + 9 * (D // div) * div    # a '0' after the digits before the dot
     M = np.zeros((4, len(a)), "<u8")
-    h, r = N // 10 ** 8, N % 10 ** 8
-    for j, g in enumerate((h // 10 ** 8, h // 10 ** 4 % 10 ** 4, h % 10 ** 4,
-                           r // 10 ** 4, r % 10 ** 4), 1):
-        quads.take(g, out=M.view("<u4")[j // 2, j % 2::2], mode="clip")
+    for j in range(5, 0, -1):   # N's 4-digit groups, from the last, taken as
+        g, N = N, N // 10 ** 4  # g - N 10^4: numpy's % is 4x slower than //
+        quads.take(g - N * 10 ** 4, out=M.view("<u4")[j // 2, j % 2::2],
+                   mode="clip")
     # the digits' values, each below 16, so z is the last byte not '0'
     y = (M[:3] ^ np.uint64(0x3030303030303030)).astype(float)
     z = np.frexp(y[2] * 2.0 ** 128 + y[1] * 2.0 ** 64 + y[0])[1] - 1 >> 3

@@ -269,13 +269,17 @@ AWKWARD = st.sampled_from([
             math.inf, b)))]) | FINITE
 
 
+#: Doubles below a power of ten whose 17 digits round up to it: P is
+#: 10^16 less 0.012 and 0.023 for the first two, less 0.043 and 0.036 for
+#: the last two, outside the kernel's 1/32 window.
+ROUND_UP = [1e-14, 1e98, 1e-70, 1e220]
 #: %.17g's hard cases for the CSV kernel: 10^k and its neighbours (log10
 #: may miss the exponent there), an exact 17-digit tie, a value that parses
 #: to 1e17, the switches to exponent notation at X = 17 and X = -4,
 #: three-digit exponents, subnormals, signed zeros, infinities and nan.
 G17 = [x for k in range(-6, 23) for x in (
     float(f"1e{k}"), math.nextafter(float(f"1e{k}"), 0.0),
-    math.nextafter(float(f"1e{k}"), math.inf))] + [
+    math.nextafter(float(f"1e{k}"), math.inf))] + ROUND_UP + [
     1234567890123456.25, 99999999999999999.0, 9999999999999998.0, 1e16,
     1e17, 1e-4, 9.9999999999999991e-05, 1e300, -1e-300, 1e-280, 1e280,
     5e-324, -2.2250738585072014e-308, 0.0, -0.0, math.inf, -math.inf,
@@ -332,8 +336,9 @@ class TestOneTemplateWriters:
                 mock.patch.object(cli, "CSV_ROW", Template(cli.CSV_ROW)):
             assert_csv_matches_reference(trace_of(rows), tmp_path, 16)
         # each row is written twice (in one block, in blocks of 16): the
-        # kernel formats most rows; none once log10 is one too high; and
-        # with log10 one too low, 10^0..10^22 round to 10^17 and roll over
+        # kernel formats most rows, and a P within its window below 10^16;
+        # none once log10 is one too high; and with log10 one too low,
+        # 10^0..10^22 round to 10^17 and roll over
         handed_back = {-row[0] for row in template}
         if shift > 0:
             assert len(template) == 2 * len(rows)
@@ -341,6 +346,7 @@ class TestOneTemplateWriters:
             assert handed_back.isdisjoint(10.0 ** k for k in range(23))
         else:
             assert len(template) < len(rows)
+            assert handed_back.isdisjoint(ROUND_UP[:2])
 
     @given(st.lists(st.lists(AWKWARD, min_size=2, max_size=8), min_size=1,
                     max_size=3), st.integers(0, 6))
