@@ -18,8 +18,8 @@ bytes past the new text (O_TRUNC: a short file); a rerun replaces either.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -46,8 +46,13 @@ CSV_HEADER = "t,L,A,deficit_U,sup_dev,Q,lambda,E1,E2,a0,max_mode"
 def _write(path: str | Path, text: str) -> None:
     """Write text as UTF-8 over path in place (see the module docstring)."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        n = f.write(text.encode("utf-8"))
-        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+        out, st = f, os.fstat(f.fileno())
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            if os.path.samestat(st, os.fstat(sys.stdout.fileno())):
+                sys.stdout.flush()
+                out = sys.stdout.buffer     # after what stdout wrote, uncut
+        n = out.write(text.encode("utf-8"))
+        if out is f and stat.S_ISREG(st.st_mode):
             f.truncate(n)
 
 
@@ -214,14 +219,12 @@ def write_trace_csv(trace: FlowTrace, path: str | Path) -> None:
         "# lambda_floor = %.17g" % LAMBDA_FLOOR,
         CSV_HEADER,
     ]
-    text, rows = "\n".join(lines) + "\n", trace.rows
-    if len(rows) < _CSV_MIN_ROWS:
-        text += "".join([CSV_ROW % row + "\n" for row in rows])
-    else:               # one block of rows at a time, so memory stays flat
-        values = itertools.chain.from_iterable(rows)
-        for start in range(0, len(rows), _CSV_ROWS):
-            m = min(_CSV_ROWS, len(rows) - start)
-            text += _csv_rows(np.fromiter(values, float, 11 * m).reshape(m, 11))
+    text, table = "\n".join(lines) + "\n", trace.table
+    if len(table) < _CSV_MIN_ROWS:
+        text += "".join([CSV_ROW % tuple(row) + "\n" for row in table.tolist()])
+    else:       # a block of rows at a time, so the kernel's arrays stay small
+        for start in range(0, len(table), _CSV_ROWS):
+            text += _csv_rows(table[start:start + _CSV_ROWS])
     _write(path, text)
 
 
@@ -382,9 +385,9 @@ def _cmd_simulate(args) -> int:
     finally:    # every snapshot queued before an error is written too
         flush()
     write_trace_csv(trace, args.out)
-    final = trace.rows[-1]
-    print(f"wrote {args.out}: {len(trace.rows)} rows, final t = {final.t!r}, "
-          f"L = {final.L!r}, A = {final.A!r}"
+    t, L, A = trace.table[-1, :3].tolist()
+    print(f"wrote {args.out}: {len(trace.table)} rows, final t = {t!r}, "
+          f"L = {L!r}, A = {A!r}"
           + (", converged (early stop)" if trace.converged else ""))
     return 0
 

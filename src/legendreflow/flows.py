@@ -24,12 +24,12 @@ form, or the chunk's grid states analyzed in one rfft, at those times as
 Columns, one (K, 2, rows) coefficient block, every field from its moments
 (U by inequalities.check_isoperimetric), and sup_dev from _sup_dev's
 BLAS-screened rows x grid_n block.  The closed form and the row kernel take
-1 - k^2 and their sums over modes from curves.  A row is a DiagnosticsRow,
-a NamedTuple whose field order is the CSV column order.
-A chunk is cut at its first failing record: a grid stepping error or
-non-finite coefficient, else lambda_area's floor (DegenerateLengthError),
-else a non-finite field (InputError), raised once on_record has seen the
-rows before it.
+1 - k^2 and their sums over modes from curves.  The rows are one float block
+in DiagnosticsRow's field order, the CSV's, kept as FlowTrace.table.
+A chunk is cut after its first converged record, or at its first failing
+record: a grid stepping error or non-finite coefficient, else lambda_area's
+floor (DegenerateLengthError), else a non-finite field (InputError), raised
+once on_record has seen the rows before it.
 diagnostics is the same kernel on a state's one-row block, with sup_dev from
 the whole grid; it computes the final row again from the final state, and a
 field that differs in any bit raises RuntimeError.
@@ -60,8 +60,7 @@ from .spectral import (GridFunction, analyze, default_grid_size, derivative,
 #: |L| below this leaves lambda_area = (1/L) int beta^2 undefined.
 LAMBDA_FLOOR = 1e-9
 
-#: Most records a run keeps: a DiagnosticsRow in FlowTrace.rows holds about
-#: 410 bytes (tracemalloc, Python 3.11), so 0.41 GB of rows at the cap.
+#: Most records a run keeps: 88 bytes a row of FlowTrace.table, 0.09 GB.
 MAX_RECORDS = 10 ** 6
 
 #: Entries of the rows x grid_n sup_dev block of one chunk of run's rows:
@@ -156,9 +155,13 @@ class DiagnosticsRow(NamedTuple):
 @dataclass(frozen=True)
 class FlowTrace:
     config: FlowConfig
-    rows: tuple[DiagnosticsRow, ...]
+    table: np.ndarray       # (records, 11) float64, DiagnosticsRow's columns
     final_state: FlowState
     converged: bool = False
+
+    @property
+    def rows(self) -> tuple[DiagnosticsRow, ...]:
+        return tuple(map(DiagnosticsRow._make, self.table.tolist()))
 
 
 def lambda_area(L, int_b2, t):
@@ -319,7 +322,7 @@ def diagnostics(state: FlowState, flow_type: FlowType,
     rows, error = _rows(state.t, stack([state.p]), flow_type, grid_n)
     if error is not None:
         raise error
-    return rows[0]
+    return DiagnosticsRow._make(rows[0].tolist())
 
 
 def _sup_dev(beta, center, grid_n: int):
@@ -371,30 +374,28 @@ def _sup_dev(beta, center, grid_n: int):
 @np.errstate(over="ignore", invalid="ignore")
 def _rows(t, c, flow_type: FlowType, grid_n: int):
     """The trace rows of the state c at time t, or of each column i of the
-    Columns c at time t[i], before the first row with a non-finite field, and
-    that row's error or None (DegenerateLengthError where lambda_area meets
-    the floor, else InputError naming the field): every field from the
-    moments of c, E2 as l2_quantities(derivative(beta)) sums it, and sup_dev
-    from _sup_dev's screened block; a row's bits do not depend on the other
-    rows."""
+    Columns c at time t[i], as one (rows, 11) block in DiagnosticsRow's field
+    order, before the first row with a non-finite field, and that row's error
+    or None (DegenerateLengthError where lambda_area meets the floor, else
+    InputError naming the field): every field from the moments of c, E2 as
+    l2_quantities(derivative(beta)) sums it, and sup_dev from _sup_dev's
+    screened block; a row's bits do not depend on the other rows."""
     m = moments(c)
     area = flow_type is FlowType.AREA_PRESERVING
     lam = lambda_area(m.L, m.int_b2, t) if area else c.a0
     max_abs = np.max(np.abs(c.ab[np.searchsorted(c.k, 2):]), axis=(0, 1),
                      initial=0.0)
-    fields = DiagnosticsRow(
+    rows = np.vstack(DiagnosticsRow(
         t=t, L=m.L, A=m.A, deficit=check_isoperimetric(m),
         sup_dev=_sup_dev(m.beta, m.L / TWO_PI, grid_n),
         Q=m.L * m.L / TWO_PI - m.int_b2, lam=lam, E1=m.int_db2,
         E2=l2_quantities(derivative(m.beta))["int_dp2"], a0=c.a0,
-        max_abs_mode=max_abs)
-    out = np.vstack(fields)
-    rows = list(map(DiagnosticsRow._make, out.T.tolist()))
-    ok = np.isfinite(out)
+        max_abs_mode=max_abs)).T
+    ok = np.isfinite(rows)
     if ok.all():
         return rows, None
-    i = int(np.argmin(ok.all(axis=0)))
-    row, j = rows[i], int(np.argmin(ok[:, i]))
+    i = int(np.argmin(ok.all(axis=1)))
+    row, j = DiagnosticsRow._make(rows[i].tolist()), int(np.argmin(ok[i]))
     try:
         if area:
             lambda_area(row.L, 0.0, row.t)
@@ -454,33 +455,35 @@ def run(config: FlowConfig, on_record=None) -> FlowTrace:
     chunk's error is raised: the CLI's snapshot hook, and the signature that
     perfbench's record_states wraps, so it stays fixed.  The state's p is
     column(c, i) of its chunk's block, built and validated when first read,
-    so a record whose p is never read builds no SupportFourier.
-    """
+    so a record whose p is never read builds no SupportFourier."""
     grid_n = default_grid_size(_degree(config.initial))
     n_steps = round(config.t_final / config.dt)
     steps = [*range(0, n_steps, config.record_every), n_steps]
     size = max(1, CHUNK_ENTRIES // grid_n)
     chunks = (steps[lo:lo + size] for lo in range(0, len(steps), size))
-    rows, converged, stop = [], False, config.stop_sup_dev
+    blocks, records, col = [], 0, DiagnosticsRow._fields.index("sup_dev")
     for ts, c in _columns(config, chunks, grid_n):
         kept, error = _rows(ts, c, config.flow_type, grid_n)
-        for i, row in enumerate(kept):
-            rows.append(row)
-            if on_record is not None:
-                state = object.__new__(FlowState)   # p = column(c, i)
-                state.__dict__.update(t=row.t, _column=(c, i))
-                on_record(len(rows) - 1, state)
-            if converged := len(rows) > 1 and row.sup_dev < stop:
-                break   # never for stop = 0: sup_dev >= 0
+        below = kept[:, col] < config.stop_sup_dev     # never for stop = 0
+        below[:1] &= records > 0        # nor on the run's row 0
+        if converged := bool(below.any()):
+            kept = kept[:np.argmax(below) + 1]
+        blocks.append(kept)
+        for i, t in enumerate(kept[:, 0].tolist() if on_record else ()):
+            state = object.__new__(FlowState)   # p = column(c, i)
+            state.__dict__.update(t=t, _column=(c, i))
+            on_record(records + i, state)
+        records += len(kept)
         if converged:
             break
         if error is not None:
             raise error
-    final = FlowState(row.t, column(c, i)) \
+    row = DiagnosticsRow._make(kept[-1].tolist())
+    final = FlowState(row.t, column(c, len(kept) - 1)) \
         if config.scheme is Scheme.GRID_RK4 else step_exact_modal(
             FlowState(0.0, config.initial), row.t, config.flow_type)
     check = diagnostics(final, config.flow_type, grid_n)
     if [x.hex() for x in check] != [x.hex() for x in row]:
         raise RuntimeError(f"final row {row} differs from {check}")
-    return FlowTrace(config=config, rows=tuple(rows), final_state=final,
-                     converged=converged)
+    return FlowTrace(config=config, table=np.concatenate(blocks),
+                     final_state=final, converged=converged)

@@ -2,19 +2,22 @@
 integrals independent of the package's Parseval sums, the Wirtinger gap, the
 equality family, a decay-rate fit, a series with one mode replaced, the
 per-curve cusp finder, sup_dev from the whole grid, the trace fields of
-Columns and the modal closed form in Python floats, and a count of the
-SupportFourier series a call builds."""
+Columns and the modal closed form in Python floats, run's rows walked one
+at a time, and a count of the SupportFourier series a call builds."""
 
 import math
 from unittest import mock
 
 import numpy as np
 
-from legendreflow import (FlowTrace, FlowType, InputError, SupportFourier,
-                          beta_of, l2_quantities)
+from legendreflow import (FlowConfig, FlowState, FlowTrace, FlowType,
+                          InputError, Scheme, SupportFourier, beta_of,
+                          default_grid_size, l2_quantities, step_exact_modal)
+from legendreflow import flows
 from legendreflow.curves import (MAX_ROOT_MODE, NEWTON_STEPS, TWO_PI,
-                                 UNIT_CIRCLE_TOL, _degree, uniform_grid)
-from legendreflow.flows import LAMBDA_FLOOR
+                                 UNIT_CIRCLE_TOL, _degree, column,
+                                 uniform_grid)
+from legendreflow.flows import LAMBDA_FLOOR, DiagnosticsRow
 
 
 def periodic_quadrature(g) -> float:
@@ -198,6 +201,36 @@ def reference_closed_form(p: SupportFourier, ts, flow_type: FlowType):
                                p.a0)
         out.append((a0, modes))
     return out
+
+
+def reference_run(config: FlowConfig, on_record=None) -> FlowTrace:
+    """run with its rows walked one at a time: each chunk's rows from
+    flows._columns and flows._rows, appended and handed to on_record in
+    order, the first row after row 0 whose sup_dev is below stop_sup_dev
+    ending the run, then the chunk's error raised."""
+    grid_n = default_grid_size(_degree(config.initial))
+    n_steps = round(config.t_final / config.dt)
+    steps = [*range(0, n_steps, config.record_every), n_steps]
+    size = max(1, flows.CHUNK_ENTRIES // grid_n)
+    chunks = (steps[lo:lo + size] for lo in range(0, len(steps), size))
+    rows, converged, stop = [], False, config.stop_sup_dev
+    for ts, c in flows._columns(config, chunks, grid_n):
+        kept, error = flows._rows(ts, c, config.flow_type, grid_n)
+        for i, row in enumerate(map(DiagnosticsRow._make, kept.tolist())):
+            rows.append(row)
+            if on_record is not None:
+                on_record(len(rows) - 1, FlowState(row.t, column(c, i)))
+            if converged := len(rows) > 1 and row.sup_dev < stop:
+                break
+        if converged:
+            break
+        if error is not None:
+            raise error
+    final = FlowState(row.t, column(c, i)) \
+        if config.scheme is Scheme.GRID_RK4 else step_exact_modal(
+            FlowState(0.0, config.initial), row.t, config.flow_type)
+    return FlowTrace(config, np.array(rows, float).reshape(-1, 11), final,
+                     converged)
 
 
 def count_builds(fn) -> int:

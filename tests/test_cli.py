@@ -25,7 +25,7 @@ from legendreflow import (Constraint, FlowConfig, FlowState, FlowType,
                           algebraic_length, cli, default_grid_size, run,
                           uniform_grid)
 from legendreflow.curves import MAX_ROOT_MODE, stack
-from legendreflow.flows import LAMBDA_FLOOR, DiagnosticsRow, FlowTrace
+from legendreflow.flows import LAMBDA_FLOOR, FlowTrace
 from legendreflow.cli import (ParseError, cli_main, format_curve,
                               parse_curve_file, read_trace_csv,
                               write_curve_svg, write_trace_csv)
@@ -289,7 +289,7 @@ G17 = [x for k in range(-6, 23) for x in (
 def trace_of(rows, stop_sup_dev=0.0):
     cfg = FlowConfig(FlowType.LENGTH_PRESERVING, P_FIG_A, t_final=0.3,
                      dt=0.1, stop_sup_dev=stop_sup_dev)
-    return FlowTrace(cfg, tuple(DiagnosticsRow(*r) for r in rows),
+    return FlowTrace(cfg, np.array(rows, float).reshape(-1, 11),
                      FlowState(0.0, P_FIG_A))
 
 
@@ -508,6 +508,43 @@ class TestWriteInPlace:
                  "PYTHONPATH": str(Path(cli.__file__).parents[1])})
         assert proc.returncode == 0
         assert (tmp_path / "r.json").read_bytes() in proc.stdout
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_stdout_file_gets_the_output_after_what_stdout_printed(
+            self, tmp_path, unbuffered):
+        # /dev/stdout opened again is a new file description at offset 0,
+        # while print writes at fd 1's: the output goes through sys.stdout
+        # instead, in program order and uncut, whether stdout is a regular
+        # file or a pipe, and with stdout buffered or not
+        curve = tmp_path / "c.curve"
+        curve.write_text("a0 = 2\nmode 2 = 0 1\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+
+        def main(argv, stdout):
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from legendreflow.cli "
+                 "import cli_main; sys.exit(cli_main(sys.argv[1:]))", *argv],
+                stdout=stdout, timeout=120, env=env)
+            assert proc.returncode == 0
+            return proc.stdout
+
+        sim = ["simulate", "--flow", "area", "--curve", str(curve),
+               "--t-final", "0.5", "--dt", "0.01", "--out"]
+        ineq = ["inequalities", "--count", "30", "--json"]
+        for argv, name, csv_first in ((sim, "t.csv", True),
+                                      (ineq, "r.json", False)):
+            path = tmp_path / name
+            printed = main(argv + [str(path)], subprocess.PIPE)
+            printed = printed.replace(str(path).encode(), b"/dev/stdout")
+            want = path.read_bytes() + printed if csv_first \
+                else printed + path.read_bytes()
+            with open(tmp_path / "out", "wb") as f:
+                main(argv + ["/dev/stdout"], f)
+            assert (tmp_path / "out").read_bytes() == want
+            assert main(argv + ["/dev/stdout"], subprocess.PIPE) == want
 
     @pytest.mark.parametrize("argv, target", [
         (["simulate", "--out", "t.csv"], "t.csv"),

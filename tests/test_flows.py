@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 from dataclasses import replace
 from unittest import mock
@@ -18,15 +19,16 @@ from legendreflow import (Constraint, CurveEnsembleSpec, DegenerateLengthError,
                           random_curve, run, sample_points, step_exact_modal,
                           step_grid_rk4, steiner_point, synthesize,
                           uniform_grid)
-from legendreflow import flows
+from legendreflow import flows, inequalities
 from legendreflow.curves import Columns, _degree, column, stack
-from legendreflow.flows import GridFlowState
+from legendreflow.flows import DiagnosticsRow, GridFlowState
 from helpers import (count_builds, ell_convex_residuals, fit_decay_rate,
                      full_sup_dev, periodic_quadrature, reference_closed_form,
-                     reference_rows)
+                     reference_rows, reference_run)
 
 TWO_PI = 2.0 * math.pi
-AREA = FlowType.AREA_PRESERVING
+AREA, LENGTH = FlowType.AREA_PRESERVING, FlowType.LENGTH_PRESERVING
+E2, SUP_DEV = map(DiagnosticsRow._fields.index, ("E2", "sup_dev"))
 P_FIG_A = SupportFourier(2.0, ((2, 0.0, 1.0),))
 P_FIG_C = SupportFourier(0.5, ((2, 0.0, 1.0),))      # A = -5 pi / 4
 P_ZERO_L = SupportFourier(0.0, ((1, 2.0, 1.0), (2, 2.0, 1.0)))
@@ -66,7 +68,7 @@ class TestLambdas:
         rows, error = flows._rows([0.125, 0.25, 0.5], stack(
             [SupportFourier(x) for x in (L / TWO_PI).tolist()]),
                                   AREA, 64)
-        assert [row.t for row in rows] == [0.125]
+        assert rows.shape == (1, 11) and rows[0, 0] == 0.125
         with pytest.raises(DegenerateLengthError,
                            match=r"^\|L\| = 1.000e-10 .* at t = 0.25$"):
             raise error
@@ -1008,6 +1010,26 @@ class TestLimitCircle:
         assert tr.final_state.p.a0 == algebraic_length(P_FIG_A) / TWO_PI
         assert tr.rows[-1].max_abs_mode < 1e-6
 
+    def test_limit_radii_over_positive_area_ensemble(self):
+        # the same limits on every curve of the positive-area K = 8 ensemble
+        # at seed 5, by the closed form at t = 30: |a0| = sqrt(A0/pi) under
+        # the area flow; a0 kept bit for bit, |a0| = |L0|/(2 pi), under the
+        # length flow.  994 of the 2000 curves have a0 < 0, L0 < 0: the area
+        # flow takes them to a0 -> -sqrt(A0/pi), the circle traced reversed
+        spec = CurveEnsembleSpec(seed=5, count=2000, K=8,
+                                 constraint=Constraint.POSITIVE_AREA)
+        c = inequalities._columns(inequalities._chunk(spec, 0, spec.count))
+        A0, L0 = algebraic_area(c), algebraic_length(c)
+        assert np.sum(c.a0 < 0) == 994 and np.all(A0 > 0.01)
+        a0 = np.array([[flows._closed_form(column(c, i), [30.0], flow).a0[0]
+                        for i in range(spec.count)] for flow in FlowType])
+        radius = {AREA: np.sqrt(A0 / math.pi), LENGTH: np.abs(L0) / TWO_PI}
+        for flow, got in zip(FlowType, a0):
+            assert np.all(np.sign(got) == np.sign(c.a0))
+            assert np.max(np.abs(np.abs(got) - radius[flow])
+                          / radius[flow]) <= 1e-12
+        assert a0[list(FlowType).index(LENGTH)].tobytes() == c.a0.tobytes()
+
 
 # --- run's chunked rows against one state and one diagnostics call per row ---
 
@@ -1262,10 +1284,9 @@ class TestChunkedRows:
         real = flows._rows
 
         def off_by_one_bit(t, c, flow_type, grid_n):
-            rows = real(t, c, flow_type, grid_n)[0]
+            rows = real(t, c, flow_type, grid_n)[0].copy()
             if np.ndim(t) == 1:
-                rows[-1] = rows[-1]._replace(E2=math.nextafter(
-                    rows[-1].E2, math.inf))
+                rows[-1, E2] = math.nextafter(rows[-1, E2], math.inf)
             return rows, None
         with mock.patch.object(flows, "_rows", off_by_one_bit), \
                 pytest.raises(RuntimeError, match="final row"):
@@ -1279,6 +1300,87 @@ class TestChunkedRows:
         with pytest.raises(InputError,
                            match=r"^non-finite A = inf at t = 0\.0$"):
             diagnostics(state, flow_type, 256)
+
+
+def cut_outcome(run_fn, config: FlowConfig) -> tuple:
+    """The bits of the rows, of the (index, state) pairs passed to on_record
+    and of the final state of run_fn(config), and whether it converged; or
+    the pairs passed and the error raised."""
+    hooked = []
+    try:
+        trace = run_fn(config, lambda i, s: hooked.append((i, bits(s))))
+    except (InputError, DegenerateLengthError) as exc:
+        return hooked, repr(exc)
+    assert trace.table.dtype == np.float64 and trace.table.shape[1] == 11
+    return ([row_bits(r) for r in trace.rows], hooked,
+            bits(trace.final_state), trace.converged)
+
+
+@functools.lru_cache(maxsize=None)
+def figure1a_sup_dev(scheme: Scheme, flow_type: FlowType) -> np.ndarray:
+    """sup_dev of figure1a's 31 rows over t in [0, 0.3], dt = 0.01."""
+    sup = run(FlowConfig(flow_type, P_FIG_A, t_final=0.3, dt=1e-2,
+                         scheme=scheme)).table[:, SUP_DEV]
+    assert sup.shape == (31,) and np.all(np.diff(sup) < 0)
+    return sup
+
+
+class TestChunkCut:
+    """run cuts a chunk after its first converged row, and calls on_record
+    only on the rows it keeps; reference_run walks the same rows one at a
+    time, as run did before its rows became one block."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("flow_type", list(FlowType))
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 4])
+    @pytest.mark.parametrize("place", [
+        "first of a chunk", "last of a chunk", "in a later chunk",
+        "row 1, row 0 below too", "never"])
+    def test_stop_matches_per_row_loop(self, scheme, flow_type, chunk_rows,
+                                       place):
+        # sup_dev falls strictly, so a stop just above row r's sup_dev
+        # converges at row r; row 0 never converges, so a stop above every
+        # row's converges at row 1
+        sup = figure1a_sup_dev(scheme, flow_type)
+        r = {"first of a chunk": chunk_rows,
+             "last of a chunk": 2 * chunk_rows - 1,
+             "in a later chunk": 5 * chunk_rows + chunk_rows // 2,
+             "row 1, row 0 below too": 1, "never": None}[place]
+        stop = float(sup.min()) / 2 if r is None else 1e300 \
+            if place.startswith("row 1") \
+            else math.nextafter(float(sup[r]), math.inf)
+        config = FlowConfig(flow_type, P_FIG_A, t_final=0.3, dt=1e-2,
+                            scheme=scheme, stop_sup_dev=stop)
+        with mock.patch.object(flows, "CHUNK_ENTRIES", chunk_rows * 256):
+            got = cut_outcome(run, config)
+            assert got == cut_outcome(reference_run, config)
+        rows, hooked, _, converged = got
+        assert converged is (r is not None)
+        assert len(rows) == (31 if r is None else r + 1)
+        assert [i for i, _ in hooked] == list(range(len(rows)))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_converges_and_fails_in_one_chunk(self, scheme):
+        # A = 1.6e-27: the modal run fails on record 299's row (lambda_area's
+        # floor), the grid run stepping to it; in chunks of 4 rows either
+        # failure shares the chunk of records 296-299 with record 297, and
+        # converging there drops the chunk's error
+        p = SupportFourier(1.2247448713915892e-06, ((2, 0.0, 1e-6),))
+        config = FlowConfig(AREA, p, t_final=3.0, dt=1e-2, scheme=scheme)
+        sup = run(replace(config, t_final=2.97)).table[:, SUP_DEV]
+        assert sup.shape == (298,) and np.all(np.diff(sup[290:]) < 0)
+        stopped = replace(config, stop_sup_dev=math.nextafter(
+            float(sup[297]), math.inf))
+        with mock.patch.object(flows, "CHUNK_ENTRIES",
+                               4 * default_grid_size(p.K)):
+            failed = cut_outcome(run, config)
+            got = cut_outcome(run, stopped)
+            assert failed == cut_outcome(reference_run, config)
+            assert got == cut_outcome(reference_run, stopped)
+        hooked, error = failed
+        assert "DegenerateLengthError" in error
+        assert [i for i, _ in hooked] == list(range(299))
+        assert got[3] and len(got[0]) == len(got[1]) == 298
 
 
 # --- the row kernel against its fields in Python floats ---------------------
@@ -1326,9 +1428,10 @@ class TestRowsAgainstReference:
         cut = next((i for i, r in enumerate(want) if r["lam"] is None),
                    len(want))
         grid_n = default_grid_size(int(c.k[-1]) if c.k.size else 0)
-        rows, error = flows._rows((np.arange(c.a0.size) / 8).tolist(), c,
-                                  flow_type, grid_n)
-        assert len(rows) == cut
+        block, error = flows._rows((np.arange(c.a0.size) / 8).tolist(), c,
+                                   flow_type, grid_n)
+        assert block.shape == (cut, 11) and block.dtype == np.float64
+        rows = list(map(DiagnosticsRow._make, block.tolist()))
         assert isinstance(error, DegenerateLengthError) if cut < len(want) \
             else error is None
         for row, ref in zip(rows, want):

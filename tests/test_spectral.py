@@ -16,11 +16,12 @@ from legendreflow import (AliasError, DegenerateLengthError, FlowState,
                           lambda_area, moments, synthesize, uniform_grid)
 from legendreflow import flows
 from legendreflow.curves import column, stack
-from legendreflow.flows import LAMBDA_FLOOR
+from legendreflow.flows import LAMBDA_FLOOR, DiagnosticsRow
 from conftest import rand_support, rows_on_modes, supports
 from helpers import full_sup_dev, periodic_quadrature, reference_rows
 
 TWO_PI = 2.0 * math.pi
+E1, E2 = map(DiagnosticsRow._fields.index, ("E1", "E2"))
 
 
 class TestGridFunction:
@@ -293,8 +294,8 @@ class TestMoments:
         rows = data.draw(rows_on_modes(p, 2.0))
         cols = moments(stack(rows))
         dcols = derivative(cols.beta)
-        e2 = [r.E2 for r in flows._rows(np.zeros(len(rows)), stack(rows),
-                                        FlowType.LENGTH_PRESERVING, 64)[0]]
+        e2 = flows._rows(np.zeros(len(rows)), stack(rows),
+                         FlowType.LENGTH_PRESERVING, 64)[0][:, E2].tolist()
         for i, row in enumerate(rows):
             mi = moments(row)
             assert e2[i].hex() == l2_quantities(
@@ -365,9 +366,9 @@ class TestMoments:
         for flow_type in FlowType:
             if flow_type is FlowType.AREA_PRESERVING and a0 == 0.0:
                 continue
-            for row in flows._rows([0.0, 1.0], stack(rows), flow_type,
-                                   64)[0]:
-                assert (row.E1.hex(), row.E2.hex()) == ((0.0).hex(),) * 2
+            block = flows._rows([0.0, 1.0], stack(rows), flow_type, 64)[0]
+            assert [x.hex() for x in block[:, [E1, E2]].ravel().tolist()] \
+                == [(0.0).hex()] * 4
         # derivative keeps a Columns without modes, and its zero a0 column
         # gives a +0.0 int (beta')^2 column
         dcols = derivative(cols.beta)
